@@ -31,7 +31,9 @@ derived data, so sharing presentations across threads stays safe.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from . import linalg
 from .groebner import (
@@ -49,7 +51,6 @@ from .polyring import (
     PolyRing,
     Polynomial,
     RingMismatchError,
-    mon_one,
     multidegree,
 )
 
@@ -336,18 +337,11 @@ def ideal_power(a: EquigeneratedIdeal, n: int) -> EquigeneratedIdeal:
     key = ("pow", a.key(), n)
     def compute():
         gens = _dedupe(
-            _product_of(a, picks) for picks in
-            itertools.combinations_with_replacement(range(len(a.generators)), n)
+            reduce(operator.mul, picks)
+            for picks in itertools.combinations_with_replacement(a.generators, n)
         )
         return EquigeneratedIdeal(a.algebra, gens)
     return a.algebra._memo(key, compute)
-
-
-def _product_of(a: EquigeneratedIdeal, picks) -> Polynomial:
-    out = a.algebra.ring.one()
-    for i in picks:
-        out = out * a.generators[i]
-    return out
 
 
 @dataclass(frozen=True)
@@ -416,19 +410,35 @@ def fiber_algebra(I: EquigeneratedIdeal):
     return I.algebra._memo(("fiber", I.key()), compute)
 
 
-def fiber_image(I: EquigeneratedIdeal, f: Polynomial) -> Polynomial:
-    """Image of a degree-delta element of I as a linear form in the fiber."""
-    pres, _ = fiber_algebra(I)
+def _linear_form(ring: PolyRing, names, coords) -> Polynomial:
+    """sum_i coords[i] * names[i] in ``ring``."""
+    out = ring.zero()
+    for c, name in zip(coords, names):
+        out = out + ring.var(name) * c
+    return out
+
+
+def _generator_coords(I: EquigeneratedIdeal, f: Polynomial) -> tuple[int, ...]:
+    """Coefficients of a degree-delta element of I over I's generators."""
     target = (I.degree,)
     rows = [I.algebra.coordinates(g, target) for g in I.generators]
     coords = linalg.solve_coords(rows, I.algebra.coordinates(f, target), I.algebra.ring.field.p)
     if coords is None:
         raise ValueError(f"{f} is not an F_p-combination of the ideal's generators")
-    out = pres.ring.zero()
-    for c, name in zip(coords, pres.ring.names):
-        if c:
-            out = out + pres.ring.var(name).scale_monomial(mon_one(pres.ring.nvars), c)
-    return out
+    return coords
+
+
+def _module_finite(pres: GradedAlgebraPresentation, forms) -> bool:
+    """Graded Nakayama: is ``pres`` module-finite over F_p[forms]?"""
+    return is_zero_dimensional(
+        IdealSpec(pres.ring, pres.relations.generators + tuple(forms))
+    )
+
+
+def fiber_image(I: EquigeneratedIdeal, f: Polynomial) -> Polynomial:
+    """Image of a degree-delta element of I as a linear form in the fiber."""
+    pres, names = fiber_algebra(I)
+    return _linear_form(pres.ring, names, _generator_coords(I, f))
 
 
 def analytic_spread(I: EquigeneratedIdeal) -> int:
@@ -450,9 +460,7 @@ def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> bool |
     if J.degree != I.degree:
         return None
     pres, _ = fiber_algebra(I)
-    forms = [fiber_image(I, g) for g in J.generators]
-    gens = pres.relations.generators + tuple(f for f in forms if not f.is_zero)
-    return is_zero_dimensional(IdealSpec(pres.ring, gens))
+    return _module_finite(pres, (fiber_image(I, g) for g in J.generators))
 
 
 def is_reduction(
@@ -538,13 +546,8 @@ class DiagonalSubring:
     def embed(self, f: Polynomial) -> Polynomial:
         """Rewrite a multidegree-(1,..,1) element as a linear form."""
         ones = (1,) * self.parent.components
-        coords = self.parent.coordinates(f, ones)
         ring = self.presentation.ring
-        out = ring.zero()
-        for c, name in zip(coords, ring.names):
-            if c:
-                out = out + ring.var(name).scale_monomial(mon_one(ring.nvars), c)
-        return out
+        return _linear_form(ring, ring.names, self.parent.coordinates(f, ones))
 
 
 def diagonal_subring(algebra: GradedAlgebraPresentation) -> DiagonalSubring:
@@ -584,6 +587,10 @@ def _as_matrix(rows) -> tuple[tuple[Polynomial, ...], ...]:
     return mat
 
 
+def _column_products(mat) -> list[Polynomial]:
+    return [reduce(operator.mul, column) for column in zip(*mat)]
+
+
 def is_complete_reduction_ring(algebra: GradedAlgebraPresentation, rows) -> bool:
     """Complete reduction test for a standard N^n-graded algebra.
 
@@ -612,23 +619,9 @@ def is_complete_reduction_ring(algebra: GradedAlgebraPresentation, rows) -> bool
         raise ValueError(
             f"complete reduction of this algebra needs {want} columns, got {r}"
         )
-    forms = []
-    for j in range(r):
-        prod = algebra.ring.one()
-        for i in range(n):
-            prod = prod * mat[i][j]
-        forms.append(diag.embed(prod))
-    gens = diag.presentation.relations.generators + tuple(
-        f for f in forms if not f.is_zero
+    return _module_finite(
+        diag.presentation, (diag.embed(x) for x in _column_products(mat))
     )
-    return is_zero_dimensional(IdealSpec(diag.presentation.ring, gens))
-
-
-def _product_ideal(ideals) -> EquigeneratedIdeal:
-    out = ideals[0]
-    for nxt in ideals[1:]:
-        out = ideal_product(out, nxt)
-    return out
 
 
 def is_complete_reduction_ideals(
@@ -663,20 +656,14 @@ def is_complete_reduction_ideals(
                 )
             if not I.contains(entry):
                 raise ValueError(f"entry ({i},{j}) does not lie in ideal {i}")
-    product = _product_ideal(ideals)
+    product = reduce(ideal_product, ideals)
     r = len(mat[0])
     want = analytic_spread(product)
     if r != want:
         raise ValueError(
             f"complete reduction of this ideal tuple needs {want} columns, got {r}"
         )
-    columns = []
-    for j in range(r):
-        prod = algebra.ring.one()
-        for i in range(len(ideals)):
-            prod = prod * mat[i][j]
-        columns.append(prod)
-    J = EquigeneratedIdeal(algebra, _dedupe(columns))
+    J = EquigeneratedIdeal(algebra, _dedupe(_column_products(mat)))
     return is_reduction(J, product, n_max=n_max)
 
 
@@ -745,25 +732,9 @@ def lemma_correspondence_check(
         return None
     mat = _as_matrix(rows)
     pres, blocks = multigraded_fiber_algebra(ideals)
-    p = pres.ring.field.p
-    lifted_rows = []
-    for i, (row, I) in enumerate(zip(mat, ideals)):
-        target = (I.degree,)
-        gen_rows = [I.algebra.coordinates(g, target) for g in I.generators]
-        lifted = []
-        for entry in row:
-            coords = linalg.solve_coords(
-                gen_rows, I.algebra.coordinates(entry, target), p
-            )
-            if coords is None:
-                raise ValueError("matrix entry escapes the span of its ideal's generators")
-            form = pres.ring.zero()
-            for c, name in zip(coords, blocks[i]):
-                if c:
-                    form = form + pres.ring.var(name).scale_monomial(
-                        mon_one(pres.ring.nvars), c
-                    )
-            lifted.append(form)
-        lifted_rows.append(tuple(lifted))
-    ring_verdict = is_complete_reduction_ring(pres, tuple(lifted_rows))
+    lifted_rows = tuple(
+        tuple(_linear_form(pres.ring, block, _generator_coords(I, entry)) for entry in row)
+        for row, I, block in zip(mat, ideals, blocks)
+    )
+    ring_verdict = is_complete_reduction_ring(pres, lifted_rows)
     return ring_verdict == ideal_verdict.is_yes

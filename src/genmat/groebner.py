@@ -335,13 +335,9 @@ def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> Id
     for i, f in enumerate(targets):
         t = big.var(names[i])
         gens.append(t - _extend(f, big, src_positions))
-    gb = buchberger(IdealSpec(big, tuple(gens)), elimination_order(ns))
-    small = PolyRing(src.field, tuple(names))
-    out = []
-    for g in gb.basis:
-        if all(all(e == 0 for e in mon[:ns]) for mon in g.terms):
-            out.append(_restrict(g, small, list(range(ns, big.nvars))))
-    return IdealSpec(small, tuple(out))
+    # The source variables come first in ``big``, so elimination runs its
+    # block order on these generators as they stand.
+    return elimination_ideal(IdealSpec(big, tuple(gens)), names)
 
 
 def _staircase_supports(gb: GroebnerBasis) -> list[frozenset[int]]:

@@ -24,8 +24,9 @@ an entry under "ideals" or an inline generator list.
 The "exchange" section names a kind (nn, minred,
 complete-reduction-ring, complete-reduction-ideals), a "start" basis,
 "handles" (spans of forms, or per-component blocks for the column
-kinds), and optional "traps".  For the column kinds a basis element is
-a column: a list with one entry per grading component or ideal.
+kinds), optional "traps", and an optional "n_max" power bound for
+minred.  For the column kinds a basis element is a column: a list with
+one entry per grading component or ideal.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .algebra import (
+    DEFAULT_POWER_BOUND,
     EquigeneratedIdeal,
     GradedAlgebraPresentation,
     InconclusiveError,
@@ -220,6 +222,22 @@ def resolve_ideal(ctx: InstanceContext, ref, location: str) -> EquigeneratedIdea
     raise InstanceFileError(location, "ideal reference must be a name or a list")
 
 
+def _ideal_list(ctx: InstanceContext, refs, location: str) -> tuple[EquigeneratedIdeal, ...]:
+    if not isinstance(refs, list) or not refs:
+        raise InstanceFileError(location, "must be a nonempty list")
+    return tuple(
+        resolve_ideal(ctx, ref, f"{location}[{i}]") for i, ref in enumerate(refs)
+    )
+
+
+def _power_bound(section: dict, n_max: int | None, location: str) -> int:
+    """The power-criterion bound: the flag if given, else the section's n_max."""
+    bound = n_max if n_max is not None else section.get("n_max", DEFAULT_POWER_BOUND)
+    if not isinstance(bound, int) or bound < 1:
+        raise InstanceFileError(location, "must be a positive integer")
+    return bound
+
+
 def _matrix(ctx: InstanceContext, rows, location: str):
     if not isinstance(rows, list) or not rows:
         raise InstanceFileError(location, "must be a nonempty list of rows")
@@ -269,9 +287,7 @@ def run_check(ctx: InstanceContext, task: str, n_max: int | None = None) -> Chec
     section = ctx.document.get("check")
     if not isinstance(section, dict):
         raise InstanceFileError("check", "missing or not an object")
-    bound = n_max if n_max is not None else section.get("n_max", 10)
-    if not isinstance(bound, int) or bound < 1:
-        raise InstanceFileError("check.n_max", "must be a positive integer")
+    bound = _power_bound(section, n_max, "check.n_max")
 
     def candidate():
         if "candidate" not in section:
@@ -310,12 +326,7 @@ def run_check(ctx: InstanceContext, task: str, n_max: int | None = None) -> Chec
                 is_complete_reduction_ring(ctx.algebra, rows),
                 {"matrix": [[str(f) for f in row] for row in rows]},
             )
-        refs = section.get("ideals")
-        if not isinstance(refs, list) or not refs:
-            raise InstanceFileError("check.ideals", "must be a nonempty list")
-        ideals = tuple(
-            resolve_ideal(ctx, ref, f"check.ideals[{i}]") for i, ref in enumerate(refs)
-        )
+        ideals = _ideal_list(ctx, section.get("ideals"), "check.ideals")
         rows = _matrix(ctx, section.get("matrix"), "check.matrix")
         return _verdict_outcome(
             is_complete_reduction_ideals(ideals, rows, n_max=bound),
@@ -346,12 +357,6 @@ class ExchangeSetup:
         )
 
 
-def _column(ctx: InstanceContext, raw, location: str) -> tuple[Polynomial, ...]:
-    if not isinstance(raw, list):
-        raise InstanceFileError(location, "column must be a list of polynomials")
-    return _poly_list(ctx.ring, raw, location)
-
-
 def build_exchange(
     ctx: InstanceContext, variant: str = "vector", n_max: int | None = None
 ) -> ExchangeSetup:
@@ -372,7 +377,7 @@ def build_exchange(
     traps_raw = section.get("traps", {})
     if not isinstance(traps_raw, dict):
         raise InstanceFileError("exchange.traps", "must be an object")
-    bound = n_max if n_max is not None else section.get("n_max", 10)
+    bound = _power_bound(section, n_max, "exchange.n_max")
 
     columnar = kind in ("complete-reduction-ring", "complete-reduction-ideals")
     handles = {}
@@ -396,10 +401,11 @@ def build_exchange(
 
     if columnar:
         start = tuple(
-            _column(ctx, col, f"exchange.start[{i}]") for i, col in enumerate(start_raw)
+            _poly_list(ctx.ring, col, f"exchange.start[{i}]")
+            for i, col in enumerate(start_raw)
         )
         traps = {
-            tname: _column(ctx, col, f"exchange.traps.{tname}")
+            tname: _poly_list(ctx.ring, col, f"exchange.traps.{tname}")
             for tname, col in traps_raw.items()
         }
     else:
@@ -422,13 +428,7 @@ def build_exchange(
                 ctx.algebra, variant=variant, handles=handles, traps=traps
             )
         else:
-            refs = section.get("ideals")
-            if not isinstance(refs, list) or not refs:
-                raise InstanceFileError("exchange.ideals", "must be a nonempty list")
-            ideals = tuple(
-                resolve_ideal(ctx, ref, f"exchange.ideals[{i}]")
-                for i, ref in enumerate(refs)
-            )
+            ideals = _ideal_list(ctx, section.get("ideals"), "exchange.ideals")
             inst = complete_reduction_instance(
                 ideals, variant=variant, handles=handles, traps=traps
             )

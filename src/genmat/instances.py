@@ -64,7 +64,6 @@ def _span_handle(
     name: str,
     forms: Sequence[Polynomial],
     target,
-    description: str = "",
 ) -> MatroidHandle:
     """Handle whose carrier is the k-span of homogeneous forms."""
     forms = tuple(forms)
@@ -83,7 +82,7 @@ def _span_handle(
     def sample(rng: random.Random) -> Polynomial:
         return _nonzero_combo(forms, rng)
 
-    return MatroidHandle(name, contains, sample, description)
+    return MatroidHandle(name, contains, sample)
 
 
 # ---------------------------------------------------------------- finite
@@ -105,13 +104,7 @@ def _finite_handle(name: str, subset: Iterable, family: set) -> MatroidHandle:
     def sample(rng: random.Random):
         return elements[rng.randrange(len(elements))]
 
-    return MatroidHandle(
-        name,
-        contains,
-        sample,
-        description=f"{len(elements)} exchangeable elements",
-        elements=elements,
-    )
+    return MatroidHandle(name, contains, sample, elements=elements)
 
 
 def finite_matroid(
@@ -147,9 +140,7 @@ def finite_matroid(
     built = {hname: _finite_handle(hname, subset, family) for hname, subset in specs.items()}
     return GenericMatroidInstance(
         name,
-        f"{len(ground)} labelled elements",
         sizes.pop(),
-        "discrete",
         oracle,
         built,
         oracle_name="finite-family-membership",
@@ -172,13 +163,7 @@ def _vector_handle(name: str, subset, p: int, rank_needed: int) -> MatroidHandle
     def sample(rng: random.Random):
         return carrier[rng.randrange(len(carrier))]
 
-    return MatroidHandle(
-        name,
-        contains,
-        sample,
-        description=f"{len(carrier)} nonzero vectors",
-        elements=carrier,
-    )
+    return MatroidHandle(name, contains, sample, elements=carrier)
 
 
 def vector_matroid(
@@ -212,9 +197,7 @@ def vector_matroid(
     built = {hname: _vector_handle(hname, subset, p, r) for hname, subset in specs.items()}
     return GenericMatroidInstance(
         name,
-        f"{len(vecs)} vectors in F_{p}^{len(vecs[0])}",
         r,
-        "discrete",
         oracle,
         built,
         oracle_name="linear-independence",
@@ -253,14 +236,10 @@ def nn_instance(
         for f in forms:
             if algebra.element_degree(f) != (1,):
                 raise ValueError(f"handle {hname!r}: {f} is not linear")
-        built[hname] = _span_handle(
-            algebra, hname, forms, (1,), description=f"span of {len(forms)} linear forms"
-        )
+        built[hname] = _span_handle(algebra, hname, forms, (1,))
     return GenericMatroidInstance(
         name,
-        f"degree-1 forms in {', '.join(algebra.ring.names)}",
         d,
-        "subspace-arrangement-complement",
         oracle,
         built,
         traps,
@@ -306,14 +285,10 @@ def minred_instance(
                 raise ValueError(f"handle {hname!r}: {f} has the wrong degree")
             if not linalg.in_span(gen_rows, S.coordinates(f, delta), p):
                 raise ValueError(f"handle {hname!r}: {f} lies outside the ideal")
-        built[hname] = _span_handle(
-            S, hname, forms, delta, description=f"span of {len(forms)} ideal members"
-        )
+        built[hname] = _span_handle(S, hname, forms, delta)
     return GenericMatroidInstance(
         name,
-        f"degree-{ideal.degree} members of ({', '.join(map(str, ideal.generators))})",
         d,
-        "ideal-union-complement",
         oracle,
         built,
         traps,
@@ -330,7 +305,6 @@ def _column_handle(
     blocks: Sequence[Sequence[Polynomial]],
     targets,
     variant: str,
-    description: str = "",
 ) -> MatroidHandle:
     """Columns with one entry per block, sampled per the chosen variant.
 
@@ -382,7 +356,7 @@ def _column_handle(
                 return tuple(entries)
         raise RuntimeError(f"handle {name!r} kept drawing degenerate columns")
 
-    return MatroidHandle(name, contains, sample, description)
+    return MatroidHandle(name, contains, sample)
 
 
 def _transpose(cols: tuple, n: int) -> tuple:
@@ -423,15 +397,10 @@ def _ring_form(algebra, variant, handles, traps, name):
                     raise ValueError(
                         f"handle {hname!r}: block {i} entry {f} has the wrong degree"
                     )
-        built[hname] = _column_handle(
-            algebra, hname, blocks, units, variant,
-            description=f"{variant}-sampled columns over {n} blocks",
-        )
+        built[hname] = _column_handle(algebra, hname, blocks, units, variant)
     return GenericMatroidInstance(
         name,
-        f"columns of {n} multihomogeneous entries",
         d,
-        "zariski-complement",
         oracle,
         built,
         traps,
@@ -477,15 +446,10 @@ def _ideal_form(ideals, variant, handles, traps, name):
                     raise ValueError(
                         f"handle {hname!r}: block {i} entry {f} lies outside ideal {i}"
                     )
-        built[hname] = _column_handle(
-            S, hname, blocks, targets, variant,
-            description=f"{variant}-sampled columns over {n} ideals",
-        )
+        built[hname] = _column_handle(S, hname, blocks, targets, variant)
     return GenericMatroidInstance(
         name,
-        f"columns of {n} ideal members",
         d,
-        "zariski-complement",
         oracle,
         built,
         traps,

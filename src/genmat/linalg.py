@@ -56,41 +56,20 @@ def solve_coords(basis_rows, target, p: int):
     """
     basis_rows = [tuple(r) for r in basis_rows]
     target = tuple(target)
-    if not basis_rows:
-        return () if all(x % p == 0 for x in target) else None
     ncols = len(target)
     if any(len(r) != ncols for r in basis_rows):
         raise ValueError("vector lengths disagree")
-    # Augmented system: columns are the basis vectors, rhs is target.
+    # Augmented system: columns are the basis vectors, then the target.
+    # Its reduced echelon form has a pivot in the target column exactly
+    # when the system is inconsistent.
     m = len(basis_rows)
-    aug = [[basis_rows[j][i] % p for j in range(m)] + [target[i] % p] for i in range(ncols)]
-    r = 0
-    pivots: list[tuple[int, int]] = []
-    for col in range(m):
-        pivot = None
-        for i in range(r, ncols):
-            if aug[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][col], p - 2, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(ncols):
-            if i != r and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == ncols:
-            break
-    for i in range(r, ncols):
-        if aug[i][m]:
-            return None
+    aug = [[row[i] for row in basis_rows] + [target[i]] for i in range(ncols)]
+    echelon, pivots = row_echelon(aug, p)
+    if m in pivots:
+        return None
     coeffs = [0] * m
-    for row, col in pivots:
-        coeffs[col] = aug[row][m]
+    for row, col in zip(echelon, pivots):
+        coeffs[col] = row[m]
     return tuple(coeffs)
 
 

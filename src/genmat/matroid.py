@@ -1,7 +1,7 @@
 """Generic matroids: basis oracles, handles, and randomized exchange.
 
-An instance packages a ground description, a deterministic basis
-oracle, and a family of named handles.  Each handle plays the role of a
+An instance packages a rank, a deterministic basis oracle, and a
+family of named handles.  Each handle plays the role of a
 target matroid: it knows which ground elements its carrier holds and
 how to sample random candidates from it.  The exchange axiom is
 realized by rejection sampling: draw a candidate from the handle,
@@ -28,13 +28,6 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Element = Hashable
 
-TOPOLOGIES = (
-    "discrete",
-    "subspace-arrangement-complement",
-    "zariski-complement",
-    "ideal-union-complement",
-)
-
 DEFAULT_MAX_TRIES = 64
 MAX_AXIOM_GROUND = 20
 _SEED_BITS = 32
@@ -57,26 +50,22 @@ class MatroidHandle:
     name: str
     contains: Callable[[Element], bool]
     sample: Callable[[random.Random], Element]
-    description: str = ""
     elements: tuple[Element, ...] | None = None
 
 
 class GenericMatroidInstance:
-    """Immutable bundle of ground data, basis oracle, and handles.
+    """Immutable bundle of rank, basis oracle, and handles.
 
     The oracle must be deterministic; verdicts are cached per element
     set.  Candidate tuples with repeats never reach the oracle: a basis
     has no duplicate elements.  ``traps`` holds named known-bad
     candidates that regression tests force-inject to confirm rejection.
-    ``topology`` is carried as metadata only.
     """
 
     def __init__(
         self,
         name: str,
-        ground: str,
         rank: int,
-        topology: str,
         oracle: Callable[[tuple], bool],
         handles: Mapping[str, MatroidHandle],
         traps: Mapping[str, Element] | None = None,
@@ -84,14 +73,10 @@ class GenericMatroidInstance:
     ):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        if topology not in TOPOLOGIES:
-            raise ValueError(f"unknown topology {topology!r}")
         if not handles:
             raise ValueError("instance needs at least one handle")
         self.name = name
-        self.ground = ground
         self.rank = int(rank)
-        self.topology = topology
         self.handles = dict(handles)
         self.traps = dict(traps or {})
         self.oracle_name = oracle_name

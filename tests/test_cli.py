@@ -9,6 +9,7 @@ from genmat.cli import REPORT_SCHEMA, main
 from genmat.instancefile import (
     InstanceFileError,
     build_context,
+    build_exchange,
     load_document,
     resolve_prime,
 )
@@ -214,6 +215,26 @@ def test_exchange_start_must_verify(monkeypatch, capsys):
     code = main(["exchange", "--json", "--seed", "1"])
     assert code == 3
     assert "fails the basis oracle" in capsys.readouterr().err
+
+
+def test_exchange_power_bound_validated(monkeypatch, capsys):
+    for bad in (0, "abc"):
+        doc = quadric_doc()
+        doc["exchange"]["n_max"] = bad
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        assert main(["exchange", "--json", "--seed", "1"]) == 3
+        assert "exchange.n_max: must be a positive integer" in capsys.readouterr().err
+    assert main(["exchange", QUADRIC, "--n-max", "0", "--seed", "1"]) == 3
+    assert "exchange.n_max: must be a positive integer" in capsys.readouterr().err
+
+
+def test_readme_example_document():
+    with open("README.md") as fh:
+        readme = fh.read()
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    ctx = build_context(load_document(block), env={})
+    setup = build_exchange(ctx)
+    assert setup.instance.rank == 3 and set(setup.instance.traps) == {"x", "y", "z+w"}
 
 
 def test_report_round_trip(monkeypatch, capsys):
