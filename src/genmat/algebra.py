@@ -54,7 +54,6 @@ from .polyring import (
     multidegree,
 )
 
-MAX_DIAGONAL_GENERATORS = 64
 DEFAULT_POWER_BOUND = 10
 
 
@@ -201,7 +200,7 @@ class GradedAlgebraPresentation:
         return tuple(coords)
 
     def dimension(self) -> int:
-        return self._memo(("dim",), lambda: krull_dimension(self.relations))
+        return self._memo(("dim",), lambda: krull_dimension(self.groebner()))
 
 
 def graded_algebra(ring: PolyRing, degrees, relations=()) -> GradedAlgebraPresentation:
@@ -418,14 +417,18 @@ def _linear_form(ring: PolyRing, names, coords) -> Polynomial:
     return out
 
 
-def _generator_coords(I: EquigeneratedIdeal, f: Polynomial) -> tuple[int, ...]:
-    """Coefficients of a degree-delta element of I over I's generators."""
+def _generator_coords(I: EquigeneratedIdeal, forms) -> list[tuple[int, ...]]:
+    """Coefficients of degree-delta elements of I over I's generators."""
     target = (I.degree,)
+    p = I.algebra.ring.field.p
     rows = [I.algebra.coordinates(g, target) for g in I.generators]
-    coords = linalg.solve_coords(rows, I.algebra.coordinates(f, target), I.algebra.ring.field.p)
-    if coords is None:
-        raise ValueError(f"{f} is not an F_p-combination of the ideal's generators")
-    return coords
+    out = []
+    for f in forms:
+        coords = linalg.solve_coords(rows, I.algebra.coordinates(f, target), p)
+        if coords is None:
+            raise ValueError(f"{f} is not an F_p-combination of the ideal's generators")
+        out.append(coords)
+    return out
 
 
 def _module_finite(pres: GradedAlgebraPresentation, forms) -> bool:
@@ -438,16 +441,12 @@ def _module_finite(pres: GradedAlgebraPresentation, forms) -> bool:
 def fiber_image(I: EquigeneratedIdeal, f: Polynomial) -> Polynomial:
     """Image of a degree-delta element of I as a linear form in the fiber."""
     pres, names = fiber_algebra(I)
-    return _linear_form(pres.ring, names, _generator_coords(I, f))
+    return _linear_form(pres.ring, names, _generator_coords(I, (f,))[0])
 
 
 def analytic_spread(I: EquigeneratedIdeal) -> int:
     """Dimension of the fiber ring of I."""
-    def compute():
-        pres, _ = fiber_algebra(I)
-        return pres.dimension()
-
-    return I.algebra._memo(("spread", I.key()), compute)
+    return fiber_algebra(I)[0].dimension()
 
 
 def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> bool | None:
@@ -459,8 +458,9 @@ def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> bool |
     """
     if J.degree != I.degree:
         return None
-    pres, _ = fiber_algebra(I)
-    return _module_finite(pres, (fiber_image(I, g) for g in J.generators))
+    pres, names = fiber_algebra(I)
+    coords = _generator_coords(I, J.generators)
+    return _module_finite(pres, (_linear_form(pres.ring, names, c) for c in coords))
 
 
 def is_reduction(
@@ -553,9 +553,8 @@ class DiagonalSubring:
 def diagonal_subring(algebra: GradedAlgebraPresentation) -> DiagonalSubring:
     """Diagonal subalgebra generated by the (1,..,1) graded piece.
 
-    The monomial basis of that piece becomes the generator list (capped
-    at MAX_DIAGONAL_GENERATORS) and the presentation ideal comes from
-    kernel_of_map.
+    The monomial basis of that piece becomes the generator list and the
+    presentation ideal comes from kernel_of_map.
     """
     def compute():
         if not algebra.is_standard:
@@ -564,11 +563,6 @@ def diagonal_subring(algebra: GradedAlgebraPresentation) -> DiagonalSubring:
         mons = algebra.standard_monomials(ones)
         if not mons:
             raise ValueError("the (1,..,1) graded piece is zero")
-        if len(mons) > MAX_DIAGONAL_GENERATORS:
-            raise ValueError(
-                f"diagonal piece has {len(mons)} monomials, over the cap of "
-                f"{MAX_DIAGONAL_GENERATORS}"
-            )
         names = _fresh_names(algebra.ring.names, len(mons), prefix="u")
         ker = kernel_of_map(list(mons), relations=algebra.relations, names=names)
         pres = standard_graded_algebra(ker.ring, ker)
@@ -733,7 +727,7 @@ def lemma_correspondence_check(
     mat = _as_matrix(rows)
     pres, blocks = multigraded_fiber_algebra(ideals)
     lifted_rows = tuple(
-        tuple(_linear_form(pres.ring, block, _generator_coords(I, entry)) for entry in row)
+        tuple(_linear_form(pres.ring, block, c) for c in _generator_coords(I, row))
         for row, I, block in zip(mat, ideals, blocks)
     )
     ring_verdict = is_complete_reduction_ring(pres, lifted_rows)

@@ -11,8 +11,7 @@ per ideal and order, so results are canonical.
 Everything downstream is a consequence of normal forms: membership,
 ideal equality, elimination through a block order, kernels of algebra
 maps via T_i - f_i, and Krull dimension read off the leading-term
-staircase.  The dimension search is exhaustive over variable subsets
-and capped at MAX_DIMENSION_VARS variables.
+staircase.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ from .polyring import (
     mon_lcm,
     mon_mul,
 )
-
-# Subset search over variables is exponential; keep it honest but bounded.
-MAX_DIMENSION_VARS = 10
 
 
 @dataclass(frozen=True)
@@ -340,36 +336,27 @@ def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> Id
     return elimination_ideal(IdealSpec(big, tuple(gens)), names)
 
 
-def _staircase_supports(gb: GroebnerBasis) -> list[frozenset[int]]:
-    return [
-        frozenset(i for i, e in enumerate(mon) if e) for mon in gb.leading_monomials()
-    ]
+def _min_cover(supports: list[frozenset[int]]) -> int:
+    """Fewest variables meeting every support.  Any such set holds a
+    variable of a smallest support, so branch on which one."""
+    if not supports:
+        return 0
+    smallest = min(supports, key=len)
+    return 1 + min(_min_cover([s for s in supports if v not in s]) for v in smallest)
 
 
 def krull_dimension(ideal, order: MonomialOrder = GREVLEX) -> int:
     """Krull dimension of ring/ideal.
 
-    Largest number of variables meeting no leading-term support, found
-    by exhaustive subset search.  Returns -1 for the unit ideal (the
-    zero ring).  Ambients beyond MAX_DIMENSION_VARS variables are
-    refused.
+    The variable count minus the fewest variables meeting every
+    leading-term support; the rest form a largest variable set that
+    contains no support.  Returns -1 for the unit ideal (the zero ring).
     """
     gb = _as_gb(ideal, order)
-    n = gb.ring.nvars
-    if n > MAX_DIMENSION_VARS:
-        raise ValueError(
-            f"dimension search is exhaustive and limited to {MAX_DIMENSION_VARS} "
-            f"variables; this ring has {n}"
-        )
-    supports = _staircase_supports(gb)
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in gb.leading_monomials()]
     if any(not s for s in supports):
         return -1
-    for size in range(n, 0, -1):
-        for subset in itertools.combinations(range(n), size):
-            chosen = set(subset)
-            if all(not s <= chosen for s in supports):
-                return size
-    return 0
+    return gb.ring.nvars - _min_cover(supports)
 
 
 def is_zero_dimensional(ideal, order: MonomialOrder = GREVLEX) -> bool:

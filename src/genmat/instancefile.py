@@ -56,6 +56,7 @@ from .polyring import (
     DEFAULT_PRIME,
     PolyRing,
     Polynomial,
+    PrimeField,
     multidegree,
     polynomial_ring,
 )
@@ -97,6 +98,11 @@ def load_document(text: str) -> dict:
     return doc
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, JSON's true is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def resolve_prime(doc: dict, env: Mapping[str, str] | None = None) -> int:
     """field.prime if present, else GENMAT_PRIME, else the default."""
     section = doc.get("field", {})
@@ -104,19 +110,23 @@ def resolve_prime(doc: dict, env: Mapping[str, str] | None = None) -> int:
         raise InstanceFileError("field", "must be an object")
     if "prime" in section:
         p = section["prime"]
-        if not isinstance(p, int):
+        if not _is_int(p):
             raise InstanceFileError("field.prime", "must be an integer")
-        return p
-    env = os.environ if env is None else env
-    raw = env.get(ENV_PRIME)
-    if raw is not None:
+        source = ""
+    else:
+        env = os.environ if env is None else env
+        raw = env.get(ENV_PRIME)
+        if raw is None:
+            return DEFAULT_PRIME
+        source = f"{ENV_PRIME}={raw!r}: "
         try:
-            return int(raw)
+            p = int(raw)
         except ValueError:
-            raise InstanceFileError(
-                "field.prime", f"{ENV_PRIME}={raw!r} is not an integer"
-            ) from None
-    return DEFAULT_PRIME
+            raise InstanceFileError("field.prime", f"{source}not an integer") from None
+    try:
+        return PrimeField(p).p
+    except ValueError as bad:
+        raise InstanceFileError("field.prime", f"{source}{bad}") from None
 
 
 def _parse_poly(ring: PolyRing, text, location: str) -> Polynomial:
@@ -169,7 +179,7 @@ def build_context(doc: dict, env: Mapping[str, str] | None = None) -> InstanceCo
             raise InstanceFileError(loc, "must be an object with a name")
         names.append(spec["name"])
         deg = spec.get("multidegree", [1])
-        if not isinstance(deg, list) or not all(isinstance(x, int) for x in deg):
+        if not isinstance(deg, list) or not all(_is_int(x) for x in deg):
             raise InstanceFileError(f"{loc}.multidegree", "must be a list of integers")
         degrees.append(tuple(deg))
     try:
@@ -233,7 +243,7 @@ def _ideal_list(ctx: InstanceContext, refs, location: str) -> tuple[Equigenerate
 def _power_bound(section: dict, n_max: int | None, location: str) -> int:
     """The power-criterion bound: the flag if given, else the section's n_max."""
     bound = n_max if n_max is not None else section.get("n_max", DEFAULT_POWER_BOUND)
-    if not isinstance(bound, int) or bound < 1:
+    if not _is_int(bound) or bound < 1:
         raise InstanceFileError(location, "must be a positive integer")
     return bound
 

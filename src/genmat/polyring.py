@@ -107,10 +107,6 @@ def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mon_degree(a: Monomial) -> int:
-    return sum(a)
-
-
 def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 

@@ -9,7 +9,6 @@ from genmat.algebra import (
     EquigeneratedIdeal,
     GradedAlgebraPresentation,
     InconclusiveError,
-    MAX_DIAGONAL_GENERATORS,
     algebra_dimension,
     analytic_spread,
     diagonal_subring,
@@ -32,7 +31,7 @@ from genmat.algebra import (
 from genmat.groebner import IdealSpec, ideal_equal
 from genmat.polyring import RingMismatchError, polynomial_ring
 
-from oracles import monomial_ideal_members, product_monomials, random_homogeneous
+from oracles import brute_dimension, monomial_ideal_members, product_monomials, random_homogeneous
 
 
 def quadric():
@@ -242,6 +241,33 @@ def test_analytic_spread():
     assert analytic_spread(equigenerated_ideal(P, (px**2, px * py))) == 2
 
 
+def test_analytic_spread_beyond_ten_generators():
+    # A monomial ideal's spread is the rank of its exponent matrix, here 5.
+    R = polynomial_ring(32003, "a b c d e")
+    a, b, c, d, e = R.gens()
+    gens = (a * a, a * b, a * c, b * b, b * d, c * c, c * e, d * d, d * e, e * e, a * e)
+    I = equigenerated_ideal(standard_graded_algebra(R), gens)
+    assert analytic_spread(I) == 5
+    pres, _ = fiber_algebra(I)
+    assert brute_dimension(pres.groebner().leading_monomials(), 11) == 5
+
+
+def test_fiber_test_reads_generator_rows_once(monkeypatch):
+    calls = []
+    coordinates = GradedAlgebraPresentation.coordinates
+
+    def counted(self, f, target):
+        calls.append(f)
+        return coordinates(self, f, target)
+
+    monkeypatch.setattr(GradedAlgebraPresentation, "coordinates", counted)
+    S, (x, y, z, w) = quadric()
+    m = equigenerated_ideal(S, (x, y, z, w))
+    assert fiber_reduction_test(equigenerated_ideal(S, (x + y, z, w)), m)
+    # Four generator rows of m, then one row per candidate form.
+    assert len(calls) == 7
+
+
 def test_fiber_algebra_of_maximal_ideal():
     S, (x, y, z, w) = quadric()
     m = equigenerated_ideal(S, (x, y, z, w))
@@ -311,13 +337,14 @@ def test_diagonal_subring_trivial_grading():
     assert D.dimension() == 2
 
 
-def test_diagonal_subring_cap():
-    names = [f"x{i}" for i in range(9)] + [f"y{i}" for i in range(9)]
-    R = polynomial_ring(101, names)
-    degrees = [(1, 0)] * 9 + [(0, 1)] * 9
-    S = graded_algebra(R, degrees)
-    with pytest.raises(ValueError, match=str(MAX_DIAGONAL_GENERATORS)):
-        diagonal_subring(S)
+def test_diagonal_subring_beyond_ten_generators():
+    # P^2 x P^3: the Segre ring of 12 monomials has dimension 2 + 3 + 1.
+    R = polynomial_ring(32003, "x0 x1 x2 y0 y1 y2 y3")
+    S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 4)
+    pres = diagonal_subring(S).presentation
+    assert pres.ring.nvars == 12
+    assert pres.dimension() == 6
+    assert brute_dimension(pres.groebner().leading_monomials(), 12) == 6
 
 
 def test_complete_reduction_ring_segre():

@@ -49,6 +49,11 @@ def test_resolve_prime_precedence():
         resolve_prime({"field": {"prime": "big"}}, env={})
     with pytest.raises(InstanceFileError, match="GENMAT_PRIME"):
         resolve_prime({}, env={"GENMAT_PRIME": "many"})
+    for bad in (4, True):
+        with pytest.raises(InstanceFileError, match="field.prime"):
+            resolve_prime({"field": {"prime": bad}}, env={})
+    with pytest.raises(InstanceFileError, match="field.prime: GENMAT_PRIME='4'"):
+        resolve_prime({}, env={"GENMAT_PRIME": "4"})
 
 
 def test_build_context_locations():
@@ -60,6 +65,8 @@ def test_build_context_locations():
         build_context(
             {"ring": {"vars": [{"name": "x"}], "relations": ["x + 1"]}}, env={}
         )
+    with pytest.raises(InstanceFileError, match=r"ring\.vars\[0\]\.multidegree"):
+        build_context({"ring": {"vars": [{"name": "x", "multidegree": [True]}]}}, env={})
     with pytest.raises(InstanceFileError, match=r"ideals\[1\]\.name"):
         build_context(
             {
@@ -104,6 +111,11 @@ def test_check_inconclusive_exit(monkeypatch, capsys):
     }
     code, report = run_json(monkeypatch, capsys, ["check", "reduction", "--json"], doc)
     assert code == 2 and report["verdicts"]["status"] == "inconclusive"
+    # JSON true is not the integer 1.
+    doc["check"]["n_max"] = True
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["check", "reduction", "--json"]) == 3
+    assert "check.n_max: must be a positive integer" in capsys.readouterr().err
 
 
 def test_check_all_tasks_on_shipped_files(capsys):
@@ -218,7 +230,7 @@ def test_exchange_start_must_verify(monkeypatch, capsys):
 
 
 def test_exchange_power_bound_validated(monkeypatch, capsys):
-    for bad in (0, "abc"):
+    for bad in (0, "abc", True):
         doc = quadric_doc()
         doc["exchange"]["n_max"] = bad
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))

@@ -7,7 +7,6 @@ import pytest
 from genmat.groebner import (
     GroebnerBasis,
     IdealSpec,
-    MAX_DIMENSION_VARS,
     buchberger,
     elimination_ideal,
     ideal_equal,
@@ -285,10 +284,23 @@ def test_dimension_order_invariance():
         assert d_grevlex == brute_dimension(gb.leading_monomials(), nvars)
 
 
-def test_dimension_variable_cap():
-    R = polynomial_ring(101, [f"x{i}" for i in range(MAX_DIMENSION_VARS + 1)])
-    with pytest.raises(ValueError, match="limited to"):
-        krull_dimension(IdealSpec(R, ()))
+def test_dimension_matches_subset_search_on_staircases():
+    rng = random.Random(2718)
+    for _ in range(500):
+        nvars = rng.randrange(1, 11)
+        R = polynomial_ring(101, [f"x{i}" for i in range(nvars)])
+        mons = []
+        for _ in range(rng.randrange(1, 9)):
+            mon = [0] * nvars
+            for i in rng.sample(range(nvars), rng.randrange(1, min(nvars, 3) + 1)):
+                mon[i] = rng.randrange(1, 3)
+            mons.append(tuple(mon))
+        I = IdealSpec(R, tuple(R.monomial(m) for m in mons))
+        assert krull_dimension(I) == brute_dimension(mons, nvars)
+    # Past the ten variables an exhaustive search could afford.
+    R = polynomial_ring(101, [f"x{i}" for i in range(12)])
+    assert krull_dimension(IdealSpec(R, ())) == 12 == brute_dimension((), 12)
+    assert krull_dimension(IdealSpec(R, (R.one(),))) == -1 == brute_dimension([(0,) * 12], 12)
 
 
 def test_zero_dimensionality():
