@@ -24,8 +24,10 @@ the F_p-span of the generators, so minimal generation is plain linear
 independence and fiber rings are subalgebras presented by
 kernel_of_map.
 
-Presentations memoize their Groebner output; the cache is append-only
-derived data, so sharing presentations across threads stays safe.
+Presentations memoize their Groebner output; one built on a kernel's
+reduced grevlex basis takes that basis as its own and never recomputes
+it.  The cache is append-only derived data, so sharing presentations
+across threads stays safe.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ from .polyring import (
     PolyRing,
     Polynomial,
     RingMismatchError,
+    mon_divides,
     multidegree,
+    reindex,
 )
 
 DEFAULT_POWER_BOUND = 10
@@ -72,7 +76,11 @@ def _unit(n: int, i: int) -> MultiDegree:
 
 
 class GradedAlgebraPresentation:
-    """F_p[x]/relations with an N^n-multidegree per variable."""
+    """F_p[x]/relations with an N^n-multidegree per variable.
+
+    ``relations`` is a sequence of polynomials or a GroebnerBasis; a
+    grevlex basis is kept as the presentation's memoized basis.
+    """
 
     def __init__(self, ring: PolyRing, degrees, relations=()):
         degrees = tuple(tuple(int(x) for x in d) for d in degrees)
@@ -88,10 +96,13 @@ class GradedAlgebraPresentation:
                 raise ValueError(f"variable {name} has a negative degree entry")
             if all(x == 0 for x in d):
                 raise ValueError(f"variable {name} sits in degree zero")
-        if isinstance(relations, IdealSpec):
+        gb = None
+        if isinstance(relations, GroebnerBasis):
             if relations.ring != ring:
                 raise RingMismatchError("relations outside the ambient ring")
-            relations = relations.generators
+            if relations.order == GREVLEX:
+                gb = relations
+            relations = relations.basis
         rels = []
         for g in relations:
             if g.ring != ring:
@@ -104,7 +115,7 @@ class GradedAlgebraPresentation:
         self.ring = ring
         self.degrees = degrees
         self.relations = IdealSpec(ring, tuple(rels))
-        self._cache: dict = {}
+        self._cache: dict = {} if gb is None else {("gb",): gb}
 
     @property
     def components(self) -> int:
@@ -180,7 +191,7 @@ class GradedAlgebraPresentation:
                 for v in picks:
                     e[v] += 1
             mon = tuple(e)
-            if any(all(a <= b for a, b in zip(lm, mon)) for lm in lms):
+            if any(mon_divides(lm, mon) for lm in lms):
                 continue
             out.append(self.ring.monomial(mon))
         return tuple(out)
@@ -554,7 +565,7 @@ def diagonal_subring(algebra: GradedAlgebraPresentation) -> DiagonalSubring:
     """Diagonal subalgebra generated by the (1,..,1) graded piece.
 
     The monomial basis of that piece becomes the generator list and the
-    presentation ideal comes from kernel_of_map.
+    presentation takes kernel_of_map's reduced basis as its relations.
     """
     def compute():
         if not algebra.is_standard:
@@ -678,29 +689,21 @@ def multigraded_fiber_algebra(ideals):
         ring = algebra.ring
         markers = _fresh_names(ring.names, n, prefix="t")
         big = PolyRing(ring.field, ring.names + tuple(markers))
-
-        def lift(f: Polynomial) -> Polynomial:
-            terms = {}
-            for mon, c in f.terms.items():
-                terms[mon + (0,) * n] = c
-            return Polynomial._raw(big, terms)
-
+        to_big = list(range(ring.nvars)) + [None] * n
+        names = _fresh_names(big.names, sum(len(I.generators) for I in ideals))
         targets = []
-        names = []
         blocks = []
-        for i, I in enumerate(ideals):
-            t = big.var(markers[i])
-            block = []
-            for s, g in enumerate(I.generators):
-                targets.append(lift(g) * t)
-                block.append(f"T{i + 1}_{s + 1}")
-            names.extend(block)
-            blocks.append(tuple(block))
-        relations = IdealSpec(big, tuple(lift(g) for g in algebra.relations.generators))
-        ker = kernel_of_map(targets, relations=relations, names=names)
         degrees = []
         for i, I in enumerate(ideals):
+            t = big.var(markers[i])
+            start = len(targets)
+            targets.extend(reindex(g, big, to_big) * t for g in I.generators)
+            blocks.append(tuple(names[start : len(targets)]))
             degrees.extend([_unit(n, i)] * len(I.generators))
+        relations = IdealSpec(
+            big, tuple(reindex(g, big, to_big) for g in algebra.relations.generators)
+        )
+        ker = kernel_of_map(targets, relations=relations, names=names)
         pres = GradedAlgebraPresentation(ker.ring, tuple(degrees), ker)
         return pres, tuple(blocks)
 

@@ -11,7 +11,8 @@ per ideal and order, so results are canonical.
 Everything downstream is a consequence of normal forms: membership,
 ideal equality, elimination through a block order, kernels of algebra
 maps via T_i - f_i, and Krull dimension read off the leading-term
-staircase.
+staircase.  Elimination and kernels return the reduced basis they
+computed, so callers never run Buchberger on it again.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .polyring import (
     mon_divides,
     mon_lcm,
     mon_mul,
+    reindex,
 )
 
 
@@ -64,9 +66,6 @@ class GroebnerBasis:
     def leading_monomials(self) -> tuple:
         return tuple(g.leading_monomial(self.order) for g in self.basis)
 
-    def contains_one(self) -> bool:
-        return any(g.degree() == 0 for g in self.basis)
-
 
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     """S-polynomial: cancel the leading terms against their lcm."""
@@ -84,17 +83,25 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynom
 
     No term of the result is divisible by any basis leading monomial,
     which makes the map idempotent and, for a Groebner basis, a
-    canonical representative of f modulo the ideal.
+    canonical representative of f modulo the ideal.  Raises
+    RingMismatchError when f and the basis live in different rings.
     """
-    if isinstance(basis, GroebnerBasis):
+    ring = f.ring
+    listed = not isinstance(basis, GroebnerBasis)
+    if not listed:
+        if basis.ring is not ring and basis.ring != ring:
+            raise RingMismatchError("normal form against a basis of another ring")
         order = basis.order
         basis = basis.basis
-    divisors = [
-        (g.leading_monomial(order), f.ring.field.inv(g.leading_term(order)[1]), g)
-        for g in basis
-        if not g.is_zero
-    ]
-    p = f.ring.field.p
+    inv = ring.field.inv
+    divisors = []
+    for g in basis:
+        if listed and g.ring is not ring and g.ring != ring:
+            raise RingMismatchError("normal form against a divisor of another ring")
+        if not g.is_zero:
+            lm, c = g.leading_term(order)
+            divisors.append((lm, inv(c), g))
+    p = ring.field.p
     work = dict(f.terms)
     remainder: dict = {}
     key = order.key
@@ -121,7 +128,7 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynom
                 work[m] = s
             elif m in work:
                 del work[m]
-    return Polynomial._raw(f.ring, remainder)
+    return Polynomial._raw(ring, remainder)
 
 
 def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
@@ -141,16 +148,11 @@ def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> tuple[Polynom
             continue
         keep.append(i)
     minimal = [polys[i] for i in keep]
-    # Tail-reduce each element against the others until stable.
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            rest = minimal[:i] + minimal[i + 1 :]
-            r = normal_form(minimal[i], rest, order).monic(order)
-            if r.terms != minimal[i].terms:
-                minimal[i] = r
-                changed = True
+    # Tail-reduce each element against the others.  Reduction keeps every
+    # leading monomial (none divides another), and "no term divisible by
+    # another leading monomial" depends on those alone, so one pass is final.
+    for i in range(len(minimal)):
+        minimal[i] = normal_form(minimal[i], minimal[:i] + minimal[i + 1 :], order)
     minimal.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
     return tuple(minimal)
 
@@ -246,28 +248,13 @@ def ideal_equal(a, b, order: MonomialOrder = GREVLEX) -> bool:
     )
 
 
-def _restrict(f: Polynomial, ring: PolyRing, positions: list[int]) -> Polynomial:
-    terms = {}
-    for mon, c in f.terms.items():
-        terms[tuple(mon[i] for i in positions)] = c
-    return Polynomial._raw(ring, terms)
-
-
-def _extend(f: Polynomial, ring: PolyRing, positions: list[int]) -> Polynomial:
-    terms = {}
-    for mon, c in f.terms.items():
-        big = [0] * ring.nvars
-        for pos, e in zip(positions, mon):
-            big[pos] = e
-        terms[tuple(big)] = c
-    return Polynomial._raw(ring, terms)
-
-
-def elimination_ideal(ideal: IdealSpec, keep) -> IdealSpec:
-    """Generators of (ideal) intersected with F_p[keep].
+def elimination_ideal(ideal: IdealSpec, keep) -> GroebnerBasis:
+    """Reduced grevlex basis of (ideal) intersected with F_p[keep].
 
     The result lives in the subring on the kept variables, in their
-    original ring order.
+    original ring order.  The elimination order breaks ties by grevlex
+    on the kept block, so the kept-variable part of its reduced basis
+    already is the reduced grevlex basis of the intersection.
     """
     ring = ideal.ring
     keep_set = set(keep)
@@ -279,31 +266,30 @@ def elimination_ideal(ideal: IdealSpec, keep) -> IdealSpec:
     if not kept:
         raise ValueError("must keep at least one variable")
     if not dropped:
-        return IdealSpec(ring, buchberger(ideal).basis)
+        return buchberger(ideal)
     # Reorder so the eliminated block comes first, then run a block order.
     shuffled = PolyRing(ring.field, tuple(dropped + kept))
     to_shuffled = [ring.index(n) for n in shuffled.names]
-    moved = [
-        Polynomial._raw(shuffled, {tuple(m[i] for i in to_shuffled): c for m, c in g.terms.items()})
-        for g in ideal.generators
-    ]
-    gb = buchberger(IdealSpec(shuffled, tuple(moved)), elimination_order(len(dropped)))
+    moved = tuple(reindex(g, shuffled, to_shuffled) for g in ideal.generators)
+    gb = buchberger(IdealSpec(shuffled, moved), elimination_order(len(dropped)))
     small = PolyRing(ring.field, tuple(kept))
     nd = len(dropped)
-    out = []
-    for g in gb.basis:
-        if all(all(e == 0 for e in mon[:nd]) for mon in g.terms):
-            out.append(_restrict(g, small, list(range(nd, shuffled.nvars))))
-    return IdealSpec(small, tuple(out))
+    to_small = range(nd, shuffled.nvars)
+    out = tuple(
+        reindex(g, small, to_small)
+        for g in gb.basis
+        if all(not any(mon[:nd]) for mon in g.terms)
+    )
+    return GroebnerBasis(small, GREVLEX, out)
 
 
-def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> IdealSpec:
+def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> GroebnerBasis:
     """Presentation ideal of the subalgebra generated by ``targets``.
 
-    Given f_1..f_s in R = F_p[x]/relations, returns the kernel of
-    F_p[T_1..T_s] -> R, T_i -> f_i, computed by eliminating the x
-    variables from relations + (T_i - f_i).  ``names`` overrides the
-    default T1..Ts variable names.
+    Given f_1..f_s in R = F_p[x]/relations, returns the reduced grevlex
+    basis of the kernel of F_p[T_1..T_s] -> R, T_i -> f_i, computed by
+    eliminating the x variables from relations + (T_i - f_i).  ``names``
+    overrides the default T1..Ts variable names.
     """
     targets = list(targets)
     if not targets:
@@ -323,14 +309,13 @@ def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> Id
     if clash:
         raise ValueError(f"target names collide with source variables: {sorted(clash)}")
     big = PolyRing(src.field, src.names + tuple(names))
-    ns = src.nvars
-    src_positions = list(range(ns))
+    to_big = list(range(src.nvars)) + [None] * len(names)
     gens: list[Polynomial] = []
     if relations is not None:
-        gens.extend(_extend(g, big, src_positions) for g in relations.generators)
+        gens.extend(reindex(g, big, to_big) for g in relations.generators)
     for i, f in enumerate(targets):
         t = big.var(names[i])
-        gens.append(t - _extend(f, big, src_positions))
+        gens.append(t - reindex(f, big, to_big))
     # The source variables come first in ``big``, so elimination runs its
     # block order on these generators as they stand.
     return elimination_ideal(IdealSpec(big, tuple(gens)), names)
@@ -360,17 +345,10 @@ def krull_dimension(ideal, order: MonomialOrder = GREVLEX) -> int:
 
 
 def is_zero_dimensional(ideal, order: MonomialOrder = GREVLEX) -> bool:
-    """Does every variable occur as a pure power among the leading terms?
+    """Is ring/ideal finite-dimensional over F_p?
 
-    Equivalent to dimension 0 for proper ideals; the unit ideal returns
-    True (the zero ring is vacuously finite-dimensional over F_p).
+    A proper ideal has dimension 0 iff every variable occurs as a pure
+    power among the leading terms; the unit ideal (dimension -1) returns
+    True, since the zero ring is vacuously finite-dimensional.
     """
-    gb = _as_gb(ideal, order)
-    if gb.contains_one():
-        return True
-    lms = gb.leading_monomials()
-    n = gb.ring.nvars
-    for i in range(n):
-        if not any(mon[i] > 0 and all(e == 0 for j, e in enumerate(mon) if j != i) for mon in lms):
-            return False
-    return True
+    return krull_dimension(ideal, order) <= 0

@@ -481,6 +481,20 @@ def substitute(f: Polynomial, images, target: PolyRing) -> Polynomial:
     return out
 
 
+def reindex(f: Polynomial, target: PolyRing, source) -> Polynomial:
+    """f copied into ``target`` by variable position.
+
+    Variable k of ``target`` takes the exponent of f's variable
+    ``source[k]``, or 0 where that entry is None.  f's variables that no
+    entry names are dropped, so they must not occur in f.
+    """
+    source = tuple(source)
+    return Polynomial._raw(
+        target,
+        {tuple(0 if i is None else mon[i] for i in source): c for mon, c in f.terms.items()},
+    )
+
+
 # --- text form -------------------------------------------------------------
 
 def poly_to_str(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:

@@ -26,9 +26,10 @@ from genmat.algebra import (
     is_noether_normalization,
     is_reduction,
     lemma_correspondence_check,
+    multigraded_fiber_algebra,
     standard_graded_algebra,
 )
-from genmat.groebner import IdealSpec, ideal_equal
+from genmat.groebner import IdealSpec, buchberger, ideal_equal
 from genmat.polyring import RingMismatchError, polynomial_ring
 
 from oracles import brute_dimension, monomial_ideal_members, product_monomials, random_homogeneous
@@ -409,6 +410,44 @@ def test_correspondence_single_ideal_family():
     m = equigenerated_ideal(S, (x, y, z, w))
     for gens in [(x + y, z, w), (x, y, z + w), (x, z, w), (y, z, w), (z + w, z, w)]:
         assert lemma_correspondence_check((m,), (gens,)) is True
+
+
+def test_multigraded_fiber_names_avoid_ring_variables():
+    R = polynomial_ring(32003, "T1_1 T1_2")
+    a, b = R.gens()
+    I = equigenerated_ideal(standard_graded_algebra(R), (a, b))
+    assert lemma_correspondence_check((I, I), ((a, b), (a, b))) is True
+    pres, blocks = multigraded_fiber_algebra((I, I))
+    assert not set(pres.ring.names) & set(R.names)
+    assert [len(block) for block in blocks] == [2, 2]
+
+
+def test_presentations_reuse_their_kernel_basis(monkeypatch):
+    S, (x, y, z, w) = quadric()
+    P, (u, v) = plane()
+    I = equigenerated_ideal(P, (u, v))
+    R = polynomial_ring(32003, "x0 x1 x2 y0 y1 y2")
+    P2P2 = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
+    presentations = [
+        fiber_algebra(equigenerated_ideal(S, (x, y, z, w)))[0],
+        fiber_algebra(ideal_power(I, 2))[0],
+        diagonal_subring(P2P2).presentation,
+        multigraded_fiber_algebra((I, I))[0],
+    ]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr("genmat.algebra.buchberger", counting)
+    assert [pres.dimension() for pres in presentations] == [3, 2, 5, 3]
+    assert calls == []
+    # The kernel's basis is already the reduced grevlex basis.
+    for pres in presentations:
+        gb = pres.groebner()
+        assert gb.basis == buchberger(IdealSpec(pres.ring, gb.basis)).basis
+    assert calls == []
 
 
 def test_verdicts_stable_under_generator_permutation_and_scaling():
