@@ -11,7 +11,8 @@ reduce to Groebner computations in the ambient ring:
 * reductions J of I, via the power criterion I^(N+1) = J * I^N,
   reported as a three-valued verdict (the bound N_max keeps it
   honest), with the fiber-ring module-finiteness test supplying
-  definitive negatives;
+  definitive negatives; both sides live in the one graded piece
+  (N+1)*delta, so containment is linear algebra on normal forms there;
 * analytic spread, as the dimension of the subalgebra generated by the
   ideal's degree-delta piece;
 * complete reductions of N^n-graded algebras through the diagonal
@@ -24,10 +25,10 @@ the F_p-span of the generators, so minimal generation is plain linear
 independence and fiber rings are subalgebras presented by
 kernel_of_map.
 
-Presentations memoize their Groebner output; one built on a kernel's
-reduced grevlex basis takes that basis as its own and never recomputes
-it.  The cache is append-only derived data, so sharing presentations
-across threads stays safe.
+Presentations memoize only data fixed by themselves and their fixed
+ideals, keyed by generator tuples, never per-candidate data; one built
+on a kernel's reduced grevlex basis takes that basis as its own.  The
+cache is append-only derived data, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -136,14 +137,9 @@ class GradedAlgebraPresentation:
         return self._memo(("gb",), lambda: buchberger(self.relations, GREVLEX))
 
     def quotient_groebner(self, extra=()) -> GroebnerBasis:
-        """Reduced basis of relations + extra, memoized per generator list."""
-        extra = tuple(extra)
-        key = ("qgb", tuple(str(g) for g in extra))
-        return self._memo(
-            key,
-            lambda: buchberger(
-                IdealSpec(self.ring, self.relations.generators + extra), GREVLEX
-            ),
+        """Reduced basis of relations + extra, recomputed on every call."""
+        return buchberger(
+            IdealSpec(self.ring, self.relations.generators + tuple(extra)), GREVLEX
         )
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -259,7 +255,7 @@ def is_hsop(algebra: GradedAlgebraPresentation, elements) -> bool:
             f"system of parameters for this algebra needs {want} elements, "
             f"got {len(elements)}"
         )
-    return is_zero_dimensional(algebra.quotient_groebner(elements))
+    return _module_finite(algebra, elements)
 
 
 def is_noether_normalization(algebra: GradedAlgebraPresentation, elements) -> bool:
@@ -304,11 +300,11 @@ class EquigeneratedIdeal:
     def degree(self) -> int:
         return self.algebra.element_degree(self.generators[0])[0]
 
-    def key(self) -> tuple:
-        return tuple(str(g) for g in self.generators)
-
     def contains(self, f: Polynomial) -> bool:
-        return normal_form(f, self.algebra.quotient_groebner(self.generators)).is_zero
+        """Span membership in f's graded piece; f is zero or homogeneous."""
+        if not f.is_zero and self.algebra.element_degree(f) is None:
+            raise ValueError(f"{f} is not homogeneous")
+        return f.is_zero or _first_outside(self, (f,)) is None
 
     def __eq__(self, other):
         if not isinstance(other, EquigeneratedIdeal):
@@ -344,7 +340,7 @@ def ideal_product(a: EquigeneratedIdeal, b: EquigeneratedIdeal) -> Equigenerated
 def ideal_power(a: EquigeneratedIdeal, n: int) -> EquigeneratedIdeal:
     if n < 1:
         raise ValueError("ideal powers start at 1")
-    key = ("pow", a.key(), n)
+    key = ("pow", a.generators, n)
     def compute():
         gens = _dedupe(
             reduce(operator.mul, picks)
@@ -385,21 +381,29 @@ class ReductionVerdict:
         return f"inconclusive (power bound {self.n_max})"
 
 
-def _check_contained(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> None:
-    gb = I.algebra.quotient_groebner(I.generators)
-    for idx, g in enumerate(J.generators):
-        if not normal_form(g, gb).is_zero:
-            raise ValueError(
-                f"generator {idx} of the candidate ({g}) does not lie in the ideal"
-            )
+def _first_outside(K: EquigeneratedIdeal, forms) -> Polynomial | None:
+    """The first of ``forms`` (all of one degree d) outside K, or None.
+
+    K_d is spanned by S_(d - delta) * K's generators (zero if d < delta).
+    """
+    S = K.algebra
+    p = S.ring.field.p
+    target = S.element_degree(forms[0])
+    shift = target[0] - K.degree
+    multipliers = S.standard_monomials((shift,)) if shift >= 0 else ()
+    span = [S.coordinates(m * g, target) for m in multipliers for g in K.generators]
+    rows = [S.coordinates(f, target) for f in forms]
+    if linalg.rank(span + rows, p) == linalg.rank(span, p):
+        return None
+    return next(f for f, row in zip(forms, rows) if not linalg.in_span(span, row, p))
 
 
 def _fresh_names(taken, count: int, prefix: str = "T") -> list[str]:
-    for pre in (prefix, prefix * 2, f"{prefix}v"):
-        names = [f"{pre}{i + 1}" for i in range(count)]
-        if not set(names) & set(taken):
+    taken = set(taken)
+    for k in itertools.count(1):
+        names = [f"{prefix * k}{i + 1}" for i in range(count)]
+        if taken.isdisjoint(names):
             return names
-    raise ValueError("could not pick fresh variable names")
 
 
 def fiber_algebra(I: EquigeneratedIdeal):
@@ -417,7 +421,7 @@ def fiber_algebra(I: EquigeneratedIdeal):
         pres = standard_graded_algebra(ker.ring, ker)
         return pres, tuple(names)
 
-    return I.algebra._memo(("fiber", I.key()), compute)
+    return I.algebra._memo(("fiber", I.generators), compute)
 
 
 def _linear_form(ring: PolyRing, names, coords) -> Polynomial:
@@ -444,9 +448,7 @@ def _generator_coords(I: EquigeneratedIdeal, forms) -> list[tuple[int, ...]]:
 
 def _module_finite(pres: GradedAlgebraPresentation, forms) -> bool:
     """Graded Nakayama: is ``pres`` module-finite over F_p[forms]?"""
-    return is_zero_dimensional(
-        IdealSpec(pres.ring, pres.relations.generators + tuple(forms))
-    )
+    return is_zero_dimensional(pres.quotient_groebner(forms))
 
 
 def fiber_image(I: EquigeneratedIdeal, f: Polynomial) -> Polynomial:
@@ -484,19 +486,23 @@ def is_reduction(
 
     Checks I^(N+1) = J * I^N for N = 1..n_max; the reverse inclusion
     is automatic once J ⊆ I (verified first, ValueError otherwise), so
-    only the forward containment is tested.  The fiber test settles
-    definite negatives, and a negative there makes every power check
-    futile, so it runs as a screen before the loop; a positive still
-    has to exhibit a concrete power, or the verdict stays inconclusive
-    at the bound.
+    only the forward one is tested, by span membership in degree
+    (N+1)*delta.  The fiber test settles definite negatives, and a
+    negative there makes every power check futile, so it runs as a
+    screen before the loop; a positive still has to exhibit a concrete
+    power, or the verdict stays inconclusive at the bound.
     """
     if not _same_algebra(J.algebra, I.algebra):
         raise ValueError("candidate and ideal live in different algebras")
     if n_max < 1:
         raise ValueError("power bound must be at least 1")
-    _check_contained(J, I)
+    outside = _first_outside(I, J.generators)
+    if outside is not None:
+        idx = J.generators.index(outside)
+        raise ValueError(
+            f"generator {idx} of the candidate ({outside}) does not lie in the ideal"
+        )
     transcript = []
-    algebra = J.algebra
     if use_fiber:
         finite = fiber_reduction_test(J, I)
         if finite is not None:
@@ -506,12 +512,7 @@ def is_reduction(
     for n in range(1, n_max + 1):
         big = ideal_power(I, n + 1)
         rhs = ideal_product(J, ideal_power(I, n))
-        gb = algebra.quotient_groebner(rhs.generators)
-        failing = None
-        for g in big.generators:
-            if not normal_form(g, gb).is_zero:
-                failing = g
-                break
+        failing = _first_outside(rhs, big.generators)
         transcript.append(("power", n, failing is None, None if failing is None else str(failing)))
         if failing is None:
             return ReductionVerdict("yes", power=n, n_max=n_max, witness=tuple(transcript))
@@ -659,8 +660,9 @@ def is_complete_reduction_ideals(
                 raise ValueError(
                     f"entry ({i},{j}) is not homogeneous of degree {I.degree}"
                 )
-            if not I.contains(entry):
-                raise ValueError(f"entry ({i},{j}) does not lie in ideal {i}")
+        outside = _first_outside(I, row)
+        if outside is not None:
+            raise ValueError(f"entry ({i},{row.index(outside)}) does not lie in ideal {i}")
     product = reduce(ideal_product, ideals)
     r = len(mat[0])
     want = analytic_spread(product)
@@ -682,7 +684,7 @@ def multigraded_fiber_algebra(ideals):
     """
     ideals = tuple(ideals)
     algebra = ideals[0].algebra
-    key = ("mfiber", tuple(I.key() for I in ideals))
+    key = ("mfiber", tuple(I.generators for I in ideals))
 
     def compute():
         n = len(ideals)

@@ -264,8 +264,6 @@ def minred_instance(
     S = ideal.algebra
     delta = (ideal.degree,)
     d = analytic_spread(ideal)
-    gen_rows = [S.coordinates(g, delta) for g in ideal.generators]
-    p = S.ring.field.p
 
     def oracle(tup: tuple) -> bool:
         try:
@@ -283,7 +281,7 @@ def minred_instance(
         for f in forms:
             if S.element_degree(f) != delta:
                 raise ValueError(f"handle {hname!r}: {f} has the wrong degree")
-            if not linalg.in_span(gen_rows, S.coordinates(f, delta), p):
+            if not ideal.contains(f):
                 raise ValueError(f"handle {hname!r}: {f} lies outside the ideal")
         built[hname] = _span_handle(S, hname, forms, delta)
     return GenericMatroidInstance(
@@ -413,10 +411,6 @@ def _ideal_form(ideals, variant, handles, traps, name):
     n = len(ideals)
     d = analytic_spread(reduce(ideal_product, ideals))
     targets = [(I.degree,) for I in ideals]
-    p = S.ring.field.p
-    gen_rows = [
-        [S.coordinates(g, targets[i]) for g in ideals[i].generators] for i in range(n)
-    ]
 
     def oracle(cols: tuple) -> bool:
         try:
@@ -442,7 +436,7 @@ def _ideal_form(ideals, variant, handles, traps, name):
                     raise ValueError(
                         f"handle {hname!r}: block {i} entry {f} has the wrong degree"
                     )
-                if not linalg.in_span(gen_rows[i], S.coordinates(f, targets[i]), p):
+                if not ideals[i].contains(f):
                     raise ValueError(
                         f"handle {hname!r}: block {i} entry {f} lies outside ideal {i}"
                     )

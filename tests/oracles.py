@@ -3,7 +3,8 @@
 Everything here recomputes results along a different route than the
 library takes: schoolbook multiplication, criteria-free pair
 completion, combinatorial membership for monomial ideals, brute-force
-staircase dimension.  Expected values frozen into the tests were
+staircase dimension, ideal membership by division against a
+criteria-free basis.  Expected values frozen into the tests were
 produced by these.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from genmat.groebner import normal_form, spolynomial
-from genmat.polyring import Polynomial, mon_divides
+from genmat.polyring import GREVLEX, Polynomial, mon_divides
 
 
 def naive_mul(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -26,17 +27,23 @@ def naive_mul(a: Polynomial, b: Polynomial) -> Polynomial:
     return Polynomial(a.ring, acc)
 
 
-def naive_buchberger(ring, gens, order):
+def naive_buchberger(ring, gens, order, max_degree=None):
     """Criteria-free pair completion with its own reduction bookkeeping.
 
     Processes every pair in FIFO order with no skipping, then
     minimalizes and tail-reduces with explicit loops.  Returns the
-    reduced basis as a set of polynomials.
+    reduced basis as a set of polynomials.  With ``max_degree`` and
+    homogeneous input, pairs whose lcm lies above that total degree are
+    dropped: the result is a Groebner basis in degrees up to it.
     """
     basis = [g.monic(order) for g in gens if not g.is_zero]
     queue = list(itertools.combinations(range(len(basis)), 2))
     while queue:
         i, j = queue.pop(0)
+        if max_degree is not None:
+            lcm = map(max, basis[i].leading_monomial(order), basis[j].leading_monomial(order))
+            if sum(lcm) > max_degree:
+                continue
         r = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
         if r.is_zero:
             continue
@@ -68,6 +75,19 @@ def naive_buchberger(ring, gens, order):
                 minimal[i] = r
                 stable = False
     return set(minimal)
+
+
+def naive_membership(ring, relations, gens, degree):
+    """Membership of degree-``degree`` forms in the homogeneous ideal
+    relations + gens of ``ring``.
+
+    Divides by naive_buchberger's grevlex basis truncated at that
+    degree, so it shares no code with the library's span membership in
+    graded pieces.
+    """
+    ideal = tuple(relations) + tuple(gens)
+    basis = list(naive_buchberger(ring, ideal, GREVLEX, max_degree=degree))
+    return lambda f: normal_form(f, basis, GREVLEX).is_zero
 
 
 def monomials_of_degree(nvars: int, degree: int):

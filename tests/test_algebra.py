@@ -30,7 +30,7 @@ from genmat.algebra import (
     standard_graded_algebra,
 )
 from genmat.groebner import IdealSpec, buchberger, ideal_equal
-from genmat.polyring import RingMismatchError, polynomial_ring
+from genmat.polyring import RingMismatchError, polynomial_ring, random_linear_combination
 
 from oracles import brute_dimension, monomial_ideal_members, product_monomials, random_homogeneous
 
@@ -486,3 +486,36 @@ def test_random_equigenerated_reduction_consistency():
         if fib is False:
             assert not raw.is_yes
     assert conclusive >= 5
+
+
+def test_fresh_names_outlast_clashing_prefixes():
+    R = polynomial_ring(32003, "T1 TT1 Tv1")
+    I = equigenerated_ideal(standard_graded_algebra(R), R.gens())
+    assert analytic_spread(I) == 3
+    R = polynomial_ring(32003, "u1 uu1 uv1")
+    S = graded_algebra(R, ((1, 0), (1, 0), (0, 1)))
+    assert diagonal_subring(S).dimension() == 2
+
+
+def test_presentation_memo_stays_bounded_over_fresh_candidates():
+    # The memo holds only data fixed by the presentation and its ideals;
+    # a warm-up reaches every power the candidates can, after which
+    # fresh candidates add nothing.
+    S, (x, y, z, w) = quadric()
+    m = equigenerated_ideal(S, (x, y, z, w))
+    rng = random.Random(77)
+
+    def fresh():
+        return tuple(random_linear_combination((x, y, z, w), rng)[0] for _ in range(3))
+
+    def minred(gens):
+        return is_minimal_reduction(equigenerated_ideal(S, gens), m, n_max=2)
+
+    warm = is_reduction(equigenerated_ideal(S, (x, z)), m, n_max=2, use_fiber=False)
+    assert warm.is_inconclusive
+    minred(fresh())
+    is_hsop(S, fresh())
+    size = len(S._cache)
+    verdicts = [minred(fresh()) for _ in range(50)] + [is_hsop(S, fresh()) for _ in range(50)]
+    assert len(S._cache) == size
+    assert sum(verdicts) >= 50

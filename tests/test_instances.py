@@ -8,6 +8,7 @@ from genmat.algebra import (
     graded_algebra,
     standard_graded_algebra,
 )
+from genmat.groebner import buchberger
 from genmat.instances import (
     complete_reduction_instance,
     finite_matroid,
@@ -259,3 +260,20 @@ def test_instances_share_basis_across_handles():
     for hname in ("ambient", "target"):
         path = exchange_path(inst, B, hname, seed=2)
         assert inst.verify(path.final)
+
+
+def test_verify_recomputes_after_a_cached_verdict(monkeypatch):
+    R = polynomial_ring(32003, "x y z w")
+    x, y, z, w = R.gens()
+    inst = nn_instance(standard_graded_algebra(R, (x * y - z * w,)))
+    basis = (x + y, z, w)
+    assert inst.is_basis(basis)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr("genmat.algebra.buchberger", counting)
+    assert inst.verify(basis)
+    assert calls
