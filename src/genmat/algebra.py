@@ -158,10 +158,14 @@ class GradedAlgebraPresentation:
         multidegree ``target`` and keeps those outside the leading-term
         staircase of the relations.
         """
+        return self._standard_piece(target)[0]
+
+    def _standard_piece(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict]:
+        """The ``target`` piece's monomial basis and its monomial -> index map."""
         target = tuple(int(x) for x in target)
         return self._memo(("std", target), lambda: self._standard_monomials(target))
 
-    def _standard_monomials(self, target: MultiDegree) -> tuple[Polynomial, ...]:
+    def _standard_monomials(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict]:
         if not self.is_standard:
             raise ValueError("monomial bases need a standard multigrading")
         n = self.components
@@ -176,7 +180,7 @@ class GradedAlgebraPresentation:
                 itertools.combinations_with_replacement(by_component[i], target[i])
             )
             if not picks:
-                return ()
+                return (), {}
             choices_per_component.append(picks)
         lms = self.groebner().leading_monomials()
         nv = self.ring.nvars
@@ -189,13 +193,12 @@ class GradedAlgebraPresentation:
             mon = tuple(e)
             if any(mon_divides(lm, mon) for lm in lms):
                 continue
-            out.append(self.ring.monomial(mon))
-        return tuple(out)
+            out.append(mon)
+        return tuple(self.ring.monomial(m) for m in out), {m: i for i, m in enumerate(out)}
 
     def coordinates(self, f: Polynomial, target: MultiDegree) -> tuple[int, ...]:
         """Coordinate vector of f's normal form in the ``target`` piece."""
-        basis = self.standard_monomials(tuple(target))
-        index = {next(iter(m.terms)): i for i, m in enumerate(basis)}
+        basis, index = self._standard_piece(target)
         nf = self.normal_form(f)
         coords = [0] * len(basis)
         for mon, c in nf.terms.items():
@@ -384,7 +387,8 @@ class ReductionVerdict:
 def _first_outside(K: EquigeneratedIdeal, forms) -> Polynomial | None:
     """The first of ``forms`` (all of one degree d) outside K, or None.
 
-    K_d is spanned by S_(d - delta) * K's generators (zero if d < delta).
+    K_d is spanned by S_(d - delta) * K's generators (zero if d < delta);
+    its echelon form is computed once and each form's row reduced by it.
     """
     S = K.algebra
     p = S.ring.field.p
@@ -393,9 +397,11 @@ def _first_outside(K: EquigeneratedIdeal, forms) -> Polynomial | None:
     multipliers = S.standard_monomials((shift,)) if shift >= 0 else ()
     span = [S.coordinates(m * g, target) for m in multipliers for g in K.generators]
     rows = [S.coordinates(f, target) for f in forms]
-    if linalg.rank(span + rows, p) == linalg.rank(span, p):
-        return None
-    return next(f for f, row in zip(forms, rows) if not linalg.in_span(span, row, p))
+    echelon, pivots = linalg.row_echelon(span, p)
+    for f, row in zip(forms, rows):
+        if any(linalg.residue(echelon, pivots, row, p)):
+            return f
+    return None
 
 
 def _fresh_names(taken, count: int, prefix: str = "T") -> list[str]:

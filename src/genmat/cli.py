@@ -8,7 +8,9 @@ Three subcommands:
     genmat demo                   the quadric hypersurface walkthrough
 
 Verdict exit codes: 0 verified-true, 1 verified-false,
-2 inconclusive, 3 input error, 4 exchange exhausted.  Exchange and
+2 inconclusive, 3 input error, 4 exchange exhausted, 5 run failure
+(a sampler or an exchange path gave up, reported on one ``error:``
+line on stderr instead of a traceback).  Exchange and
 demo runs are deterministic per seed; a missing --seed is generated
 and printed.  With --json the report (schema genmat-report/1) goes to
 stdout as pure JSON and, when FILE is absent, the document is read
@@ -54,6 +56,7 @@ EXIT_FALSE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT_ERROR = 3
 EXIT_EXHAUSTED = 4
+EXIT_RUN_FAILURE = 5
 
 
 def _element_json(el):
@@ -388,6 +391,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InconclusiveError as open_verdict:
         print(f"inconclusive: {open_verdict}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    except RuntimeError as failed:
+        # A sampler that kept drawing degenerate elements, or an exchange
+        # path the oracle would not certify: the run, not the question, failed.
+        print(f"error: {failed}", file=sys.stderr)
+        return EXIT_RUN_FAILURE
 
 
 if __name__ == "__main__":

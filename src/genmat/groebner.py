@@ -8,6 +8,19 @@ already left the queue.  Output is the reduced basis (monic, no term
 of any element divisible by another leading monomial), which is unique
 per ideal and order, so results are canonical.
 
+The hot path is division.  Every basis element carries a divisor
+record, built once when the element is made: its leading monomial, the
+inverse of its leading coefficient, a support mask with one bit per
+variable, and its other terms.  ``normal_form`` keeps the working
+polynomial in a heap on the order's descending key, so it computes one
+key per new monomial and pops the largest term first; the remainder
+comes out in descending order, which gives a fresh basis element its
+leading monomial for free.  Before comparing exponents, a divisor whose
+mask has a bit outside the monomial's mask is skipped (divisibility
+implies containment of supports, as in Singular's short exponent
+vectors); Buchberger's chain criterion scans with the same prefilter,
+and each queued pair keeps its lcm.
+
 Everything downstream is a consequence of normal forms: membership,
 ideal equality, elimination through a block order, kernels of algebra
 maps via T_i - f_i, and Krull dimension read off the leading-term
@@ -17,21 +30,21 @@ computed, so callers never run Buchberger on it again.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from itertools import combinations, compress
+from operator import add, le, sub
+from typing import NamedTuple
 
 from .polyring import (
     GREVLEX,
+    Monomial,
     MonomialOrder,
     PolyRing,
     Polynomial,
     RingMismatchError,
     elimination_order,
-    mon_div,
     mon_divides,
-    mon_lcm,
-    mon_mul,
     reindex,
 )
 
@@ -55,149 +68,217 @@ class IdealSpec:
         object.__setattr__(self, "generators", tuple(kept))
 
 
+class _Divisor(NamedTuple):
+    """Leading data of one basis element, computed once."""
+
+    lm: Monomial
+    inv: int  # inverse of the leading coefficient
+    mask: int  # _support_mask(lm)
+    tail: tuple  # the other (monomial, coefficient) terms
+    poly: Polynomial
+
+
+def _bits(ring: PolyRing) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(ring.nvars))
+
+
+def _support_mask(m: Monomial, bits: tuple[int, ...]) -> int:
+    """Bit i set iff variable i occurs in m.  A divisor's mask lies
+    inside the mask of every monomial it divides."""
+    return sum(compress(bits, m))
+
+
+def _divisor(g: Polynomial, lm: Monomial, bits: tuple[int, ...]) -> _Divisor:
+    terms = g.terms
+    tail = tuple((m, c) for m, c in terms.items() if m != lm)
+    return _Divisor(lm, g.ring.field.inv(terms[lm]), _support_mask(lm, bits), tail, g)
+
+
+def _monic(g: Polynomial, lm: Monomial) -> Polynomial:
+    """g scaled to leading coefficient 1, its terms kept in their order."""
+    c = g.terms[lm]
+    if c == 1:
+        return g
+    fp = g.ring.field
+    inv = fp.inv(c)
+    return Polynomial._raw(g.ring, {m: a * inv % fp.p for m, a in g.terms.items()})
+
+
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis together with its ring and order."""
+    """A reduced Groebner basis together with its ring and order.
+
+    ``divisors`` holds one divisor record per element, built here once
+    and read by every ``normal_form`` against this basis.
+    """
 
     ring: PolyRing
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
+    divisors: tuple[_Divisor, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        bits = _bits(self.ring)
+        records = tuple(_divisor(g, g.leading_monomial(self.order), bits) for g in self.basis)
+        object.__setattr__(self, "divisors", records)
 
     def leading_monomials(self) -> tuple:
-        return tuple(g.leading_monomial(self.order) for g in self.basis)
+        return tuple(d.lm for d in self.divisors)
+
+
+def _spair(a: _Divisor, b: _Divisor, lcm: Monomial) -> Polynomial:
+    """S-polynomial of two records with the given lcm of their leading
+    monomials: the leading terms cancel, so only the tails are scaled."""
+    ring = a.poly.ring
+    p = ring.field.p
+    out: dict = {}
+    shift = tuple(map(sub, lcm, a.lm))
+    for m, c in a.tail:
+        out[tuple(map(add, m, shift))] = c * a.inv % p
+    shift = tuple(map(sub, lcm, b.lm))
+    for m, c in b.tail:
+        m = tuple(map(add, m, shift))
+        s = (out.get(m, 0) - c * b.inv) % p
+        if s:
+            out[m] = s
+        elif m in out:
+            del out[m]
+    return Polynomial._raw(ring, out)
 
 
 def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     """S-polynomial: cancel the leading terms against their lcm."""
-    mf, cf = f.leading_term(order)
-    mg, cg = g.leading_term(order)
-    lcm = mon_lcm(mf, mg)
-    field = f.ring.field
-    return f.scale_monomial(mon_div(lcm, mf), field.inv(cf)) - g.scale_monomial(
-        mon_div(lcm, mg), field.inv(cg)
-    )
+    if g.ring != f.ring:
+        raise RingMismatchError("S-polynomial across rings")
+    bits = _bits(f.ring)
+    a = _divisor(f, f.leading_monomial(order), bits)
+    b = _divisor(g, g.leading_monomial(order), bits)
+    return _spair(a, b, tuple(map(max, a.lm, b.lm)))
 
 
 def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynomial:
     """Remainder of f under full division by ``basis``.
 
-    No term of the result is divisible by any basis leading monomial,
-    which makes the map idempotent and, for a Groebner basis, a
-    canonical representative of f modulo the ideal.  Raises
+    ``basis`` is a GroebnerBasis (whose order is used) or a sequence of
+    polynomials.  No term of the result is divisible by any basis
+    leading monomial, which makes the map idempotent and, for a Groebner
+    basis, a canonical representative of f modulo the ideal.  The
+    result lists its terms in descending order.  Raises
     RingMismatchError when f and the basis live in different rings.
     """
     ring = f.ring
-    listed = not isinstance(basis, GroebnerBasis)
-    if not listed:
+    bits = _bits(ring)
+    if isinstance(basis, GroebnerBasis):
         if basis.ring is not ring and basis.ring != ring:
             raise RingMismatchError("normal form against a basis of another ring")
         order = basis.order
-        basis = basis.basis
-    inv = ring.field.inv
-    divisors = []
-    for g in basis:
-        if listed and g.ring is not ring and g.ring != ring:
-            raise RingMismatchError("normal form against a divisor of another ring")
-        if not g.is_zero:
-            lm, c = g.leading_term(order)
-            divisors.append((lm, inv(c), g))
+        divisors = basis.divisors
+    elif basis and isinstance(basis[0], _Divisor):
+        divisors = basis  # Buchberger's own records
+    else:
+        divisors = []
+        for g in basis:
+            if g.ring is not ring and g.ring != ring:
+                raise RingMismatchError("normal form against a divisor of another ring")
+            if not g.is_zero:
+                divisors.append(_divisor(g, g.leading_monomial(order), bits))
     p = ring.field.p
+    key = order.desc_key
+    # Every monomial enters ``work`` and the heap once; a coefficient
+    # that cancels stays as 0 until its monomial is popped.  Reduction
+    # only adds monomials below the one popped, so none comes back.
     work = dict(f.terms)
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
     remainder: dict = {}
-    key = order.key
-    while work:
-        mon = max(work, key=key)
+    while heap:
+        mon = heappop(heap)[1]
         coeff = work.pop(mon)
-        hit = None
-        for lm, cinv, g in divisors:
-            if mon_divides(lm, mon):
-                hit = (lm, cinv, g)
+        if not coeff:
+            continue
+        outside = ~_support_mask(mon, bits)
+        for lm, cinv, mask, tail, _ in divisors:
+            if not mask & outside and all(map(le, lm, mon)):
                 break
-        if hit is None:
+        else:
             remainder[mon] = coeff
             continue
-        lm, cinv, g = hit
-        shift = mon_div(mon, lm)
+        shift = tuple(map(sub, mon, lm))
         scale = coeff * cinv % p
-        for m2, c2 in g.terms.items():
-            if m2 == lm:
-                continue
-            m = mon_mul(m2, shift)
-            s = (work.get(m, 0) - scale * c2) % p
-            if s:
-                work[m] = s
-            elif m in work:
-                del work[m]
+        for m2, c2 in tail:
+            m = tuple(map(add, m2, shift))
+            c = work.get(m)
+            if c is None:
+                work[m] = -scale * c2 % p
+                heappush(heap, (key(m), m))
+            else:
+                work[m] = (c - scale * c2) % p
     return Polynomial._raw(ring, remainder)
 
 
-def _interreduce(polys: list[Polynomial], order: MonomialOrder) -> tuple[Polynomial, ...]:
+def _interreduce(divisors: list[_Divisor], order: MonomialOrder) -> tuple[Polynomial, ...]:
     # Minimal set first: drop anything whose LM another LM divides.
-    polys = [g.monic(order) for g in polys if not g.is_zero]
-    lms = [g.leading_monomial(order) for g in polys]
-    keep: list[int] = []
-    for i, lm in enumerate(lms):
-        redundant = False
-        for j, other in enumerate(lms):
-            if i == j:
-                continue
-            if mon_divides(other, lm) and (other != lm or j < i):
-                redundant = True
-                break
-        if redundant:
-            continue
-        keep.append(i)
-    minimal = [polys[i] for i in keep]
+    minimal = [
+        d
+        for i, d in enumerate(divisors)
+        if not any(
+            j != i
+            and not o.mask & ~d.mask
+            and mon_divides(o.lm, d.lm)
+            and (o.lm != d.lm or j < i)
+            for j, o in enumerate(divisors)
+        )
+    ]
     # Tail-reduce each element against the others.  Reduction keeps every
     # leading monomial (none divides another), and "no term divisible by
     # another leading monomial" depends on those alone, so one pass is final.
-    for i in range(len(minimal)):
-        minimal[i] = normal_form(minimal[i], minimal[:i] + minimal[i + 1 :], order)
-    minimal.sort(key=lambda g: order.key(g.leading_monomial(order)), reverse=True)
-    return tuple(minimal)
+    bits = _bits(divisors[0].poly.ring)
+    for i, d in enumerate(minimal):
+        r = normal_form(d.poly, minimal[:i] + minimal[i + 1 :], order)
+        minimal[i] = _divisor(r, d.lm, bits)
+    minimal.sort(key=lambda d: order.desc_key(d.lm))
+    return tuple(d.poly for d in minimal)
 
 
 def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of ``ideal`` under ``order``."""
-    basis: list[Polynomial] = []
-    lms: list = []
+    bits = _bits(ideal.ring)
+    divisors: list[_Divisor] = []
     seen = set()
     for g in ideal.generators:
-        g = g.monic(order)
+        lm = g.leading_monomial(order)
+        g = _monic(g, lm)
         k = frozenset(g.terms.items())
         if k not in seen:
             seen.add(k)
-            basis.append(g)
-            lms.append(g.leading_monomial(order))
-    if not basis:
+            divisors.append(_divisor(g, lm, bits))
+    if not divisors:
         return GroebnerBasis(ideal.ring, order, ())
 
     pending: set[tuple[int, int]] = set()
     heap: list = []
 
-    def push(i: int, j: int) -> None:
-        pair = (i, j) if i < j else (j, i)
-        pending.add(pair)
-        lcm = mon_lcm(lms[pair[0]], lms[pair[1]])
-        heapq.heappush(heap, (sum(lcm), pair))
+    def push(i: int, j: int) -> None:  # i < j
+        pending.add((i, j))
+        lcm = tuple(map(max, divisors[i].lm, divisors[j].lm))
+        heappush(heap, (sum(lcm), (i, j), lcm))
 
-    for i, j in itertools.combinations(range(len(basis)), 2):
+    for i, j in combinations(range(len(divisors)), 2):
         push(i, j)
 
     while heap:
-        _, pair = heapq.heappop(heap)
-        if pair not in pending:
-            continue
+        _, pair, lcm = heappop(heap)
         pending.discard(pair)
         i, j = pair
-        lcm = mon_lcm(lms[i], lms[j])
-        if lcm == mon_mul(lms[i], lms[j]):
+        a, b = divisors[i], divisors[j]
+        if not a.mask & b.mask:
             continue  # coprime leading monomials: S-polynomial reduces to 0
+        outside = ~(a.mask | b.mask)
         skip = False
-        for k in range(len(basis)):
-            if k == i or k == j:
+        for k, d in enumerate(divisors):
+            if k == i or k == j or d.mask & outside:
                 continue
-            if mon_divides(lms[k], lcm):
+            if mon_divides(d.lm, lcm):
                 pik = (i, k) if i < k else (k, i)
                 pjk = (j, k) if j < k else (k, j)
                 if pik not in pending and pjk not in pending:
@@ -205,22 +286,21 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX) -> GroebnerBasi
                     break
         if skip:
             continue
-        r = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
+        r = normal_form(_spair(a, b, lcm), divisors, order)
         if r.is_zero:
             continue
-        r = r.monic(order)
-        basis.append(r)
-        lms.append(r.leading_monomial(order))
-        new = len(basis) - 1
+        lm = next(iter(r.terms))  # normal_form lists the largest term first
+        divisors.append(_divisor(_monic(r, lm), lm, bits))
+        new = len(divisors) - 1
         for k in range(new):
             push(k, new)
 
-    return GroebnerBasis(ideal.ring, order, _interreduce(basis, order))
+    return GroebnerBasis(ideal.ring, order, _interreduce(divisors, order))
 
 
 def verify_groebner(gb: GroebnerBasis) -> bool:
     """Exhaustive check: every S-polynomial reduces to zero."""
-    for f, g in itertools.combinations(gb.basis, 2):
+    for f, g in combinations(gb.basis, 2):
         if not normal_form(spolynomial(f, g, gb.order), gb).is_zero:
             return False
     return True

@@ -36,6 +36,21 @@ def row_echelon(rows, p: int):
     return [tuple(row) for row in work[:r]], pivots
 
 
+def residue(echelon, pivots, row, p: int) -> list[int]:
+    """``row`` reduced by the rows and pivots ``row_echelon`` returned.
+
+    Those rows are fully reduced (pivot 1, zero in every other pivot
+    column), so one pass in pivot order leaves a row that is zero
+    exactly when ``row`` lies in their span.
+    """
+    out = list(row)
+    for e, col in zip(echelon, pivots):
+        c = out[col] % p
+        if c:
+            out = [(x - c * y) % p for x, y in zip(out, e)]
+    return out
+
+
 def rank(rows, p: int) -> int:
     if not rows:
         return 0

@@ -11,7 +11,10 @@ Monomial orders are value objects exposing a sort key: ``lex``,
 ``grevlex``, and the block elimination order (grevlex on the first
 ``split`` variables, ties broken by grevlex on the rest).  The block
 order ranks any monomial touching the first block above every monomial
-free of it, which is the property elimination needs.
+free of it, which is the property elimination needs.  Each order also
+has a descending key, a flat int tuple whose ascending order lists
+monomials largest first: Groebner division keeps its working terms in
+a min-heap on it, computing one key per new monomial.
 
 Text form, used by the CLI and the tests: ``2*x^2*y - z*w + 5``.
 ASCII only, ``^`` for powers, ``*`` for products, integer
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import neg
 
 DEFAULT_PRIME = 32003
 
@@ -90,25 +94,14 @@ def mon_one(nvars: int) -> Monomial:
     return (0,) * nvars
 
 
-def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def mon_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def mon_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _grevlex_key(m: Monomial):
-    return (sum(m), tuple(-e for e in reversed(m)))
+def _grevlex_desc(m: Monomial):
+    # Higher degree first; within a degree the smaller exponent of the
+    # last variable wins, then of the one before it, and so on.
+    return (-sum(m),) + m[::-1]
 
 
 _ORDER_KINDS = ("lex", "grevlex", "elim")
@@ -121,6 +114,9 @@ class MonomialOrder:
     ``key(m)`` is comparable and strictly monotone: larger monomial,
     larger key, and key comparisons are preserved by multiplying both
     sides by a common monomial.  1 is the minimum for every kind.
+    ``desc_key(m)`` is the same order reversed, a flat tuple of ints that
+    costs a slice and a sum for grevlex: ascending ``desc_key`` lists
+    monomials largest first, which is what a min-heap pops.
     """
 
     kind: str = "grevlex"
@@ -135,19 +131,22 @@ class MonomialOrder:
         elif self.split is not None:
             raise ValueError(f"{self.kind} order takes no split")
 
-    def key(self, m: Monomial):
+    def desc_key(self, m: Monomial) -> tuple[int, ...]:
         if self.kind == "grevlex":
-            return _grevlex_key(m)
+            return _grevlex_desc(m)
         if self.kind == "lex":
-            return m
+            return tuple(map(neg, m))
         s = self.split
-        return (_grevlex_key(m[:s]), _grevlex_key(m[s:]))
+        return _grevlex_desc(m[:s]) + _grevlex_desc(m[s:])
+
+    def key(self, m: Monomial) -> tuple[int, ...]:
+        return tuple(map(neg, self.desc_key(m)))
 
     def max(self, monomials):
-        return max(monomials, key=self.key)
+        return min(monomials, key=self.desc_key)
 
     def sorted_desc(self, monomials) -> list[Monomial]:
-        return sorted(monomials, key=self.key, reverse=True)
+        return sorted(monomials, key=self.desc_key)
 
 
 GREVLEX = MonomialOrder("grevlex")

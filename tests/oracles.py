@@ -4,8 +4,8 @@ Everything here recomputes results along a different route than the
 library takes: schoolbook multiplication, criteria-free pair
 completion, combinatorial membership for monomial ideals, brute-force
 staircase dimension, ideal membership by division against a
-criteria-free basis.  Expected values frozen into the tests were
-produced by these.
+criteria-free basis, monomial comparison by the textbook definitions.
+Expected values frozen into the tests were produced by these.
 """
 
 from __future__ import annotations
@@ -157,3 +157,32 @@ def random_homogeneous(ring, rng, degree: int, terms=4):
         # Retry; vanishing is a measure-zero accident of the draw.
         return random_homogeneous(ring, rng, degree, terms)
     return poly
+
+
+def _grevlex_compare(a, b) -> int:
+    # Higher total degree wins; on a tie, the last nonzero entry of a - b
+    # is negative exactly when a is the larger monomial.
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def textbook_compare(order, a, b) -> int:
+    """-1, 0 or 1 as monomial a is below, equal to or above b in ``order``.
+
+    Lex: the first nonzero entry of a - b is positive.  Grevlex: see
+    ``_grevlex_compare``.  Elimination with split s: grevlex on the first
+    s variables, ties broken by grevlex on the rest.
+    """
+    if order.kind == "lex":
+        for x, y in zip(a, b):
+            if x != y:
+                return 1 if x > y else -1
+        return 0
+    if order.kind == "grevlex":
+        return _grevlex_compare(a, b)
+    s = order.split
+    return _grevlex_compare(a[:s], b[:s]) or _grevlex_compare(a[s:], b[s:])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import types
 
 import pytest
 
@@ -238,6 +239,53 @@ def test_exchange_power_bound_validated(monkeypatch, capsys):
         assert "exchange.n_max: must be a positive integer" in capsys.readouterr().err
     assert main(["exchange", QUADRIC, "--n-max", "0", "--seed", "1"]) == 3
     assert "exchange.n_max: must be a positive integer" in capsys.readouterr().err
+
+
+def _run_failure(monkeypatch, capsys, argv, doc=None):
+    """Exit code and the one stderr line of a run that gave up."""
+    if doc is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return code, captured.err.strip()
+
+
+def test_zero_combination_sampler_exit(monkeypatch, capsys):
+    monkeypatch.setattr(
+        "genmat.instances.random_linear_combination",
+        lambda basis, rng, var_degrees=None: (basis[0].ring.zero(), ()),
+    )
+    argv = ["exchange", QUADRIC, "--remove", "x + y", "--seed", "1"]
+    code, err = _run_failure(monkeypatch, capsys, argv)
+    assert (code, err) == (5, "error: sampler kept drawing zero combinations")
+
+
+def test_degenerate_column_sampler_exit(monkeypatch, capsys):
+    monkeypatch.setattr("genmat.polyring.PrimeField.sample", lambda self, rng: 0)
+    argv = ["exchange", SEGRE, "--from", "ambient", "--remove", "0", "--seed", "1"]
+    code, err = _run_failure(monkeypatch, capsys, argv)
+    assert (code, err) == (5, "error: handle 'ambient' kept drawing degenerate columns")
+
+
+def test_path_ending_on_rejected_set_exit(monkeypatch, capsys):
+    # The start already lies in "ambient", so the path takes no step and
+    # only the final verification runs.
+    monkeypatch.setattr("genmat.matroid.GenericMatroidInstance.verify", lambda self, b: False)
+    argv = ["exchange", SEGRE, "--from", "ambient", "--seed", "1"]
+    code, err = _run_failure(monkeypatch, capsys, argv)
+    assert (code, err) == (5, "error: path ended on a set the oracle rejects")
+
+
+def test_path_longer_than_basis_exit(monkeypatch, capsys):
+    # Steps that never move the basis into the handle.
+    monkeypatch.setattr(
+        "genmat.matroid.exchange_step",
+        lambda inst, current, *args, **kwargs: types.SimpleNamespace(basis_after=current),
+    )
+    argv = ["exchange", QUADRIC, "--from", "target", "--seed", "1"]
+    code, err = _run_failure(monkeypatch, capsys, argv)
+    assert (code, err) == (5, "error: exchange path exceeded the basis size")
 
 
 def test_readme_example_document():
