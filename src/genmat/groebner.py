@@ -1,12 +1,14 @@
 """Groebner bases over F_p and the decision procedures built on them.
 
 Buchberger's algorithm with the normal pair-selection strategy
-(smallest lcm degree first) and both classical pair criteria: coprime
-leading monomials are skipped outright, and a pair is dropped when a
-third leading monomial divides its lcm and both companion pairs have
-already left the queue.  Output is the reduced basis (monic, no term
-of any element divisible by another leading monomial), which is unique
-per ideal and order, so results are canonical.
+(smallest lcm degree first) and the Gebauer-Moeller pair update: each
+element that joins the basis prunes the queued pairs once (criterion
+B_k), keeps one new pair per minimal lcm and queues none with coprime
+leading monomials (criteria M and F and the product criterion), and
+retires the elements whose leading monomials it divides.  What stays
+active is the minimal basis.  Output is the reduced basis (monic, no
+term of any element divisible by another leading monomial), which is
+unique per ideal and order, so results are canonical.
 
 The hot path is division.  Every basis element carries a divisor
 record, built once when the element is made: its leading monomial, the
@@ -18,7 +20,7 @@ comes out in descending order, which gives a fresh basis element its
 leading monomial for free.  Before comparing exponents, a divisor whose
 mask has a bit outside the monomial's mask is skipped (divisibility
 implies containment of supports, as in Singular's short exponent
-vectors); Buchberger's chain criterion scans with the same prefilter,
+vectors); the pair update tests divisibility with the same prefilter,
 and each queued pair keeps its lcm.
 
 Everything downstream is a consequence of normal forms: membership,
@@ -44,7 +46,6 @@ from .polyring import (
     Polynomial,
     RingMismatchError,
     elimination_order,
-    mon_divides,
     reindex,
 )
 
@@ -108,19 +109,22 @@ def _monic(g: Polynomial, lm: Monomial) -> Polynomial:
 class GroebnerBasis:
     """A reduced Groebner basis together with its ring and order.
 
-    ``divisors`` holds one divisor record per element, built here once
-    and read by every ``normal_form`` against this basis.
+    ``divisors`` holds one divisor record per element and ``bits`` the
+    ring's bit table for support masks, both built here once and read by
+    every ``normal_form`` against this basis.
     """
 
     ring: PolyRing
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
     divisors: tuple[_Divisor, ...] = field(init=False, repr=False, compare=False)
+    bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         bits = _bits(self.ring)
         records = tuple(_divisor(g, g.leading_monomial(self.order), bits) for g in self.basis)
         object.__setattr__(self, "divisors", records)
+        object.__setattr__(self, "bits", bits)
 
     def leading_monomials(self) -> tuple:
         return tuple(d.lm for d in self.divisors)
@@ -156,26 +160,29 @@ def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) ->
     return _spair(a, b, tuple(map(max, a.lm, b.lm)))
 
 
-def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynomial:
+def normal_form(
+    f: Polynomial, basis, order: MonomialOrder = GREVLEX, *, bits: tuple[int, ...] | None = None
+) -> Polynomial:
     """Remainder of f under full division by ``basis``.
 
     ``basis`` is a GroebnerBasis (whose order is used) or a sequence of
-    polynomials.  No term of the result is divisible by any basis
-    leading monomial, which makes the map idempotent and, for a Groebner
-    basis, a canonical representative of f modulo the ideal.  The
+    polynomials; Buchberger passes its own divisor records, with the
+    ring's bit table as ``bits``.  No term of the result is divisible by
+    any basis leading monomial, which makes the map idempotent and, for
+    a Groebner basis, a canonical representative of f modulo the ideal.  The
     result lists its terms in descending order.  Raises
     RingMismatchError when f and the basis live in different rings.
     """
     ring = f.ring
-    bits = _bits(ring)
     if isinstance(basis, GroebnerBasis):
         if basis.ring is not ring and basis.ring != ring:
             raise RingMismatchError("normal form against a basis of another ring")
         order = basis.order
-        divisors = basis.divisors
-    elif basis and isinstance(basis[0], _Divisor):
+        divisors, bits = basis.divisors, basis.bits
+    elif bits is not None:
         divisors = basis  # Buchberger's own records
     else:
+        bits = _bits(ring)
         divisors = []
         for g in basis:
             if g.ring is not ring and g.ring != ring:
@@ -216,32 +223,86 @@ def normal_form(f: Polynomial, basis, order: MonomialOrder = GREVLEX) -> Polynom
     return Polynomial._raw(ring, remainder)
 
 
-def _interreduce(divisors: list[_Divisor], order: MonomialOrder) -> tuple[Polynomial, ...]:
-    # Minimal set first: drop anything whose LM another LM divides.
-    minimal = [
-        d
-        for i, d in enumerate(divisors)
-        if not any(
-            j != i
-            and not o.mask & ~d.mask
-            and mon_divides(o.lm, d.lm)
-            and (o.lm != d.lm or j < i)
-            for j, o in enumerate(divisors)
-        )
-    ]
-    # Tail-reduce each element against the others.  Reduction keeps every
-    # leading monomial (none divides another), and "no term divisible by
-    # another leading monomial" depends on those alone, so one pass is final.
-    bits = _bits(divisors[0].poly.ring)
+def _interreduce(
+    minimal: list[_Divisor], order: MonomialOrder, bits: tuple[int, ...]
+) -> tuple[Polynomial, ...]:
+    # Tail-reduce each element of a minimal basis against the others.
+    # Reduction keeps every leading monomial (none divides another), and
+    # "no term divisible by another leading monomial" depends on those
+    # alone, so one pass is final.
     for i, d in enumerate(minimal):
-        r = normal_form(d.poly, minimal[:i] + minimal[i + 1 :], order)
+        r = normal_form(d.poly, minimal[:i] + minimal[i + 1 :], order, bits=bits)
         minimal[i] = _divisor(r, d.lm, bits)
     minimal.sort(key=lambda d: order.desc_key(d.lm))
     return tuple(d.poly for d in minimal)
 
 
+def _update(
+    divisors: list[_Divisor], active: list[int], live: dict, heap: list, new: int
+) -> list[int]:
+    """Gebauer-Moeller update for ``divisors[new]`` joining the basis
+    (Gebauer and Moeller 1988; Becker-Weispfenning 5.5, UPDATE).
+
+    ``live`` maps each queued pair to its lcm and the lcm's support mask;
+    ``heap`` holds the same pairs and may hold dropped ones, which the
+    caller skips.  Returns the new active set: the indices whose leading
+    monomials later elements pair with.
+    """
+    h = divisors[new]
+    lm, mask = h.lm, h.mask
+    # Criterion B_k: a queued pair whose lcm LM(h) divides is redundant
+    # unless h reproduces one of the two companion lcms.
+    dead = [
+        (i, j)
+        for (i, j), (lcm, lcm_mask) in live.items()
+        if not mask & ~lcm_mask
+        and all(map(le, lm, lcm))
+        and tuple(map(max, divisors[i].lm, lm)) != lcm
+        and tuple(map(max, divisors[j].lm, lm)) != lcm
+    ]
+    for pair in dead:
+        del live[pair]
+    # Criteria M and F: a new pair is redundant when another new pair's
+    # lcm divides its lcm; among equal lcms a coprime one is kept, and
+    # then not queued (product criterion).  Sorting by degree puts every
+    # proper divisor first, so only kept lcms need checking.
+    candidates = []
+    for k in active:
+        g = divisors[k]
+        lcm = tuple(map(max, g.lm, lm))
+        candidates.append((sum(lcm), bool(g.mask & mask), lcm, g.mask | mask, k))
+    candidates.sort()
+    kept: list[tuple[Monomial, int]] = []
+    for degree, shared, lcm, lcm_mask, k in candidates:
+        outside = ~lcm_mask
+        for o, m in kept:
+            if not m & outside and all(map(le, o, lcm)):
+                break
+        else:
+            kept.append((lcm, lcm_mask))
+            if shared:
+                live[k, new] = lcm, lcm_mask
+                heappush(heap, (degree, (k, new)))
+    # An element whose leading monomial LM(h) divides leaves the active
+    # set; its queued pairs stay.
+    active = [
+        k for k in active if mask & ~divisors[k].mask or not all(map(le, lm, divisors[k].lm))
+    ]
+    active.append(new)
+    return active
+
+
 def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
-    """Reduced Groebner basis of ``ideal`` under ``order``."""
+    """Reduced Groebner basis of ``ideal`` under ``order``.
+
+    Pairs are reduced smallest lcm degree first and pruned by the
+    Gebauer-Moeller update as each element joins.  Generators join
+    largest leading monomial first and remainders are fully reduced, so
+    a joining leading monomial is never a proper multiple of an active
+    one; the update retires the active ones it divides.  The final
+    active set is therefore the minimal basis, and one tail reduction
+    of it is the reduced basis.
+    """
     bits = _bits(ideal.ring)
     divisors: list[_Divisor] = []
     seen = set()
@@ -254,48 +315,29 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX) -> GroebnerBasi
             divisors.append(_divisor(g, lm, bits))
     if not divisors:
         return GroebnerBasis(ideal.ring, order, ())
+    divisors.sort(key=lambda d: order.desc_key(d.lm))
 
-    pending: set[tuple[int, int]] = set()
+    active: list[int] = []
+    live: dict[tuple[int, int], tuple[Monomial, int]] = {}
     heap: list = []
-
-    def push(i: int, j: int) -> None:  # i < j
-        pending.add((i, j))
-        lcm = tuple(map(max, divisors[i].lm, divisors[j].lm))
-        heappush(heap, (sum(lcm), (i, j), lcm))
-
-    for i, j in combinations(range(len(divisors)), 2):
-        push(i, j)
+    for new in range(len(divisors)):
+        active = _update(divisors, active, live, heap, new)
 
     while heap:
-        _, pair, lcm = heappop(heap)
-        pending.discard(pair)
+        pair = heappop(heap)[1]
+        if pair not in live:
+            continue  # dropped by a later update
+        lcm = live.pop(pair)[0]
         i, j = pair
-        a, b = divisors[i], divisors[j]
-        if not a.mask & b.mask:
-            continue  # coprime leading monomials: S-polynomial reduces to 0
-        outside = ~(a.mask | b.mask)
-        skip = False
-        for k, d in enumerate(divisors):
-            if k == i or k == j or d.mask & outside:
-                continue
-            if mon_divides(d.lm, lcm):
-                pik = (i, k) if i < k else (k, i)
-                pjk = (j, k) if j < k else (k, j)
-                if pik not in pending and pjk not in pending:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = normal_form(_spair(a, b, lcm), divisors, order)
+        r = normal_form(_spair(divisors[i], divisors[j], lcm), divisors, order, bits=bits)
         if r.is_zero:
             continue
         lm = next(iter(r.terms))  # normal_form lists the largest term first
         divisors.append(_divisor(_monic(r, lm), lm, bits))
-        new = len(divisors) - 1
-        for k in range(new):
-            push(k, new)
+        active = _update(divisors, active, live, heap, len(divisors) - 1)
 
-    return GroebnerBasis(ideal.ring, order, _interreduce(divisors, order))
+    minimal = [divisors[k] for k in active]
+    return GroebnerBasis(ideal.ring, order, _interreduce(minimal, order, bits))
 
 
 def verify_groebner(gb: GroebnerBasis) -> bool:

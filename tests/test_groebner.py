@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from genmat import algebra, groebner
+from genmat.algebra import diagonal_subring, graded_algebra, is_complete_reduction_ring
 from genmat.groebner import (
     GroebnerBasis,
     IdealSpec,
@@ -22,6 +24,7 @@ from genmat.groebner import (
 from genmat.polyring import (
     GREVLEX,
     LEX,
+    Polynomial,
     PolyRing,
     PrimeField,
     RingMismatchError,
@@ -79,6 +82,81 @@ def test_matches_naive_completion_on_random_ideals():
         gb = buchberger(IdealSpec(R, gens), order)
         assert set(gb.basis) == naive_buchberger(R, gens, order)
         assert verify_groebner(gb)
+
+
+def _random_monomial(rng, nvars, degree):
+    mon = [0] * nvars
+    for _ in range(degree):
+        mon[rng.randrange(nvars)] += 1
+    return tuple(mon)
+
+
+def _with_lead(R, rng, order, lead):
+    """The monomial ``lead`` plus random terms of its degree below it."""
+    top = order.key(lead)
+    tail = [_random_monomial(rng, R.nvars, sum(lead)) for _ in range(3)]
+    below = {m: rng.randrange(1, R.field.p) for m in tail if order.key(m) < top}
+    return R.monomial(lead) + Polynomial(R, below)
+
+
+def _pair_update_inputs(R, rng, order, kind):
+    n, p = R.nvars, R.field.p
+    if kind == "monomial-binomial":  # many equal lcms and coprime ties
+        pool = [_random_monomial(rng, n, rng.randrange(1, 4)) for _ in range(4)]
+        gens = [R.monomial(rng.choice(pool)) for _ in range(4)]
+        return [g - R.monomial(rng.choice(pool), rng.randrange(p)) for g in gens]
+    lead = _random_monomial(rng, n, rng.randrange(2, 4))
+    if kind == "dividing-leads":  # one leading monomial divides others
+        multiples = [tuple(e + rng.randrange(0, 2) for e in lead) for _ in range(2)]
+        return [_with_lead(R, rng, order, m) for m in [*multiples, lead]]
+    if kind == "shared-lead":  # same leading monomial, different tails
+        return [_with_lead(R, rng, order, lead) for _ in range(3)]
+    gens = [random_homogeneous(R, rng, rng.randrange(1, 4), terms=3) for _ in range(3)]
+    return gens + [gens[0], gens[1], gens[1] * R.const(rng.randrange(2, p))]
+
+
+@pytest.mark.parametrize("p", (5, 101, 32003))
+@pytest.mark.parametrize(
+    "kind", ("monomial-binomial", "dividing-leads", "shared-lead", "duplicates")
+)
+def test_pair_update_edge_cases_match_naive_completion(p, kind):
+    # Equal lcms, coprime ties, dividing and shared leading monomials and
+    # duplicate generators are where the Gebauer-Moeller criteria and the
+    # active set decide what to drop; the oracle drops nothing.
+    rng = random.Random(f"{kind}/{p}")
+    for trial in range(12):
+        nvars = rng.randrange(2, 4)
+        R = polynomial_ring(p, [f"x{i}" for i in range(nvars)])
+        order = (GREVLEX, LEX, elimination_order(1))[trial % 3]
+        gens = tuple(_pair_update_inputs(R, rng, order, kind))
+        gb = buchberger(IdealSpec(R, gens), order)
+        assert set(gb.basis) == naive_buchberger(R, gens, order)
+        assert verify_groebner(gb)
+
+
+def test_pair_update_prunes_the_complete_reduction_ideal(monkeypatch):
+    # One complete-reduction verdict on the P^2 x P^2 diagonal: the
+    # 9 relations of the diagonal ring and 5 column products, 14
+    # generators in 9 variables.  Without the Gebauer-Moeller update
+    # (coprime pairs and the chain criterion checked at pop) Buchberger
+    # reduced 68 S-polynomials here.
+    R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3")
+    S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
+    diagonal_subring(S)  # memoized: its kernel is not counted
+    rng = random.Random(2)
+    weights = [[rng.randrange(1, 32003) for _ in range(3)] for _ in range(5)]
+    xs, ys = R.gens()[:3], R.gens()[3:]
+    rows = tuple(
+        tuple(sum((c * v for c, v in zip(w, block)), R.zero()) for w in weights)
+        for block in (xs, ys)
+    )
+    runs, spairs = [], []
+    monkeypatch.setattr(algebra, "buchberger", lambda *a: runs.append(a) or buchberger(*a))
+    spair = groebner._spair
+    monkeypatch.setattr(groebner, "_spair", lambda *a: spairs.append(a) or spair(*a))
+    assert is_complete_reduction_ring(S, rows)
+    assert len(runs) == 1 and len(runs[0][0].generators) == 14
+    assert len(spairs) == 40
 
 
 def test_matches_sympy_groebner():
