@@ -54,6 +54,7 @@ from .polyring import (
     PolyRing,
     Polynomial,
     RingMismatchError,
+    common_degree,
     mon_divides,
     multidegree,
     reindex,
@@ -70,6 +71,10 @@ class InconclusiveError(RuntimeError):
             f"reduction test inconclusive after power bound {verdict.n_max}"
         )
         self.verdict = verdict
+
+
+class OutsideIdealError(ValueError):
+    """A candidate's generator or matrix entry lies outside its ideal."""
 
 
 def _unit(n: int, i: int) -> MultiDegree:
@@ -149,7 +154,8 @@ class GradedAlgebraPresentation:
         return self.normal_form(f).is_zero
 
     def element_degree(self, f: Polynomial) -> MultiDegree | None:
-        return multidegree(f, self.degrees)
+        """f's multidegree under the grading, which __init__ validated."""
+        return common_degree(f, self.degrees)
 
     def standard_monomials(self, target: MultiDegree) -> tuple[Polynomial, ...]:
         """Monomial basis of the quotient's ``target`` graded piece.
@@ -491,9 +497,9 @@ def is_reduction(
     """Power-criterion reduction test with a bounded exponent.
 
     Checks I^(N+1) = J * I^N for N = 1..n_max; the reverse inclusion
-    is automatic once J ⊆ I (verified first, ValueError otherwise), so
-    only the forward one is tested, by span membership in degree
-    (N+1)*delta.  The fiber test settles definite negatives, and a
+    is automatic once J ⊆ I (verified first, OutsideIdealError
+    otherwise), so only the forward one is tested, by span membership
+    in degree (N+1)*delta.  The fiber test settles definite negatives, and a
     negative there makes every power check futile, so it runs as a
     screen before the loop; a positive still has to exhibit a concrete
     power, or the verdict stays inconclusive at the bound.
@@ -505,7 +511,7 @@ def is_reduction(
     outside = _first_outside(I, J.generators)
     if outside is not None:
         idx = J.generators.index(outside)
-        raise ValueError(
+        raise OutsideIdealError(
             f"generator {idx} of the candidate ({outside}) does not lie in the ideal"
         )
     transcript = []
@@ -591,7 +597,7 @@ def diagonal_subring(algebra: GradedAlgebraPresentation) -> DiagonalSubring:
 
 def _as_matrix(rows) -> tuple[tuple[Polynomial, ...], ...]:
     mat = tuple(tuple(row) for row in rows)
-    if not mat or not mat[0]:
+    if not mat:
         raise ValueError("empty matrix")
     width = len(mat[0])
     if any(len(row) != width for row in mat):
@@ -643,10 +649,11 @@ def is_complete_reduction_ideals(
 ) -> ReductionVerdict:
     """Complete reduction test for a tuple of equigenerated ideals.
 
-    Row i of the matrix holds degree-delta_i elements of I_i; the
-    columnwise products b_j must then be a reduction of the product
-    ideal I_1 * .. * I_n, tested with the power criterion.  The column
-    count must equal the product's analytic spread.
+    Row i of the matrix holds degree-delta_i elements of I_i (an entry
+    outside I_i raises OutsideIdealError); the columnwise products b_j
+    must then be a reduction of the product ideal I_1 * .. * I_n,
+    tested with the power criterion.  The column count must equal the
+    product's analytic spread.
     """
     ideals = tuple(ideals)
     if not ideals:
@@ -668,7 +675,9 @@ def is_complete_reduction_ideals(
                 )
         outside = _first_outside(I, row)
         if outside is not None:
-            raise ValueError(f"entry ({i},{row.index(outside)}) does not lie in ideal {i}")
+            raise OutsideIdealError(
+                f"entry ({i},{row.index(outside)}) does not lie in ideal {i}"
+            )
     product = reduce(ideal_product, ideals)
     r = len(mat[0])
     want = analytic_spread(product)

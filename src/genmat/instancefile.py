@@ -287,10 +287,11 @@ def _verdict_outcome(verdict, detail: dict) -> CheckOutcome:
 def run_check(ctx: InstanceContext, task: str, n_max: int | None = None) -> CheckOutcome:
     """Dispatch one verification task from the document's check section.
 
-    Raises InstanceFileError for anything malformed, including
-    candidates the strict oracles reject as ill-typed (wrong degree,
-    wrong count, outside the ideal): a wrong answer is a verdict, a
-    wrong question is an input error.
+    Raises InstanceFileError for anything malformed, including a
+    candidate the library refuses to judge (a ValueError such as a
+    wrong degree for nn, a wrong count, or a generator outside the
+    ideal).  A wrong count is not refused by minimal-reduction: the
+    count is part of that question, so it answers "false".
     """
     if task not in CHECK_TASKS:
         raise InstanceFileError("check", f"unknown task {task!r}; have {CHECK_TASKS}")

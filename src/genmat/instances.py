@@ -9,12 +9,16 @@ Five constructors, all yielding GenericMatroidInstance:
   complete_reduction_instance multigraded algebra or ideal tuple, matrix or
                               vector sampling
 
-The algebraic instances share one shape: ground elements are
-polynomials (or columns of polynomials), handles carry spans described
-by explicit forms, and samplers draw uniform coefficient combinations.
-Basis oracles forgive malformed candidates — wrong degree, wrong ring,
-wrong count all read as "not a basis" — but an inconclusive reduction
-verdict raises instead of passing for a rejection.
+The four algebraic kinds come from one builder over blocks of forms,
+one graded piece per block: a column kind's element has one entry per
+block, and the element kinds (nn, minred) are the one-block case, whose
+elements are bare polynomials.  A handle spans its blocks, echelonized
+once when it is built, and samples uniform coefficient combinations.
+Basis oracles check every candidate explicitly (the count equals the
+rank; each entry is a nonzero form of the ambient ring in its block's
+piece) and read a failure, or an entry the containment tests put
+outside its ideal, as "not a basis".  Anything else the algebra raises
+propagates: an inconclusive reduction verdict, and any library fault.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .algebra import (
     EquigeneratedIdeal,
     GradedAlgebraPresentation,
     InconclusiveError,
+    OutsideIdealError,
     algebra_dimension,
     analytic_spread,
     diagonal_subring,
@@ -39,16 +44,9 @@ from .algebra import (
     is_noether_normalization,
 )
 from .matroid import GenericMatroidInstance, MatroidHandle
-from .polyring import (
-    Polynomial,
-    PrimeField,
-    RingMismatchError,
-    random_linear_combination,
-)
+from .polyring import Polynomial, PrimeField, random_linear_combination
 
 _SAMPLE_RETRIES = 64
-
-_LENIENT = (ValueError, RingMismatchError, TypeError, AttributeError, IndexError)
 
 
 def _nonzero_combo(forms: Sequence[Polynomial], rng: random.Random) -> Polynomial:
@@ -57,32 +55,6 @@ def _nonzero_combo(forms: Sequence[Polynomial], rng: random.Random) -> Polynomia
         if not f.is_zero:
             return f
     raise RuntimeError("sampler kept drawing zero combinations")
-
-
-def _span_handle(
-    pres: GradedAlgebraPresentation,
-    name: str,
-    forms: Sequence[Polynomial],
-    target,
-) -> MatroidHandle:
-    """Handle whose carrier is the k-span of homogeneous forms."""
-    forms = tuple(forms)
-    if not forms:
-        raise ValueError(f"handle {name!r} needs at least one form")
-    rows = [pres.coordinates(f, target) for f in forms]
-    p = pres.ring.field.p
-
-    def contains(f) -> bool:
-        try:
-            coords = pres.coordinates(f, target)
-        except _LENIENT:
-            return False
-        return linalg.in_span(rows, coords, p)
-
-    def sample(rng: random.Random) -> Polynomial:
-        return _nonzero_combo(forms, rng)
-
-    return MatroidHandle(name, contains, sample)
 
 
 # ---------------------------------------------------------------- finite
@@ -185,13 +157,12 @@ def vector_matroid(
     width = len(vecs[0])
 
     def oracle(tup: tuple) -> bool:
-        try:
-            rows = [tuple(int(x) % p for x in v) for v in tup]
-        except _LENIENT:
+        if len(tup) != r or not all(
+            isinstance(v, tuple) and len(v) == width and all(isinstance(x, int) for x in v)
+            for v in tup
+        ):
             return False
-        if len(rows) != r or any(len(v) != width for v in rows):
-            return False
-        return linalg.independent(rows, p)
+        return linalg.independent([tuple(x % p for x in v) for v in tup], p)
 
     specs = dict(handles) if handles else {"ground": vecs}
     built = {hname: _vector_handle(hname, subset, p, r) for hname, subset in specs.items()}
@@ -205,6 +176,127 @@ def vector_matroid(
 
 
 # ---------------------------------------------------------------- graded
+
+
+def _is_form(pres: GradedAlgebraPresentation, f, target) -> bool:
+    """Is f a nonzero form of the ambient ring in the ``target`` piece?"""
+    return isinstance(f, Polynomial) and f.ring == pres.ring and pres.element_degree(f) == target
+
+
+def _transpose(cols, n: int) -> tuple:
+    return tuple(tuple(col[i] for col in cols) for i in range(n))
+
+
+def _graded_handle(pres, name, blocks, targets, variant, column) -> MatroidHandle:
+    """Handle over blocks of forms; ``column`` vets a candidate first.
+
+    Each span is echelonized once, here, and a query reduces the
+    candidate's coordinates by it.  Matrix variant, and the element
+    kinds (``variant`` None, one block, bare forms): entries are drawn
+    independently within their blocks and membership is blockwise.
+    Vector variant: one coefficient vector shared by all blocks (which
+    must then have equal sizes), and membership in the span of the
+    stacked block vectors.
+    """
+    p = pres.ring.field.p
+    rows = [[pres.coordinates(f, t) for f in block] for block, t in zip(blocks, targets)]
+    if variant == "vector":
+        if len({len(b) for b in blocks}) != 1:
+            raise ValueError(f"handle {name!r}: vector variant needs equal block sizes")
+        rows = [[sum(stack, ()) for stack in zip(*rows)]]
+    spans = [linalg.row_echelon(r, p) for r in rows]
+
+    def contains(element) -> bool:
+        col = column(element)
+        if col is None:
+            return False
+        coords = [pres.coordinates(f, t) for f, t in zip(col, targets)]
+        if variant == "vector":
+            coords = [sum(coords, ())]
+        return not any(
+            any(linalg.residue(echelon, pivots, c, p))
+            for (echelon, pivots), c in zip(spans, coords)
+        )
+
+    def sample(rng: random.Random):
+        if variant != "vector":
+            col = tuple(_nonzero_combo(block, rng) for block in blocks)
+            return col if variant else col[0]
+        for _ in range(_SAMPLE_RETRIES):
+            coeffs = [pres.ring.field.sample(rng) for _ in blocks[0]]
+            col = tuple(
+                sum((g * c for c, g in zip(coeffs, block)), pres.ring.zero())
+                for block in blocks
+            )
+            if not any(f.is_zero for f in col):
+                return col
+        raise RuntimeError(f"handle {name!r} kept drawing degenerate columns")
+
+    return MatroidHandle(name, contains, sample)
+
+
+def _graded_instance(
+    pres: GradedAlgebraPresentation,
+    targets: tuple,
+    rank: int,
+    verdict,
+    specs: Mapping,
+    variant: str | None,
+    traps,
+    name: str,
+    oracle_name: str,
+    ideals: tuple = (),
+) -> GenericMatroidInstance:
+    """The one builder behind nn, minred and complete-reduction instances.
+
+    Elements are columns with one form per entry of ``targets`` (a
+    multidegree per block); with ``variant`` None they are the bare
+    forms of one block.  A handle spec is a sequence of blocks (one
+    sequence of forms for bare elements), each form in its block's
+    piece and, when ``ideals`` are given, in the block's ideal.  The
+    oracle checks the candidate count and every entry, then passes the
+    n x rank matrix of entries to ``verdict``; only the containment
+    tests' OutsideIdealError reads as a rejection.
+    """
+    bare = variant is None
+    n = len(targets)
+
+    def column(element):
+        col = (element,) if bare else element
+        if not isinstance(col, tuple) or len(col) != n:
+            return None
+        if all(_is_form(pres, f, t) for f, t in zip(col, targets)):
+            return col
+        return None
+
+    def oracle(cands: tuple) -> bool:
+        cols = [column(c) for c in cands]
+        if len(cols) != rank or any(c is None for c in cols):
+            return False
+        try:
+            return verdict(_transpose(cols, n))
+        except OutsideIdealError:
+            return False
+
+    wrong_degree = "is not linear" if targets == ((1,),) else "has the wrong degree"
+    built = {}
+    for hname, raw in specs.items():
+        blocks = (tuple(raw),) if bare else tuple(tuple(b) for b in raw)
+        if len(blocks) != n:
+            raise ValueError(f"handle {hname!r} needs {n} blocks")
+        for i, (block, target) in enumerate(zip(blocks, targets)):
+            where = f"handle {hname!r}" if bare else f"handle {hname!r}: block {i}"
+            if not block:
+                raise ValueError(f"{where} needs at least one form")
+            for f in block:
+                what = f"handle {hname!r}: {f}" if bare else f"{where} entry {f}"
+                if not _is_form(pres, f, target):
+                    raise ValueError(f"{what} {wrong_degree}")
+                if ideals and not ideals[i].contains(f):
+                    outside = "the ideal" if bare else f"ideal {i}"
+                    raise ValueError(f"{what} lies outside {outside}")
+        built[hname] = _graded_handle(pres, hname, blocks, targets, variant, column)
+    return GenericMatroidInstance(name, rank, oracle, built, traps, oracle_name=oracle_name)
 
 
 def nn_instance(
@@ -221,29 +313,16 @@ def nn_instance(
     """
     if algebra.components != 1 or not algebra.is_standard:
         raise ValueError("needs a standard graded algebra with one component")
-    d = algebra_dimension(algebra)
-
-    def oracle(tup: tuple) -> bool:
-        try:
-            return is_noether_normalization(algebra, tup)
-        except _LENIENT:
-            return False
-
-    specs = dict(handles) if handles else {"ambient": algebra.ring.gens()}
-    built = {}
-    for hname, forms in specs.items():
-        forms = tuple(forms)
-        for f in forms:
-            if algebra.element_degree(f) != (1,):
-                raise ValueError(f"handle {hname!r}: {f} is not linear")
-        built[hname] = _span_handle(algebra, hname, forms, (1,))
-    return GenericMatroidInstance(
-        name,
-        d,
-        oracle,
-        built,
+    return _graded_instance(
+        algebra,
+        ((1,),),
+        algebra_dimension(algebra),
+        lambda rows: is_noether_normalization(algebra, rows[0]),
+        dict(handles) if handles else {"ambient": algebra.ring.gens()},
+        None,
         traps,
-        oracle_name="noether-normalization",
+        name,
+        "noether-normalization",
     )
 
 
@@ -262,193 +341,23 @@ def minred_instance(
     rejection.
     """
     S = ideal.algebra
-    delta = (ideal.degree,)
-    d = analytic_spread(ideal)
-
-    def oracle(tup: tuple) -> bool:
-        try:
-            J = equigenerated_ideal(S, tup)
-            return is_minimal_reduction(J, ideal, n_max=n_max)
-        except InconclusiveError:
-            raise
-        except _LENIENT:
-            return False
-
-    specs = dict(handles) if handles else {"generators": ideal.generators}
-    built = {}
-    for hname, forms in specs.items():
-        forms = tuple(forms)
-        for f in forms:
-            if S.element_degree(f) != delta:
-                raise ValueError(f"handle {hname!r}: {f} has the wrong degree")
-            if not ideal.contains(f):
-                raise ValueError(f"handle {hname!r}: {f} lies outside the ideal")
-        built[hname] = _span_handle(S, hname, forms, delta)
-    return GenericMatroidInstance(
-        name,
-        d,
-        oracle,
-        built,
+    return _graded_instance(
+        S,
+        ((ideal.degree,),),
+        analytic_spread(ideal),
+        lambda rows: is_minimal_reduction(
+            equigenerated_ideal(S, rows[0]), ideal, n_max=n_max
+        ),
+        dict(handles) if handles else {"generators": ideal.generators},
+        None,
         traps,
-        oracle_name="minimal-reduction",
+        name,
+        "minimal-reduction",
+        ideals=(ideal,),
     )
 
 
 # ------------------------------------------------------- complete reduction
-
-
-def _column_handle(
-    pres: GradedAlgebraPresentation,
-    name: str,
-    blocks: Sequence[Sequence[Polynomial]],
-    targets,
-    variant: str,
-) -> MatroidHandle:
-    """Columns with one entry per block, sampled per the chosen variant.
-
-    Matrix variant: entries drawn independently within their blocks;
-    carrier membership is componentwise span membership.  Vector
-    variant: one shared coefficient vector across all blocks (which
-    must then have equal sizes); carrier membership is membership in
-    the span of the stacked block vectors.
-    """
-    n = len(blocks)
-    p = pres.ring.field.p
-    block_rows = [
-        [pres.coordinates(f, targets[i]) for f in blocks[i]] for i in range(n)
-    ]
-    if variant == "vector":
-        if len({len(b) for b in blocks}) != 1:
-            raise ValueError(f"handle {name!r}: vector variant needs equal block sizes")
-        width = len(blocks[0])
-        stacked = [
-            tuple(x for i in range(n) for x in block_rows[i][j]) for j in range(width)
-        ]
-
-    def contains(col) -> bool:
-        try:
-            if len(col) != n:
-                return False
-            coords = [pres.coordinates(col[i], targets[i]) for i in range(n)]
-        except _LENIENT:
-            return False
-        if variant == "matrix":
-            return all(linalg.in_span(block_rows[i], coords[i], p) for i in range(n))
-        flat = tuple(x for c in coords for x in c)
-        return linalg.in_span(stacked, flat, p)
-
-    def sample(rng: random.Random):
-        if variant == "matrix":
-            return tuple(_nonzero_combo(blocks[i], rng) for i in range(n))
-        for _ in range(_SAMPLE_RETRIES):
-            weights = [pres.ring.field.sample(rng) for _ in range(width)]
-            entries = []
-            for i in range(n):
-                f = pres.ring.zero()
-                for c, g in zip(weights, blocks[i]):
-                    f = f + g * c
-                if f.is_zero:
-                    break
-                entries.append(f)
-            if len(entries) == n:
-                return tuple(entries)
-        raise RuntimeError(f"handle {name!r} kept drawing degenerate columns")
-
-    return MatroidHandle(name, contains, sample)
-
-
-def _transpose(cols: tuple, n: int) -> tuple:
-    return tuple(tuple(col[i] for col in cols) for i in range(n))
-
-
-def _ring_form(algebra, variant, handles, traps, name):
-    n = algebra.components
-    d = diagonal_subring(algebra).dimension()
-    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-    def oracle(cols: tuple) -> bool:
-        try:
-            return is_complete_reduction_ring(algebra, _transpose(cols, n))
-        except _LENIENT:
-            return False
-
-    if handles is None:
-        blocks = tuple(
-            tuple(v for v, deg in zip(algebra.ring.gens(), algebra.degrees) if deg == units[i])
-            for i in range(n)
-        )
-        if any(not b for b in blocks):
-            raise ValueError(
-                "a grading component has no degree-one variable; pass handles explicitly"
-            )
-        specs: Mapping = {"ambient": blocks}
-    else:
-        specs = handles
-    built = {}
-    for hname, raw in specs.items():
-        blocks = tuple(tuple(b) for b in raw)
-        if len(blocks) != n:
-            raise ValueError(f"handle {hname!r} needs {n} blocks")
-        for i, block in enumerate(blocks):
-            for f in block:
-                if algebra.element_degree(f) != units[i]:
-                    raise ValueError(
-                        f"handle {hname!r}: block {i} entry {f} has the wrong degree"
-                    )
-        built[hname] = _column_handle(algebra, hname, blocks, units, variant)
-    return GenericMatroidInstance(
-        name,
-        d,
-        oracle,
-        built,
-        traps,
-        oracle_name="complete-reduction-ring",
-    )
-
-
-def _ideal_form(ideals, variant, handles, traps, name):
-    S = ideals[0].algebra
-    n = len(ideals)
-    d = analytic_spread(reduce(ideal_product, ideals))
-    targets = [(I.degree,) for I in ideals]
-
-    def oracle(cols: tuple) -> bool:
-        try:
-            verdict = is_complete_reduction_ideals(ideals, _transpose(cols, n))
-        except _LENIENT:
-            return False
-        if verdict.is_inconclusive:
-            raise InconclusiveError(verdict)
-        return verdict.is_yes
-
-    if handles is None:
-        specs: Mapping = {"generators": tuple(I.generators for I in ideals)}
-    else:
-        specs = handles
-    built = {}
-    for hname, raw in specs.items():
-        blocks = tuple(tuple(b) for b in raw)
-        if len(blocks) != n:
-            raise ValueError(f"handle {hname!r} needs {n} blocks")
-        for i, block in enumerate(blocks):
-            for f in block:
-                if S.element_degree(f) != targets[i]:
-                    raise ValueError(
-                        f"handle {hname!r}: block {i} entry {f} has the wrong degree"
-                    )
-                if not ideals[i].contains(f):
-                    raise ValueError(
-                        f"handle {hname!r}: block {i} entry {f} lies outside ideal {i}"
-                    )
-        built[hname] = _column_handle(S, hname, blocks, targets, variant)
-    return GenericMatroidInstance(
-        name,
-        d,
-        oracle,
-        built,
-        traps,
-        oracle_name="complete-reduction-ideals",
-    )
 
 
 def complete_reduction_instance(
@@ -470,11 +379,52 @@ def complete_reduction_instance(
     if variant not in ("matrix", "vector"):
         raise ValueError("variant must be 'matrix' or 'vector'")
     if isinstance(source, GradedAlgebraPresentation):
-        return _ring_form(source, variant, handles, traps, name or "complete-reduction-ring")
+        n = source.components
+        units = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+        d = diagonal_subring(source).dimension()
+        if handles is None:
+            blocks = tuple(
+                tuple(v for v, deg in zip(source.ring.gens(), source.degrees) if deg == u)
+                for u in units
+            )
+            if not all(blocks):
+                raise ValueError(
+                    "a grading component has no degree-one variable; pass handles explicitly"
+                )
+            handles = {"ambient": blocks}
+        return _graded_instance(
+            source,
+            units,
+            d,
+            lambda rows: is_complete_reduction_ring(source, rows),
+            handles,
+            variant,
+            traps,
+            name or "complete-reduction-ring",
+            "complete-reduction-ring",
+        )
     ideals = tuple(source)
     if not ideals:
         raise ValueError("need at least one ideal")
     for I in ideals:
         if not isinstance(I, EquigeneratedIdeal):
             raise ValueError("ideal form needs EquigeneratedIdeal entries")
-    return _ideal_form(ideals, variant, handles, traps, name or "complete-reduction-ideals")
+
+    def verdict(rows) -> bool:
+        outcome = is_complete_reduction_ideals(ideals, rows)
+        if outcome.is_inconclusive:
+            raise InconclusiveError(outcome)
+        return outcome.is_yes
+
+    return _graded_instance(
+        ideals[0].algebra,
+        tuple((I.degree,) for I in ideals),
+        analytic_spread(reduce(ideal_product, ideals)),
+        verdict,
+        handles if handles is not None else {"generators": tuple(I.generators for I in ideals)},
+        variant,
+        traps,
+        name or "complete-reduction-ideals",
+        "complete-reduction-ideals",
+        ideals=ideals,
+    )

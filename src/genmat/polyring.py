@@ -409,6 +409,12 @@ def multidegree(f: Polynomial, var_degrees) -> MultiDegree | None:
     ncomp = len(degs[0]) if degs else 0
     if any(len(d) != ncomp for d in degs):
         raise ValueError("grading components have mixed lengths")
+    return common_degree(f, degs)
+
+
+def common_degree(f: Polynomial, degs) -> MultiDegree | None:
+    """multidegree for a grading of int tuples already checked against f's ring."""
+    ncomp = len(degs[0]) if degs else 0
     common: tuple | None = None
     for mon in f.terms:
         total = [0] * ncomp
@@ -424,13 +430,11 @@ def multidegree(f: Polynomial, var_degrees) -> MultiDegree | None:
     return common
 
 
-def random_linear_combination(basis, rng: random.Random, var_degrees=None):
+def random_linear_combination(basis, rng: random.Random):
     """Uniform F_p-combination of ``basis``; returns (poly, coefficients).
 
     Coefficients are i.i.d. uniform in F_p, drawn from the supplied RNG
-    only, so equal seeds give equal output.  When a grading is passed,
-    all basis elements must share one multidegree, keeping the result
-    homogeneous of that degree.
+    only, so equal seeds give equal output.
     """
     basis = list(basis)
     if not basis:
@@ -439,10 +443,6 @@ def random_linear_combination(basis, rng: random.Random, var_degrees=None):
     for b in basis:
         if b.ring != ring:
             raise RingMismatchError("basis spans several rings")
-    if var_degrees is not None:
-        degs = {multidegree(b, var_degrees) for b in basis}
-        if len(degs) != 1 or None in degs:
-            raise ValueError("basis elements must share a multidegree")
     coeffs = tuple(ring.field.sample(rng) for _ in basis)
     out = ring.zero()
     for c, b in zip(coeffs, basis):

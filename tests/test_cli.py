@@ -105,6 +105,18 @@ def test_check_exit_codes(monkeypatch, capsys):
     assert "unknown variable" in capsys.readouterr().err
 
 
+def test_check_wrong_count_exit_codes(monkeypatch, capsys):
+    # A wrong count is a "false" for the minimal-reduction predicate but
+    # an input error for the nn check.
+    doc = quadric_doc()
+    doc["check"]["candidate"] = ["x", "y"]
+    code, report = run_json(monkeypatch, capsys, ["check", "minimal-reduction", "--json"], doc)
+    assert code == 1 and report["verdicts"]["status"] == "false"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["check", "nn", "--json"]) == 3
+    assert "needs 3 elements, got 2" in capsys.readouterr().err
+
+
 def test_check_inconclusive_exit(monkeypatch, capsys):
     doc = {
         "ring": {"vars": [{"name": "x"}, {"name": "y"}]},
@@ -228,6 +240,15 @@ def test_exchange_start_must_verify(monkeypatch, capsys):
     code = main(["exchange", "--json", "--seed", "1"])
     assert code == 3
     assert "fails the basis oracle" in capsys.readouterr().err
+
+
+def test_exchange_wrong_degree_start_is_an_input_error(monkeypatch, capsys):
+    doc = quadric_doc()
+    doc["exchange"]["start"] = ["x^2", "y^2", "z^2"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code = main(["exchange", "--json", "--n-max", "2", "--seed", "1"])
+    assert code == 3
+    assert "start set fails the basis oracle" in capsys.readouterr().err
 
 
 def test_exchange_power_bound_validated(monkeypatch, capsys):

@@ -132,6 +132,48 @@ def test_minred_instance_quadric_family():
     assert not inst.is_basis((x * y, z * w, w * w))
 
 
+def test_minred_instance_rejects_wrong_degree_candidates():
+    # Degree-2 forms inside m never settle the power loop against the
+    # degree-1 generators; the oracle's degree check rejects them first.
+    R = polynomial_ring(32003, "x y z w")
+    x, y, z, w = R.gens()
+    S = standard_graded_algebra(R, (x * y - z * w,))
+    inst = minred_instance(equigenerated_ideal(S, (x, y, z, w)), n_max=2)
+    assert not inst.is_basis((x**2, y**2, z**2))
+    assert not inst.handles["generators"].contains(x**2)
+
+
+@pytest.mark.parametrize("error", [AttributeError, ValueError])
+def test_library_failures_propagate_from_oracles(monkeypatch, error):
+    R = polynomial_ring(32003, "x y z w")
+    x, y, z, w = R.gens()
+    S = standard_graded_algebra(R, (x * y - z * w,))
+    seg, (x1, x2, y1, y2) = segre()
+
+    def broken(*args, **kwargs):
+        raise error("library fault")
+
+    cases = [
+        ("is_noether_normalization", lambda: nn_instance(S), (x + y, z, w)),
+        (
+            "is_minimal_reduction",
+            lambda: minred_instance(equigenerated_ideal(S, (x, y, z, w))),
+            (x + y, z, w),
+        ),
+        (
+            "is_complete_reduction_ring",
+            lambda: complete_reduction_instance(seg),
+            ((x1, y1), (x2, y2), (x1 + x2, y1 + y2)),
+        ),
+    ]
+    for verdict, build, basis in cases:
+        inst = build()
+        with monkeypatch.context() as patched:
+            patched.setattr(f"genmat.instances.{verdict}", broken)
+            with pytest.raises(error, match="library fault"):
+                inst.is_basis(basis)
+
+
 def test_minred_instance_handle_validation():
     R = polynomial_ring(32003, "x y")
     x, y = R.gens()
@@ -169,6 +211,18 @@ def test_complete_reduction_ring_instance():
         assert not inst.is_basis(((x1, y1), (x2, y2), x1))
         cert = exchange_step(inst, good, good[0], "ambient", seed=4)
         assert inst.verify(cert.basis_after)
+
+
+def test_complete_reduction_ring_trivial_rank_zero():
+    # (xy)^2 = 0 leaves a nonzero (1,1) piece whose diagonal ring is
+    # finite-dimensional, so the one basis is the empty column set.
+    R = polynomial_ring(32003, "x y")
+    x, y = R.gens()
+    S = graded_algebra(R, ((1, 0), (0, 1)), (x**2 * y**2,))
+    inst = complete_reduction_instance(S)
+    assert inst.rank == 0
+    assert inst.is_basis(())
+    assert not inst.is_basis(((x, y),))
 
 
 def test_complete_reduction_contains_variant_semantics():

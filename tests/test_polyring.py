@@ -258,8 +258,9 @@ def test_random_linear_combination_validation():
     x, y = R.gens()
     with pytest.raises(ValueError):
         random_linear_combination([], random.Random(0))
-    with pytest.raises(ValueError):
-        random_linear_combination([x, x * y], random.Random(0), [(1,), (1,)])
+    other = polynomial_ring(101, "x y z").var("z")
+    with pytest.raises(RingMismatchError, match="several rings"):
+        random_linear_combination([x, other], random.Random(0))
 
 
 def test_substitute_is_a_ring_map():
