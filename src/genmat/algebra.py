@@ -8,11 +8,11 @@ reduce to Groebner computations in the ambient ring:
 * homogeneous systems of parameters, via graded Nakayama: S is
   module-finite over F_p[y] iff S/(y) is finite-dimensional, i.e. the
   ideal relations + (y) is zero-dimensional;
-* reductions J of I, via the power criterion I^(N+1) = J * I^N,
-  reported as a three-valued verdict (the bound N_max keeps it
-  honest), with the fiber-ring module-finiteness test supplying
-  definitive negatives; both sides live in the one graded piece
-  (N+1)*delta, so containment is linear algebra on normal forms there;
+* reductions J of I through the fiber ring F = F_p[I_delta]: J is one
+  iff F/JF is Artinian, with least power N = max(1, top degree of F/JF);
+  an N above the bound N_max is inconclusive, and a named N is certified
+  by I^(N+1) = J * I^N, both sides in the one graded piece (N+1)*delta,
+  so containment is linear algebra on normal forms there;
 * analytic spread, as the dimension of the subalgebra generated by the
   ideal's degree-delta piece;
 * complete reductions of N^n-graded algebras through the diagonal
@@ -47,6 +47,7 @@ from .groebner import (
     kernel_of_map,
     krull_dimension,
     normal_form,
+    top_degree,
 )
 from .polyring import (
     GREVLEX,
@@ -149,9 +150,6 @@ class GradedAlgebraPresentation:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.groebner())
-
-    def is_zero(self, f: Polynomial) -> bool:
-        return self.normal_form(f).is_zero
 
     def element_degree(self, f: Polynomial) -> MultiDegree | None:
         """f's multidegree under the grading, which __init__ validated."""
@@ -445,17 +443,24 @@ def _linear_form(ring: PolyRing, names, coords) -> Polynomial:
 
 
 def _generator_coords(I: EquigeneratedIdeal, forms) -> list[tuple[int, ...]]:
-    """Coefficients of degree-delta elements of I over I's generators."""
+    """Coefficients of degree-delta forms over I's generators; the first
+    form outside their span, I's degree-delta piece, raises OutsideIdealError."""
     target = (I.degree,)
     p = I.algebra.ring.field.p
     rows = [I.algebra.coordinates(g, target) for g in I.generators]
     out = []
-    for f in forms:
+    for idx, f in enumerate(forms):
         coords = linalg.solve_coords(rows, I.algebra.coordinates(f, target), p)
         if coords is None:
-            raise ValueError(f"{f} is not an F_p-combination of the ideal's generators")
+            raise _outside(idx, f)
         out.append(coords)
     return out
+
+
+def _outside(idx: int, f: Polynomial) -> OutsideIdealError:
+    return OutsideIdealError(
+        f"generator {idx} of the candidate ({f}) does not lie in the ideal"
+    )
 
 
 def _module_finite(pres: GradedAlgebraPresentation, forms) -> bool:
@@ -463,72 +468,66 @@ def _module_finite(pres: GradedAlgebraPresentation, forms) -> bool:
     return is_zero_dimensional(pres.quotient_groebner(forms))
 
 
-def fiber_image(I: EquigeneratedIdeal, f: Polynomial) -> Polynomial:
-    """Image of a degree-delta element of I as a linear form in the fiber."""
-    pres, names = fiber_algebra(I)
-    return _linear_form(pres.ring, names, _generator_coords(I, (f,))[0])
-
-
 def analytic_spread(I: EquigeneratedIdeal) -> int:
     """Dimension of the fiber ring of I."""
     return fiber_algebra(I)[0].dimension()
 
 
-def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> bool | None:
-    """Module-finiteness of the fiber of I over the image of J.
+def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> int | None:
+    """The least n >= 1 with I^(n+1) = J * I^n, or None if there is none.
 
-    Decisive for equigenerated J ⊆ I of the same degree: True iff J is
-    a reduction of I.  Returns None when the degrees differ and the
-    test does not apply.
+    J must lie in I (OutsideIdealError otherwise).  J is a reduction iff
+    the fiber ring F = F_p[I_delta] is module-finite over J's image, i.e.
+    F/JF is Artinian, and then n = max(1, top degree of F/JF) (graded
+    Nakayama; Northcott-Rees).  For J in degree delta one solve decides
+    containment and gives J's images in F_1; a J of higher degree adds
+    nothing to F_1, so it is a reduction iff I is nilpotent.
     """
-    if J.degree != I.degree:
-        return None
+    if J.degree == I.degree:
+        coords = _generator_coords(I, J.generators)
+    else:
+        outside = _first_outside(I, J.generators)
+        if outside is not None:
+            raise _outside(J.generators.index(outside), outside)
+        coords = []
     pres, names = fiber_algebra(I)
-    coords = _generator_coords(I, J.generators)
-    return _module_finite(pres, (_linear_form(pres.ring, names, c) for c in coords))
+    images = [_linear_form(pres.ring, names, c) for c in coords]
+    t = top_degree(pres.quotient_groebner(images))
+    return None if t is None else max(1, t)
 
 
 def is_reduction(
     J: EquigeneratedIdeal,
     I: EquigeneratedIdeal,
     n_max: int = DEFAULT_POWER_BOUND,
-    use_fiber: bool = True,
 ) -> ReductionVerdict:
-    """Power-criterion reduction test with a bounded exponent.
+    """Reduction test with a bounded exponent.
 
-    Checks I^(N+1) = J * I^N for N = 1..n_max; the reverse inclusion
-    is automatic once J ⊆ I (verified first, OutsideIdealError
-    otherwise), so only the forward one is tested, by span membership
-    in degree (N+1)*delta.  The fiber test settles definite negatives, and a
-    negative there makes every power check futile, so it runs as a
-    screen before the loop; a positive still has to exhibit a concrete
-    power, or the verdict stays inconclusive at the bound.
+    The fiber ring decides (``fiber_reduction_test``): "no" when F/JF
+    is not Artinian, "inconclusive" when the least power it names
+    exceeds n_max, and otherwise "yes" once the power criterion
+    I^(n+1) = J * I^n holds at that power n, checked by span
+    membership in degree (n+1)*delta.  The reverse inclusion is
+    automatic once J ⊆ I.  A failing certificate is a library bug and
+    raises RuntimeError; it never reads as "no".
     """
     if not _same_algebra(J.algebra, I.algebra):
         raise ValueError("candidate and ideal live in different algebras")
     if n_max < 1:
         raise ValueError("power bound must be at least 1")
-    outside = _first_outside(I, J.generators)
-    if outside is not None:
-        idx = J.generators.index(outside)
-        raise OutsideIdealError(
-            f"generator {idx} of the candidate ({outside}) does not lie in the ideal"
+    n = fiber_reduction_test(J, I)
+    if n is None:
+        return ReductionVerdict("no", n_max=n_max, witness=(("fiber", False),))
+    if n > n_max:
+        return ReductionVerdict("inconclusive", n_max=n_max, witness=(("fiber", True),))
+    rhs = ideal_product(J, ideal_power(I, n))
+    failing = _first_outside(rhs, ideal_power(I, n + 1).generators)
+    if failing is not None:
+        raise RuntimeError(
+            f"the fiber ring names power {n}, but {failing} lies outside J * I^{n}"
         )
-    transcript = []
-    if use_fiber:
-        finite = fiber_reduction_test(J, I)
-        if finite is not None:
-            transcript.append(("fiber", finite))
-        if finite is False:
-            return ReductionVerdict("no", n_max=n_max, witness=tuple(transcript))
-    for n in range(1, n_max + 1):
-        big = ideal_power(I, n + 1)
-        rhs = ideal_product(J, ideal_power(I, n))
-        failing = _first_outside(rhs, big.generators)
-        transcript.append(("power", n, failing is None, None if failing is None else str(failing)))
-        if failing is None:
-            return ReductionVerdict("yes", power=n, n_max=n_max, witness=tuple(transcript))
-    return ReductionVerdict("inconclusive", n_max=n_max, witness=tuple(transcript))
+    witness = (("fiber", True), ("power", n, True, None))
+    return ReductionVerdict("yes", power=n, n_max=n_max, witness=witness)
 
 
 def is_minimal_reduction(
@@ -652,7 +651,7 @@ def is_complete_reduction_ideals(
     Row i of the matrix holds degree-delta_i elements of I_i (an entry
     outside I_i raises OutsideIdealError); the columnwise products b_j
     must then be a reduction of the product ideal I_1 * .. * I_n,
-    tested with the power criterion.  The column count must equal the
+    tested with is_reduction.  The column count must equal the
     product's analytic spread.
     """
     ideals = tuple(ideals)

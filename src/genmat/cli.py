@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run one verification oracle")
     check.add_argument("task", choices=CHECK_TASKS)
     check.add_argument("file", nargs="?", help="instance JSON (stdin with --json)")
-    check.add_argument("--n-max", type=int, default=None, help="power-criterion bound")
+    check.add_argument("--n-max", type=int, default=None, help="reduction power bound")
     check.add_argument("--json", action="store_true", help="JSON report on stdout")
     check.set_defaults(func=cmd_check)
 

@@ -23,18 +23,18 @@ implies containment of supports, as in Singular's short exponent
 vectors); the pair update tests divisibility with the same prefilter,
 and each queued pair keeps its lcm.
 
-Everything downstream is a consequence of normal forms: membership,
-ideal equality, elimination through a block order, kernels of algebra
-maps via T_i - f_i, and Krull dimension read off the leading-term
-staircase.  Elimination and kernels return the reduced basis they
-computed, so callers never run Buchberger on it again.
+Everything downstream is a consequence of normal forms: elimination
+through a block order, kernels of algebra maps via T_i - f_i, and the
+Krull dimension and top degree read off the leading-term staircase.
+Elimination and kernels return the reduced basis they computed, so
+callers never run Buchberger on it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import combinations, compress
+from itertools import compress
 from operator import add, le, sub
 from typing import NamedTuple
 
@@ -46,6 +46,7 @@ from .polyring import (
     Polynomial,
     RingMismatchError,
     elimination_order,
+    mon_divides,
     reindex,
 )
 
@@ -340,34 +341,10 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX) -> GroebnerBasi
     return GroebnerBasis(ideal.ring, order, _interreduce(minimal, order, bits))
 
 
-def verify_groebner(gb: GroebnerBasis) -> bool:
-    """Exhaustive check: every S-polynomial reduces to zero."""
-    for f, g in combinations(gb.basis, 2):
-        if not normal_form(spolynomial(f, g, gb.order), gb).is_zero:
-            return False
-    return True
-
-
 def _as_gb(ideal, order: MonomialOrder) -> GroebnerBasis:
     if isinstance(ideal, GroebnerBasis):
         return ideal
     return buchberger(ideal, order)
-
-
-def ideal_membership(f: Polynomial, ideal, order: MonomialOrder = GREVLEX) -> bool:
-    """Is f in the ideal?  Accepts an IdealSpec or a precomputed basis."""
-    return normal_form(f, _as_gb(ideal, order)).is_zero
-
-
-def ideal_equal(a, b, order: MonomialOrder = GREVLEX) -> bool:
-    """Mutual containment of two ideals in one ambient ring."""
-    ga = _as_gb(a, order)
-    gb = _as_gb(b, order)
-    if ga.ring != gb.ring:
-        raise RingMismatchError("ideal comparison across rings")
-    return all(normal_form(g, gb).is_zero for g in ga.basis) and all(
-        normal_form(g, ga).is_zero for g in gb.basis
-    )
 
 
 def elimination_ideal(ideal: IdealSpec, keep) -> GroebnerBasis:
@@ -464,6 +441,34 @@ def krull_dimension(ideal, order: MonomialOrder = GREVLEX) -> int:
     if any(not s for s in supports):
         return -1
     return gb.ring.nvars - _min_cover(supports)
+
+
+def top_degree(ideal, order: MonomialOrder = GREVLEX) -> int | None:
+    """Largest degree of a standard monomial of a zero-dimensional
+    ring/ideal; None when it is not zero-dimensional, -1 for the unit ideal.
+
+    The standard monomials form an order ideal, so a walk raises them one
+    degree at a time, each variable at or after the last one raised; a
+    variable that is itself a leading monomial never occurs.
+    """
+    gb = _as_gb(ideal, order)
+    dim = krull_dimension(gb)
+    if dim != 0:
+        return None if dim > 0 else -1
+    lms = gb.leading_monomials()
+    linear = {m.index(1) for m in lms if sum(m) == 1}
+    free = [v for v in range(gb.ring.nvars) if v not in linear]
+    level, top = [((0,) * gb.ring.nvars, 0)], -1
+    while level:
+        top += 1
+        raised = []
+        for mon, start in level:
+            for k in range(start, len(free)):
+                up = mon[: free[k]] + (mon[free[k]] + 1,) + mon[free[k] + 1 :]
+                if not any(mon_divides(lm, up) for lm in lms):
+                    raised.append((up, k))
+        level = raised
+    return top
 
 
 def is_zero_dimensional(ideal, order: MonomialOrder = GREVLEX) -> bool:

@@ -241,7 +241,7 @@ def _ideal_list(ctx: InstanceContext, refs, location: str) -> tuple[Equigenerate
 
 
 def _power_bound(section: dict, n_max: int | None, location: str) -> int:
-    """The power-criterion bound: the flag if given, else the section's n_max."""
+    """The reduction power bound: the flag if given, else the section's n_max."""
     bound = n_max if n_max is not None else section.get("n_max", DEFAULT_POWER_BOUND)
     if not _is_int(bound) or bound < 1:
         raise InstanceFileError(location, "must be a positive integer")
@@ -275,6 +275,7 @@ def _bool_outcome(value: bool, detail: dict) -> CheckOutcome:
 def _verdict_outcome(verdict, detail: dict) -> CheckOutcome:
     detail = dict(detail)
     detail["verdict"] = verdict.describe()
+    detail["witness"] = [list(entry) for entry in verdict.witness]
     if verdict.is_yes:
         detail["power"] = verdict.power
         return CheckOutcome("true", detail)

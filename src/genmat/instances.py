@@ -336,7 +336,7 @@ def minred_instance(
     """Minimal reductions of an equigenerated ideal.
 
     Ground elements are degree-matching members of the ideal; the rank
-    is the analytic spread.  An inconclusive power-criterion verdict
+    is the analytic spread.  An inconclusive reduction verdict
     raises InconclusiveError out of the oracle rather than reading as a
     rejection.
     """

@@ -348,14 +348,6 @@ def exchange_path(
     )
 
 
-def check_equicardinality(inst: GenericMatroidInstance, bases: Iterable) -> bool:
-    """All sampled bases share one cardinality.  Needs at least two."""
-    counted = [tuple(b) for b in bases]
-    if len(counted) < 2:
-        raise ValueError("need at least two bases")
-    return len({len(b) for b in counted}) == 1
-
-
 def check_generic_exchange_statistical(
     inst: GenericMatroidInstance,
     basis: Sequence[Element],

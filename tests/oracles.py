@@ -3,16 +3,21 @@
 Everything here recomputes results along a different route than the
 library takes: schoolbook multiplication, criteria-free pair
 completion, combinatorial membership for monomial ideals, brute-force
-staircase dimension, ideal membership by division against a
-criteria-free basis, monomial comparison by the textbook definitions.
-Expected values frozen into the tests were produced by these.
+staircase dimension, ideal membership and equality by division against
+a criteria-free basis, Buchberger's S-pair criterion, the least
+reduction power by a power loop over that membership, and monomial
+comparison by the textbook definitions.  Expected values frozen into
+the tests were produced by these.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
-from genmat.groebner import normal_form, spolynomial
+from genmat import linalg
+from genmat.algebra import fiber_algebra
+from genmat.groebner import GroebnerBasis, normal_form, spolynomial
 from genmat.polyring import GREVLEX, Polynomial, mon_divides
 
 
@@ -88,6 +93,79 @@ def naive_membership(ring, relations, gens, degree):
     ideal = tuple(relations) + tuple(gens)
     basis = list(naive_buchberger(ring, ideal, GREVLEX, max_degree=degree))
     return lambda f: normal_form(f, basis, GREVLEX).is_zero
+
+
+def _generators(ideal):
+    return ideal.basis if isinstance(ideal, GroebnerBasis) else ideal.generators
+
+
+def ideal_membership(f: Polynomial, ideal) -> bool:
+    """Is f in the ideal (an IdealSpec or a GroebnerBasis's span)?"""
+    basis = list(naive_buchberger(ideal.ring, _generators(ideal), GREVLEX))
+    return normal_form(f, basis, GREVLEX).is_zero
+
+
+def ideal_equal(a, b) -> bool:
+    """Equal ideals have equal reduced grevlex bases."""
+    assert a.ring == b.ring, "ideal comparison across rings"
+    return naive_buchberger(a.ring, _generators(a), GREVLEX) == naive_buchberger(
+        b.ring, _generators(b), GREVLEX
+    )
+
+
+def verify_groebner(gb: GroebnerBasis) -> bool:
+    """Buchberger's criterion: every S-polynomial reduces to zero."""
+    return all(
+        normal_form(spolynomial(f, g, gb.order), gb).is_zero
+        for f, g in itertools.combinations(gb.basis, 2)
+    )
+
+
+def products(gens, n: int) -> list:
+    """Products of n generators with repetition, in the order
+    ``ideal_power`` lists them."""
+    picks = itertools.combinations_with_replacement(gens, n)
+    return [reduce(naive_mul, pick) for pick in picks]
+
+
+def power_failure(ring, relations, J_gens, I_gens, n: int) -> str | None:
+    """The first generator of I^(n+1) outside J * I^n, as a string, or
+    None when the power criterion holds at n."""
+    delta = sum(next(iter(I_gens[0].terms)))
+    member = naive_membership(
+        ring,
+        relations,
+        [naive_mul(j, g) for j in J_gens for g in products(I_gens, n)],
+        (n + 1) * delta,
+    )
+    return next((str(g) for g in products(I_gens, n + 1) if not member(g)), None)
+
+
+def least_power(ring, relations, J_gens, I_gens, n_max: int) -> int | None:
+    """The least n <= n_max with I^(n+1) inside J * I^n, or None.
+
+    A plain power loop over ``power_failure``: no span membership in
+    graded pieces and no fiber ring.
+    """
+    for n in range(1, n_max + 1):
+        if power_failure(ring, relations, J_gens, I_gens, n) is None:
+            return n
+    return None
+
+
+def fiber_image(I, f: Polynomial) -> Polynomial:
+    """Image of f in I's fiber ring: the linear form in the T-variables
+    whose coefficients write f over I's generators, solved on their raw
+    terms.  That is exact when no relation lies in I's degree."""
+    pres, names = fiber_algebra(I)
+    mons = sorted({m for g in (*I.generators, f) for m in g.terms})
+    rows = [[g.terms.get(m, 0) for m in mons] for g in I.generators]
+    coords = linalg.solve_coords(rows, [f.terms.get(m, 0) for m in mons], f.ring.field.p)
+    assert coords is not None, f"{f} is not a combination of the generators"
+    out = pres.ring.zero()
+    for c, name in zip(coords, names):
+        out = out + pres.ring.var(name) * c
+    return out
 
 
 def monomials_of_degree(nvars: int, degree: int):

@@ -24,13 +24,7 @@ from genmat.algebra import (
     lemma_correspondence_check,
     standard_graded_algebra,
 )
-from genmat.groebner import (
-    IdealSpec,
-    ideal_equal,
-    kernel_of_map,
-    krull_dimension,
-    verify_groebner,
-)
+from genmat.groebner import IdealSpec, kernel_of_map, krull_dimension
 from genmat.instances import (
     complete_reduction_instance,
     finite_matroid,
@@ -46,6 +40,8 @@ from genmat.matroid import (
     exchange_step,
 )
 from genmat.polyring import polynomial_ring, substitute
+
+from oracles import ideal_equal, least_power, verify_groebner
 
 
 def quadric(p=32003):
@@ -189,15 +185,13 @@ def test_criterion_4_power_fiber_agreement_and_correspondence():
             J = equigenerated_ideal(S, tuple(combo(I.generators) for _ in range(ell)))
         except ValueError:
             continue
-        raw = is_reduction(J, I, n_max=3, use_fiber=False)
+        # The fiber ring's least power, the verdict's, and a plain power
+        # loop over Groebner membership agree up to the bound.
         fib = fiber_reduction_test(J, I)
-        assert fib is not None
-        if raw.is_yes:
-            conclusive += 1
-            assert fib is True
-        elif fib is False:
-            conclusive += 1
-            assert not raw.is_yes
+        power = least_power(R, (), J.generators, I.generators, 3)
+        assert power == (fib if fib is not None and fib <= 3 else None)
+        assert is_reduction(J, I, n_max=3).power == power
+        conclusive += fib is None or power is not None
         instances += 1
     assert instances >= 20
     assert conclusive >= 5
@@ -234,8 +228,9 @@ def test_criterion_4_power_fiber_agreement_and_correspondence():
     assert checked >= 10
     _ok(
         4,
-        f"{instances} random reduction instances ({conclusive} conclusive) agree "
-        f"with the fiber test; {checked} ideal/ring correspondence checks agree",
+        f"{instances} random reduction instances ({conclusive} conclusive): fiber "
+        f"power, verdict and power loop agree; {checked} ideal/ring correspondence "
+        "checks agree",
     )
 
 

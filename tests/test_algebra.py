@@ -14,7 +14,6 @@ from genmat.algebra import (
     diagonal_subring,
     equigenerated_ideal,
     fiber_algebra,
-    fiber_image,
     fiber_reduction_test,
     graded_algebra,
     ideal_power,
@@ -29,10 +28,18 @@ from genmat.algebra import (
     multigraded_fiber_algebra,
     standard_graded_algebra,
 )
-from genmat.groebner import IdealSpec, buchberger, ideal_equal
+from genmat.groebner import IdealSpec, buchberger
 from genmat.polyring import RingMismatchError, polynomial_ring, random_linear_combination
 
-from oracles import brute_dimension, monomial_ideal_members, product_monomials, random_homogeneous
+from oracles import (
+    brute_dimension,
+    fiber_image,
+    ideal_equal,
+    least_power,
+    monomial_ideal_members,
+    product_monomials,
+    random_homogeneous,
+)
 
 
 def quadric():
@@ -188,8 +195,7 @@ def test_reduction_power_criterion_yes():
     assert left == right
     verdict = is_reduction(J, I)
     assert verdict.is_yes and verdict.power == 1
-    raw = is_reduction(J, I, use_fiber=False)
-    assert raw.is_yes and raw.power == 1
+    assert least_power(P.ring, (), J.generators, I.generators, 3) == 1
 
 
 def test_reduction_negative():
@@ -198,7 +204,7 @@ def test_reduction_negative():
     J = equigenerated_ideal(P, (x**2,))
     verdict = is_reduction(J, I)
     assert verdict.is_no
-    assert fiber_reduction_test(J, I) is False
+    assert fiber_reduction_test(J, I) is None
 
 
 def test_reduction_containment_enforced():
@@ -209,17 +215,27 @@ def test_reduction_containment_enforced():
         is_reduction(J, I)
 
 
-def test_reduction_inconclusive_on_degree_mismatch():
-    # (x^2, y^2) inside (x, y): no power can equalize the degrees and
-    # the fiber screen does not apply, so the verdict stays open.
+def test_reduction_verdicts_on_degree_mismatch():
+    # A candidate above I's degree adds nothing to the fiber ring's
+    # degree-one piece, so it is a reduction iff I is nilpotent.
+    # (x^2, y^2) inside (x, y): J * I^n starts one degree above I^(n+1).
     P, (x, y) = plane()
     I = equigenerated_ideal(P, (x, y))
     J = equigenerated_ideal(P, (x**2, y**2))
     verdict = is_reduction(J, I, n_max=2)
-    assert verdict.is_inconclusive and verdict.n_max == 2
+    assert verdict.is_no and verdict.witness == (("fiber", False),)
     assert fiber_reduction_test(J, I) is None
-    with pytest.raises(InconclusiveError):
-        is_minimal_reduction(J, I, n_max=2)
+    assert not is_minimal_reduction(J, I, n_max=2)
+    # (s*t) inside (s) on the double line: I^2 = (s^2) is already zero.
+    R = polynomial_ring(32003, "s t")
+    s, t = R.gens()
+    D = standard_graded_algebra(R, (s**2,))
+    J = equigenerated_ideal(D, (s * t,))
+    I = equigenerated_ideal(D, (s,))
+    assert is_reduction(J, I).describe() == "yes (power 1)"
+    assert least_power(R, (s**2,), J.generators, I.generators, 3) == 1
+    with pytest.raises(ValueError, match="does not lie in the ideal"):
+        is_reduction(I, equigenerated_ideal(D, (s * t,)))
 
 
 def test_reduction_transcript():
@@ -227,9 +243,29 @@ def test_reduction_transcript():
     I = ideal_power(equigenerated_ideal(P, (x, y)), 2)
     J = equigenerated_ideal(P, (x**2, y**2))
     verdict = is_reduction(J, I)
-    kinds = [entry[0] for entry in verdict.witness]
-    assert "power" in kinds
+    assert verdict.witness == (("fiber", True), ("power", 1, True, None))
     assert verdict.describe() == "yes (power 1)"
+    # (x^4, y^4) reduces (x^4, x^3*y, x*y^3, y^4) only at power 2.
+    I = equigenerated_ideal(P, (x**4, x**3 * y, x * y**3, y**4))
+    J = equigenerated_ideal(P, (x**4, y**4))
+    verdict = is_reduction(J, I, n_max=1)
+    assert verdict.is_inconclusive and verdict.witness == (("fiber", True),)
+    assert verdict.power is None
+    with pytest.raises(InconclusiveError):
+        is_minimal_reduction(J, I, n_max=1)
+    assert is_reduction(J, I).power == fiber_reduction_test(J, I) == 2
+    assert least_power(P.ring, (), J.generators, I.generators, 2) == 2
+
+
+def test_failed_power_certificate_raises(monkeypatch):
+    # A power the span check refutes is a library fault, never a "no".
+    P, (x, y) = plane()
+    I = equigenerated_ideal(P, (x**4, x**3 * y, x * y**3, y**4))
+    J = equigenerated_ideal(P, (x**4, y**4))
+    monkeypatch.setattr("genmat.algebra.fiber_reduction_test", lambda J, I: 1)
+    with pytest.raises(RuntimeError, match="names power 1") as raised:
+        is_reduction(J, I)
+    assert not isinstance(raised.value, InconclusiveError)
 
 
 def test_analytic_spread():
@@ -264,7 +300,7 @@ def test_fiber_test_reads_generator_rows_once(monkeypatch):
     monkeypatch.setattr(GradedAlgebraPresentation, "coordinates", counted)
     S, (x, y, z, w) = quadric()
     m = equigenerated_ideal(S, (x, y, z, w))
-    assert fiber_reduction_test(equigenerated_ideal(S, (x + y, z, w)), m)
+    assert fiber_reduction_test(equigenerated_ideal(S, (x + y, z, w)), m) == 1
     # Four generator rows of m, then one row per candidate form.
     assert len(calls) == 7
 
@@ -465,8 +501,8 @@ def test_verdicts_stable_under_generator_permutation_and_scaling():
 
 
 def test_random_equigenerated_reduction_consistency():
-    # Power verdicts never contradict the fiber test on random
-    # same-degree candidates.
+    # The fiber ring's least power agrees with a plain power loop over
+    # Groebner membership on random same-degree candidates.
     rng = random.Random(909)
     P, (x, y) = plane()
     I = ideal_power(equigenerated_ideal(P, (x, y)), 2)
@@ -478,13 +514,12 @@ def test_random_equigenerated_reduction_consistency():
             J = equigenerated_ideal(P, (g1, g2))
         except ValueError:
             continue
-        raw = is_reduction(J, I, n_max=3, use_fiber=False)
+        power = least_power(P.ring, (), J.generators, I.generators, 3)
         fib = fiber_reduction_test(J, I)
-        if raw.is_yes:
+        assert power == (fib if fib is not None and fib <= 3 else None)
+        assert is_reduction(J, I, n_max=3).power == power
+        if power is not None:
             conclusive += 1
-            assert fib is True
-        if fib is False:
-            assert not raw.is_yes
     assert conclusive >= 5
 
 
@@ -499,8 +534,8 @@ def test_fresh_names_outlast_clashing_prefixes():
 
 def test_presentation_memo_stays_bounded_over_fresh_candidates():
     # The memo holds only data fixed by the presentation and its ideals;
-    # a warm-up reaches every power the candidates can, after which
-    # fresh candidates add nothing.
+    # a warm-up reaches the one power the candidates can (1 here), after
+    # which fresh candidates add nothing.
     S, (x, y, z, w) = quadric()
     m = equigenerated_ideal(S, (x, y, z, w))
     rng = random.Random(77)
@@ -511,8 +546,9 @@ def test_presentation_memo_stays_bounded_over_fresh_candidates():
     def minred(gens):
         return is_minimal_reduction(equigenerated_ideal(S, gens), m, n_max=2)
 
-    warm = is_reduction(equigenerated_ideal(S, (x, z)), m, n_max=2, use_fiber=False)
-    assert warm.is_inconclusive
+    warm = (x + y, z, w)
+    assert is_reduction(equigenerated_ideal(S, warm), m, n_max=2).power == 1
+    assert least_power(S.ring, S.relations.generators, warm, m.generators, 2) == 1
     minred(fresh())
     is_hsop(S, fresh())
     size = len(S._cache)

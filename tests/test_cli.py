@@ -118,17 +118,58 @@ def test_check_wrong_count_exit_codes(monkeypatch, capsys):
 
 
 def test_check_inconclusive_exit(monkeypatch, capsys):
+    # (x^4, y^4) reduces (x^4, x^3*y, x*y^3, y^4) only at power 2.
     doc = {
         "ring": {"vars": [{"name": "x"}, {"name": "y"}]},
-        "check": {"ideal": ["x", "y"], "candidate": ["x^2", "y^2"], "n_max": 2},
+        "check": {
+            "ideal": ["x^4", "x^3*y", "x*y^3", "y^4"],
+            "candidate": ["x^4", "y^4"],
+            "n_max": 1,
+        },
     }
     code, report = run_json(monkeypatch, capsys, ["check", "reduction", "--json"], doc)
     assert code == 2 and report["verdicts"]["status"] == "inconclusive"
+    assert report["verdicts"]["detail"]["witness"] == [["fiber", True]]
+    # (x^2, y^2) inside (x, y) is provably no reduction.
+    old = {
+        "ring": {"vars": [{"name": "x"}, {"name": "y"}]},
+        "check": {"ideal": ["x", "y"], "candidate": ["x^2", "y^2"], "n_max": 2},
+    }
+    code, report = run_json(monkeypatch, capsys, ["check", "reduction", "--json"], old)
+    assert code == 1 and report["verdicts"]["status"] == "false"
     # JSON true is not the integer 1.
     doc["check"]["n_max"] = True
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     assert main(["check", "reduction", "--json"]) == 3
     assert "check.n_max: must be a positive integer" in capsys.readouterr().err
+
+
+def test_check_reports_the_deciding_witness(monkeypatch, capsys):
+    code, report = run_json(
+        monkeypatch, capsys, ["check", "reduction", "--json"], quadric_doc()
+    )
+    assert code == 0
+    assert report["verdicts"]["detail"]["witness"] == [["fiber", True], ["power", 1, True, None]]
+
+
+def test_failed_power_certificate_exit(monkeypatch, capsys):
+    # The least power here is 2; a claimed 1 fails its certificate.
+    doc = {
+        "ring": {"vars": [{"name": "x"}, {"name": "y"}]},
+        "check": {"ideal": ["x^4", "x^3*y", "x*y^3", "y^4"], "candidate": ["x^4", "y^4"]},
+    }
+    monkeypatch.setattr("genmat.algebra.fiber_reduction_test", lambda J, I: 1)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["check", "reduction", "--json"]) == 5
+    assert "error: the fiber ring names power 1, but" in capsys.readouterr().err
+
+
+def test_check_higher_degree_candidate_is_no(monkeypatch, capsys):
+    doc = quadric_doc()
+    doc["check"]["candidate"] = ["x^2", "y^2", "z^2"]
+    for task in ("reduction", "minimal-reduction"):
+        code, report = run_json(monkeypatch, capsys, ["check", task, "--json"], doc)
+        assert code == 1 and report["verdicts"]["status"] == "false"
 
 
 def test_check_all_tasks_on_shipped_files(capsys):
@@ -149,6 +190,7 @@ def test_check_ideal_tuple_task(monkeypatch, capsys):
         monkeypatch, capsys, ["check", "complete-reduction-ideals", "--json"], doc
     )
     assert code == 0 and report["verdicts"]["detail"]["power"] == 1
+    assert report["verdicts"]["detail"]["witness"][0] == ["fiber", True]
 
 
 def test_check_missing_file(capsys):

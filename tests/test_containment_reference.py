@@ -1,21 +1,29 @@
-"""Equigenerated containment against a Groebner reference.
+"""Reduction verdicts and equigenerated containment against a Groebner
+reference.
 
-``is_reduction`` and ``EquigeneratedIdeal.contains`` decide containment
-by span membership in one graded piece; here every power check and
-membership answer is recomputed by division against a criteria-free
-Groebner basis of relations + generators.
+``is_reduction`` reads the least power off the fiber ring, and
+``_first_outside`` (behind its certificate and behind
+``EquigeneratedIdeal.contains``) decides containment by span
+membership in one graded piece; here the least power, every power
+check and every membership answer is recomputed by division against a
+criteria-free Groebner basis of relations + generators.
 """
 
-import itertools
 import random
-from functools import reduce
 
 import pytest
 
-from genmat.algebra import equigenerated_ideal, is_reduction, standard_graded_algebra
+from genmat import algebra
+from genmat.algebra import (
+    equigenerated_ideal,
+    ideal_power,
+    ideal_product,
+    is_reduction,
+    standard_graded_algebra,
+)
 from genmat.polyring import polynomial_ring
 
-from oracles import naive_membership, naive_mul, random_homogeneous
+from oracles import least_power, naive_membership, power_failure, random_homogeneous
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -67,11 +75,6 @@ def _combination(S, rng, gens, extra_degree):
     return out
 
 
-def _products(gens, n):
-    picks = itertools.combinations_with_replacement(gens, n)
-    return [reduce(naive_mul, pick) for pick in picks]
-
-
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=100)
 # Seeds whose reductions first hold at power 2 or 3; random draws
 # rarely reach past power 1.
@@ -99,18 +102,14 @@ def test_span_membership_matches_groebner_reference(make, delta, raised, seed):
     hypothesis.assume(all(not g.is_zero for g in J_gens))
     J = equigenerated_ideal(S, J_gens)
 
-    verdict = is_reduction(J, I, n_max=3, use_fiber=False)
-    powers = [entry for entry in verdict.witness if entry[0] == "power"]
-    assert [entry[1] for entry in powers] == list(range(1, len(powers) + 1))
-    for _, n, holds, failing in powers:
-        member = naive_membership(
-            R,
-            S.relations.generators,
-            [naive_mul(j, g) for j in J.generators for g in _products(I.generators, n)],
-            (n + 1) * delta,
-        )
-        outside = next((str(g) for g in _products(I.generators, n + 1) if not member(g)), None)
-        assert (holds, failing) == (outside is None, outside)
+    relations = S.relations.generators
+    verdict = is_reduction(J, I, n_max=3)
+    assert verdict.power == least_power(R, relations, J.generators, I.generators, 3)
+    for n in (1, 2, 3):
+        rhs = ideal_product(J, ideal_power(I, n))
+        found = algebra._first_outside(rhs, ideal_power(I, n + 1).generators)
+        failing = power_failure(R, relations, J.generators, I.generators, n)
+        assert (None if found is None else str(found)) == failing
 
     for extra in (0, 1):
         in_I = naive_membership(R, S.relations.generators, I.generators, delta + extra)

@@ -12,14 +12,12 @@ from genmat.groebner import (
     IdealSpec,
     buchberger,
     elimination_ideal,
-    ideal_equal,
-    ideal_membership,
     is_zero_dimensional,
     kernel_of_map,
     krull_dimension,
     normal_form,
     spolynomial,
-    verify_groebner,
+    top_degree,
 )
 from genmat.polyring import (
     GREVLEX,
@@ -35,11 +33,15 @@ from genmat.polyring import (
 
 from oracles import (
     brute_dimension,
+    ideal_equal,
+    ideal_membership,
     monomial_ideal_members,
+    monomials_of_degree,
     naive_buchberger,
     product_monomials,
     random_homogeneous,
     random_poly,
+    verify_groebner,
 )
 
 
@@ -243,7 +245,7 @@ def test_normal_form_rejects_another_ring():
     x = R.var("x")
     a = S.var("a")
     with pytest.raises(RingMismatchError):
-        ideal_membership(x, IdealSpec(S, (a,)))
+        normal_form(x, buchberger(IdealSpec(S, (a,))))
     with pytest.raises(RingMismatchError):
         normal_form(x, [a])
     # A ring built apart but equal is the same ring.
@@ -469,6 +471,37 @@ def test_dimension_matches_subset_search_on_staircases():
     assert krull_dimension(IdealSpec(R, (R.one(),))) == -1 == brute_dimension([(0,) * 12], 12)
     assert not is_zero_dimensional(IdealSpec(R, ()))
     assert is_zero_dimensional(IdealSpec(R, (R.one(),)))
+
+
+def test_top_degree_matches_staircase_enumeration():
+    # Monomial ideals with a pure power of every variable but, now and
+    # then, one; exponent-1 powers make variables leading monomials.
+    rng = random.Random(3141)
+    for _ in range(200):
+        nvars = rng.randrange(1, 5)
+        R = polynomial_ring(101, [f"x{i}" for i in range(nvars)])
+        powers = [rng.randrange(1, 5) for _ in range(nvars)]
+        mons = [tuple(e if j == i else 0 for j in range(nvars)) for i, e in enumerate(powers)]
+        for _ in range(rng.randrange(0, 4)):
+            mon = tuple(rng.randrange(0, e + 1) for e in powers)
+            if any(mon):
+                mons.append(mon)
+        infinite = nvars > 1 and rng.random() < 0.2
+        if infinite:
+            mons = [m for m in mons if sum(1 for e in m if e) != 1 or m[0] == 0]
+        I = IdealSpec(R, tuple(R.monomial(m) for m in mons))
+        if infinite:
+            assert top_degree(I) is None
+            continue
+        staircase = [
+            d
+            for d in range(sum(powers) + 1)
+            if len(monomial_ideal_members(mons, nvars, d))
+            < len(list(monomials_of_degree(nvars, d)))
+        ]
+        assert top_degree(I) == max(staircase)
+    R = polynomial_ring(101, "x y")
+    assert top_degree(IdealSpec(R, (R.one(),))) == -1
 
 
 def test_zero_dimensionality():

@@ -133,8 +133,8 @@ def test_minred_instance_quadric_family():
 
 
 def test_minred_instance_rejects_wrong_degree_candidates():
-    # Degree-2 forms inside m never settle the power loop against the
-    # degree-1 generators; the oracle's degree check rejects them first.
+    # Degree-2 forms inside m are no reduction of it, but the oracle's
+    # degree check rejects them before any verdict is asked.
     R = polynomial_ring(32003, "x y z w")
     x, y, z, w = R.gens()
     S = standard_graded_algebra(R, (x * y - z * w,))

@@ -8,7 +8,6 @@ from genmat.algebra import standard_graded_algebra, equigenerated_ideal
 from genmat.matroid import (
     AxiomCheck,
     ExchangeExhausted,
-    check_equicardinality,
     check_generic_exchange_statistical,
     check_matroid_axioms,
     exchange_path,
@@ -232,14 +231,6 @@ def test_exhaustive_needs_enumeration():
     inst, (x, y, z, w) = quadric_instance()
     with pytest.raises(ValueError, match="no finite enumeration"):
         exchange_step(inst, (x + y, z, w), x + y, "target", seed=0, exhaustive=True)
-
-
-def test_equicardinality():
-    inst, (x, y, z, w) = quadric_instance()
-    assert check_equicardinality(inst, [(x + y, z, w), (x, y, z + w)])
-    assert not check_equicardinality(inst, [(x, y), (x, y, z)])
-    with pytest.raises(ValueError, match="at least two"):
-        check_equicardinality(inst, [(x, y, z)])
 
 
 def test_statistical_rate_all_good():
