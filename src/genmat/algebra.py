@@ -391,17 +391,30 @@ class ReductionVerdict:
 def _first_outside(K: EquigeneratedIdeal, forms) -> Polynomial | None:
     """The first of ``forms`` (all of one degree d) outside K, or None.
 
-    K_d is spanned by S_(d - delta) * K's generators (zero if d < delta);
-    its echelon form is computed once and each form's row reduced by it.
+    K_d is spanned by S_(d - delta) * K's generators (zero if d < delta).
+    ``linalg.row_echelon`` pulls their coordinate rows one at a time and
+    stops once they span the whole piece S_d; then every form lies in
+    K and no form's row is built, though each is still checked to lie
+    in S_d (ValueError otherwise).  Else each form's row is reduced by
+    the echelon form.
     """
     S = K.algebra
     p = S.ring.field.p
     target = S.element_degree(forms[0])
     shift = target[0] - K.degree
-    multipliers = S.standard_monomials((shift,)) if shift >= 0 else ()
-    span = [S.coordinates(m * g, target) for m in multipliers for g in K.generators]
+    if shift == 0:
+        span = K.generators
+    elif shift > 0:
+        span = (m * g for m in S.standard_monomials((shift,)) for g in K.generators)
+    else:
+        span = ()
+    echelon, pivots = linalg.row_echelon((S.coordinates(g, target) for g in span), p)
+    if len(pivots) == len(S.standard_monomials(target)):
+        for f in forms:
+            if S.element_degree(f) != target:
+                S.coordinates(f, target)  # ValueError unless f's normal form lies in S_d
+        return None
     rows = [S.coordinates(f, target) for f in forms]
-    echelon, pivots = linalg.row_echelon(span, p)
     for f, row in zip(forms, rows):
         if any(linalg.residue(echelon, pivots, row, p)):
             return f

@@ -110,22 +110,22 @@ def _monic(g: Polynomial, lm: Monomial) -> Polynomial:
 class GroebnerBasis:
     """A reduced Groebner basis together with its ring and order.
 
-    ``divisors`` holds one divisor record per element and ``bits`` the
-    ring's bit table for support masks, both built here once and read by
-    every ``normal_form`` against this basis.
+    It is made from ``divisors``, one divisor record per element in
+    basis order, handed over by the computation that built them;
+    ``basis`` holds their polynomials and ``bits`` the ring's bit table
+    for support masks.  Every ``normal_form`` against this basis reads
+    those records.
     """
 
     ring: PolyRing
     order: MonomialOrder
-    basis: tuple[Polynomial, ...]
-    divisors: tuple[_Divisor, ...] = field(init=False, repr=False, compare=False)
+    divisors: tuple[_Divisor, ...] = field(repr=False, compare=False)
+    basis: tuple[Polynomial, ...] = field(init=False)
     bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        bits = _bits(self.ring)
-        records = tuple(_divisor(g, g.leading_monomial(self.order), bits) for g in self.basis)
-        object.__setattr__(self, "divisors", records)
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "basis", tuple(d.poly for d in self.divisors))
+        object.__setattr__(self, "bits", _bits(self.ring))
 
     def leading_monomials(self) -> tuple:
         return tuple(d.lm for d in self.divisors)
@@ -226,7 +226,7 @@ def normal_form(
 
 def _interreduce(
     minimal: list[_Divisor], order: MonomialOrder, bits: tuple[int, ...]
-) -> tuple[Polynomial, ...]:
+) -> tuple[_Divisor, ...]:
     # Tail-reduce each element of a minimal basis against the others.
     # Reduction keeps every leading monomial (none divides another), and
     # "no term divisible by another leading monomial" depends on those
@@ -235,7 +235,7 @@ def _interreduce(
         r = normal_form(d.poly, minimal[:i] + minimal[i + 1 :], order, bits=bits)
         minimal[i] = _divisor(r, d.lm, bits)
     minimal.sort(key=lambda d: order.desc_key(d.lm))
-    return tuple(d.poly for d in minimal)
+    return tuple(minimal)
 
 
 def _update(
@@ -353,7 +353,10 @@ def elimination_ideal(ideal: IdealSpec, keep) -> GroebnerBasis:
     The result lives in the subring on the kept variables, in their
     original ring order.  The elimination order breaks ties by grevlex
     on the kept block, so the kept-variable part of its reduced basis
-    already is the reduced grevlex basis of the intersection.
+    already is the reduced grevlex basis of the intersection.  It ranks
+    every monomial with an eliminated variable above every one without,
+    so an element lies in the subring iff its leading monomial does,
+    and its divisor record is moved over, not rebuilt.
     """
     ring = ideal.ring
     keep_set = set(keep)
@@ -373,13 +376,24 @@ def elimination_ideal(ideal: IdealSpec, keep) -> GroebnerBasis:
     gb = buchberger(IdealSpec(shuffled, moved), elimination_order(len(dropped)))
     small = PolyRing(ring.field, tuple(kept))
     nd = len(dropped)
-    to_small = range(nd, shuffled.nvars)
-    out = tuple(
-        reindex(g, small, to_small)
-        for g in gb.basis
-        if all(not any(mon[:nd]) for mon in g.terms)
+    return GroebnerBasis(
+        small, GREVLEX, tuple(_drop_block(d, small, nd) for d in gb.divisors if not any(d.lm[:nd]))
     )
-    return GroebnerBasis(small, GREVLEX, out)
+
+
+def _drop_block(d: _Divisor, small: PolyRing, nd: int) -> _Divisor:
+    """d's record moved into ``small``, the variables after the first nd.
+
+    The element must not involve those nd variables; its leading
+    monomial, coefficients and remaining support bits carry over.
+    """
+    return _Divisor(
+        d.lm[nd:],
+        d.inv,
+        d.mask >> nd,
+        tuple((m[nd:], c) for m, c in d.tail),
+        reindex(d.poly, small, range(nd, nd + small.nvars)),
+    )
 
 
 def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> GroebnerBasis:

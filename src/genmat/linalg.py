@@ -1,60 +1,79 @@
-"""Dense exact linear algebra over F_p.
+"""Exact linear algebra over F_p.
 
-Vectors are tuples of ints in [0, p); matrices are lists of row
-tuples.  Sizes here are tiny (coordinate vectors of graded pieces), so
-plain Gaussian elimination is all that is needed.
+Vectors are tuples of ints (read modulo p); matrices are lists of row
+tuples.  There is one elimination loop, ``row_echelon``: it inserts
+rows one at a time into a reduced echelon form, and stops pulling rows
+as soon as they span the whole space, so a caller that feeds it a lazy
+stream of rows (as containment in a graded piece does) pays only for
+the rows it reads.  ``rank``, ``independent``, ``solve_coords`` and
+``in_span`` are built on it.
 """
 
 from __future__ import annotations
 
 
 def row_echelon(rows, p: int):
-    """Return (echelon rows, pivot column list); input is not mutated."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
+    """Reduced echelon form of the span of ``rows``: (rows, pivot columns).
+
+    ``rows`` is any iterable and is read lazily.  Each row is reduced
+    by ``residue`` against the rows kept so far; a nonzero residue is
+    scaled to pivot 1 at its first nonzero column and cleared from the
+    kept rows.  Reading stops once the rank equals the row width, since
+    no further row can add to it.  The result is the unique reduced
+    echelon form (entries in [0, p), rows in pivot order).  Rows of
+    different lengths raise ValueError: all of a list or tuple up front,
+    a lazy stream's as they are read.
+    """
+    if isinstance(rows, (list, tuple)) and len({len(r) for r in rows}) > 1:
+        raise ValueError("vector lengths disagree")
+    echelon: list[list[int]] = []
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = pow(work[r][col], p - 2, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] % p:
-                c = work[i][col]
-                work[i] = [(x - c * y) % p for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
+    width = None
+    for row in rows:
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError("vector lengths disagree")
+        r = residue(echelon, pivots, row, p)
+        support = [j for j, x in enumerate(r) if x]
+        if support:
+            col = support[0]
+            inv = pow(r[col], p - 2, p)
+            r = [x * inv % p for x in r]
+            # r is zero off its support, so clearing col from a kept row
+            # changes only those entries.
+            for e in echelon:
+                c = e[col]
+                if c:
+                    for j in support:
+                        e[j] = (e[j] - c * r[j]) % p
+            echelon.append(r)
+            pivots.append(col)
+        if len(pivots) == width:
             break
-    return [tuple(row) for row in work[:r]], pivots
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [tuple(echelon[i]) for i in order], [pivots[i] for i in order]
 
 
 def residue(echelon, pivots, row, p: int) -> list[int]:
     """``row`` reduced by the rows and pivots ``row_echelon`` returned.
 
     Those rows are fully reduced (pivot 1, zero in every other pivot
-    column), so one pass in pivot order leaves a row that is zero
-    exactly when ``row`` lies in their span.
+    column), so subtracting row[col] times the row of each pivot col
+    leaves a row, with entries in [0, p), that is zero exactly when
+    ``row`` lies in their span.  No subtraction changes another pivot
+    column, so entries are reduced modulo p once, at the end.
     """
     out = list(row)
     for e, col in zip(echelon, pivots):
-        c = out[col] % p
+        c = row[col] % p
         if c:
-            out = [(x - c * y) % p for x, y in zip(out, e)]
-    return out
+            out = [x - c * y for x, y in zip(out, e)]
+    return [x % p for x in out]
 
 
 def rank(rows, p: int) -> int:
-    if not rows:
-        return 0
-    return len(row_echelon(rows, p)[0])
+    return len(row_echelon(rows, p)[1])
 
 
 def independent(rows, p: int) -> bool:
@@ -66,8 +85,8 @@ def independent(rows, p: int) -> bool:
 def solve_coords(basis_rows, target, p: int):
     """Coefficients c with sum(c_i * basis_i) = target, or None.
 
-    The basis rows need not be independent; any one solution is
-    returned, as a tuple of ints in [0, p).
+    The basis rows need not be independent; the solution returned, as
+    a tuple of ints in [0, p), is the one whose free unknowns are 0.
     """
     basis_rows = [tuple(r) for r in basis_rows]
     target = tuple(target)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from genmat import algebra
 from genmat.algebra import (
     DEFAULT_POWER_BOUND,
     EquigeneratedIdeal,
@@ -37,6 +38,7 @@ from oracles import (
     ideal_equal,
     least_power,
     monomial_ideal_members,
+    power_failure,
     product_monomials,
     random_homogeneous,
 )
@@ -303,6 +305,67 @@ def test_fiber_test_reads_generator_rows_once(monkeypatch):
     assert fiber_reduction_test(equigenerated_ideal(S, (x + y, z, w)), m) == 1
     # Four generator rows of m, then one row per candidate form.
     assert len(calls) == 7
+
+
+def _counted_coordinates(monkeypatch):
+    calls = []
+    coordinates = GradedAlgebraPresentation.coordinates
+
+    def counted(self, f, target):
+        calls.append(f)
+        return coordinates(self, f, target)
+
+    monkeypatch.setattr(GradedAlgebraPresentation, "coordinates", counted)
+    return calls
+
+
+def test_certificate_stops_once_the_span_fills_the_piece(monkeypatch):
+    # J * m spans all of S_2 on the quadric, so every generator of m^2
+    # lies in it and none of their rows is built.
+    S, (x, y, z, w) = quadric()
+    m = equigenerated_ideal(S, (x, y, z, w))
+    K = ideal_product(equigenerated_ideal(S, (x + y, z, w)), m)
+    forms = ideal_power(m, 2).generators
+    calls = _counted_coordinates(monkeypatch)
+    assert algebra._first_outside(K, forms) is None
+    assert len(calls) < len(K.generators) + len(forms)
+    # The rows read are a prefix of K's generators, none multiplied by 1.
+    assert len(S.standard_monomials((2,))) <= len(calls) <= len(K.generators)
+    assert all(f is g for f, g in zip(calls, K.generators))
+
+
+def test_certificate_failure_matches_power_oracle():
+    # Rank-deficient spans: the first failing form is the oracle's.
+    P, (x, y) = plane()
+    I = equigenerated_ideal(P, (x**4, x**3 * y, x * y**3, y**4))
+    J = equigenerated_ideal(P, (x**4, y**4))
+    failing = algebra._first_outside(ideal_product(J, I), ideal_power(I, 2).generators)
+    assert failing is not None
+    assert str(failing) == power_failure(P.ring, (), J.generators, I.generators, 1)
+    S, (x, y, z, w) = quadric()
+    m = equigenerated_ideal(S, (x, y, z, w))
+    rng = random.Random(4242)
+    for _ in range(3):
+        J = equigenerated_ideal(
+            S, [random_linear_combination((x, y, z, w), rng)[0] for _ in range(2)]
+        )
+        for n in (1, 2):
+            failing = algebra._first_outside(
+                ideal_product(J, ideal_power(m, n)), ideal_power(m, n + 1).generators
+            )
+            want = power_failure(S.ring, S.relations.generators, J.generators, m.generators, n)
+            assert want is not None and str(failing) == want
+
+
+def test_certificate_checks_forms_when_the_span_fills_the_piece():
+    S, (x, y, z, w) = quadric()
+    m = equigenerated_ideal(S, (x, y, z, w))
+    K = ideal_product(equigenerated_ideal(S, (x + y, z, w)), m)
+    for stray in (x, x * y + x, x**3):
+        with pytest.raises(ValueError, match="does not lie in the degree-"):
+            algebra._first_outside(K, (x * y, stray))
+    # A form whose normal form lies in S_2 is in K there.
+    assert algebra._first_outside(K, (x * y, x * y - z * w + z**2)) is None
 
 
 def test_fiber_algebra_of_maximal_ideal():

@@ -331,6 +331,51 @@ def test_elimination_no_dropped_variables():
     assert ideal_equal(out, IdealSpec(R, (x * y, x**2)))
 
 
+def _count_records(monkeypatch):
+    """Record every polynomial given a divisor record and every nonzero
+    normal form, through the module names buchberger calls."""
+    built, made = [], []
+    divisor, nf = groebner._divisor, groebner.normal_form
+
+    def counted_divisor(g, *args):
+        built.append(g)
+        return divisor(g, *args)
+
+    def counted_nf(*args, **kwargs):
+        r = nf(*args, **kwargs)
+        if not r.is_zero:
+            made.append(r)
+        return r
+
+    monkeypatch.setattr(groebner, "_divisor", counted_divisor)
+    monkeypatch.setattr(groebner, "normal_form", counted_nf)
+    return built, made
+
+
+def test_each_divisor_record_built_once(monkeypatch):
+    """A record is built only for a generator or a fresh nonzero normal
+    form (an S-polynomial remainder or a tail-reduced element); the
+    GroebnerBasis reuses them, and elimination moves the kept ones over."""
+    R = polynomial_ring(101, "x y z w")
+    x, y, z, w = R.gens()
+    gens = (x * y - z * w, x**2 - y * z + w**2, x * z - 2 * y * w)
+    built, made = _count_records(monkeypatch)
+    gb = buchberger(IdealSpec(R, gens), GREVLEX)
+    assert len(made) > len(gb.basis) > len(gens)
+    assert len(built) == len(gens) + len(made)
+
+    T = polynomial_ring(32003, "t x y")
+    t, tx, ty = T.gens()
+    built.clear()
+    made.clear()
+    out = elimination_ideal(IdealSpec(T, (tx - t**2, ty - t**3)), ["x", "y"])
+    assert len(built) == 2 + len(made)
+    fresh = tuple(
+        groebner._divisor(g, g.leading_monomial(GREVLEX), out.bits) for g in out.basis
+    )
+    assert out.divisors == fresh
+
+
 def test_elimination_validation():
     R = polynomial_ring(101, "x y")
     with pytest.raises(ValueError):
