@@ -20,7 +20,6 @@ from .polyring import (
     poly_to_str,
     polynomial_ring,
     random_linear_combination,
-    substitute,
 )
 from .groebner import (
     GroebnerBasis,
@@ -31,7 +30,6 @@ from .groebner import (
     kernel_of_map,
     krull_dimension,
     normal_form,
-    spolynomial,
     top_degree,
 )
 from .algebra import (

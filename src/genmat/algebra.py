@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from . import linalg
@@ -143,7 +143,11 @@ class GradedAlgebraPresentation:
         return self._memo(("gb",), lambda: buchberger(self.relations, GREVLEX))
 
     def quotient_groebner(self, extra=()) -> GroebnerBasis:
-        """Reduced basis of relations + extra, recomputed on every call."""
+        """Reduced basis of relations + extra, recomputed on every call.
+
+        Buchberger queues generators by degree, so linear forms in
+        ``extra`` join first and reduce each relation as it arrives.
+        """
         return buchberger(
             IdealSpec(self.ring, self.relations.generators + tuple(extra)), GREVLEX
         )
@@ -278,10 +282,12 @@ def is_noether_normalization(algebra: GradedAlgebraPresentation, elements) -> bo
 
 @dataclass(frozen=True)
 class EquigeneratedIdeal:
-    """Homogeneous ideal whose generators share one total degree."""
+    """Homogeneous ideal whose generators share one total degree,
+    ``degree``, set when the generators are validated."""
 
     algebra: GradedAlgebraPresentation
     generators: tuple[Polynomial, ...]
+    degree: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.algebra.components != 1 or not self.algebra.is_standard:
@@ -302,10 +308,7 @@ class EquigeneratedIdeal:
         if min(degs) < 1:
             raise ValueError("generators must have positive degree")
         object.__setattr__(self, "generators", gens)
-
-    @property
-    def degree(self) -> int:
-        return self.algebra.element_degree(self.generators[0])[0]
+        object.__setattr__(self, "degree", degs.pop())
 
     def contains(self, f: Polynomial) -> bool:
         """Span membership in f's graded piece; f is zero or homogeneous."""
@@ -337,11 +340,24 @@ def _dedupe(polys) -> tuple[Polynomial, ...]:
     return tuple(out)
 
 
+def _of_products(
+    algebra: GradedAlgebraPresentation, products, degree: int
+) -> EquigeneratedIdeal:
+    """The ideal generated by products of validated generators.  They are
+    nonzero and homogeneous of the summed ``degree`` by construction, so
+    they are not validated again."""
+    out = object.__new__(EquigeneratedIdeal)
+    object.__setattr__(out, "algebra", algebra)
+    object.__setattr__(out, "generators", _dedupe(products))
+    object.__setattr__(out, "degree", degree)
+    return out
+
+
 def ideal_product(a: EquigeneratedIdeal, b: EquigeneratedIdeal) -> EquigeneratedIdeal:
     if not _same_algebra(a.algebra, b.algebra):
         raise ValueError("ideal product across different algebras")
-    gens = _dedupe(f * g for f in a.generators for g in b.generators)
-    return EquigeneratedIdeal(a.algebra, gens)
+    products = (f * g for f in a.generators for g in b.generators)
+    return _of_products(a.algebra, products, a.degree + b.degree)
 
 
 def ideal_power(a: EquigeneratedIdeal, n: int) -> EquigeneratedIdeal:
@@ -349,11 +365,9 @@ def ideal_power(a: EquigeneratedIdeal, n: int) -> EquigeneratedIdeal:
         raise ValueError("ideal powers start at 1")
     key = ("pow", a.generators, n)
     def compute():
-        gens = _dedupe(
-            reduce(operator.mul, picks)
-            for picks in itertools.combinations_with_replacement(a.generators, n)
-        )
-        return EquigeneratedIdeal(a.algebra, gens)
+        picks = itertools.combinations_with_replacement(a.generators, n)
+        products = (reduce(operator.mul, pick) for pick in picks)
+        return _of_products(a.algebra, products, n * a.degree)
     return a.algebra._memo(key, compute)
 
 
@@ -448,11 +462,14 @@ def fiber_algebra(I: EquigeneratedIdeal):
 
 
 def _linear_form(ring: PolyRing, names, coords) -> Polynomial:
-    """sum_i coords[i] * names[i] in ``ring``."""
-    out = ring.zero()
+    """sum_i coords[i] * names[i] in ``ring``; a name may repeat."""
+    p, n = ring.field.p, ring.nvars
+    terms: dict = {}
     for c, name in zip(coords, names):
-        out = out + ring.var(name) * c
-    return out
+        i = ring.index(name)
+        mon = (0,) * i + (1,) + (0,) * (n - 1 - i)
+        terms[mon] = (terms.get(mon, 0) + c) % p
+    return Polynomial._raw(ring, {m: c for m, c in terms.items() if c})
 
 
 def _generator_coords(I: EquigeneratedIdeal, forms) -> list[tuple[int, ...]]:
@@ -697,7 +714,7 @@ def is_complete_reduction_ideals(
         raise ValueError(
             f"complete reduction of this ideal tuple needs {want} columns, got {r}"
         )
-    J = EquigeneratedIdeal(algebra, _dedupe(_column_products(mat)))
+    J = _of_products(algebra, _column_products(mat), product.degree)
     return is_reduction(J, product, n_max=n_max)
 
 

@@ -1,14 +1,20 @@
 """Groebner bases over F_p and the decision procedures built on them.
 
-Buchberger's algorithm with the normal pair-selection strategy
-(smallest lcm degree first) and the Gebauer-Moeller pair update: each
-element that joins the basis prunes the queued pairs once (criterion
-B_k), keeps one new pair per minimal lcm and queues none with coprime
-leading monomials (criteria M and F and the product criterion), and
-retires the elements whose leading monomials it divides.  What stays
-active is the minimal basis.  Output is the reduced basis (monic, no
-term of any element divisible by another leading monomial), which is
-unique per ideal and order, so results are canonical.
+Buchberger's algorithm with the normal selection strategy applied to
+pairs and input alike (Giovini, Mora, Niesi, Robbiano and Traverso
+1991; Becker-Weispfenning ch. 5): generators wait in the pair queue by
+the degree of their leading monomial, ahead of the pairs of that
+degree, and join as remainders against the elements built so far, so
+linear forms reduce the relations before those join.  The
+Gebauer-Moeller pair update runs once per element that joins: it
+prunes the queued pairs (criterion B_k), keeps one new pair per
+minimal lcm and queues none with coprime leading monomials (criteria M
+and F and the product criterion), and retires the elements whose
+leading monomials it divides.  Every element joins as a full
+remainder, so what stays active is the minimal basis.  Output is the
+reduced basis (monic, no term of any element divisible by another
+leading monomial), which is unique per ideal and order, so results are
+canonical.
 
 The hot path is division.  Every basis element carries a divisor
 record, built once when the element is made: its leading monomial, the
@@ -35,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import add, le, sub
+from operator import add, itemgetter, le, sub
 from typing import NamedTuple
 
 from .polyring import (
@@ -151,16 +157,6 @@ def _spair(a: _Divisor, b: _Divisor, lcm: Monomial) -> Polynomial:
     return Polynomial._raw(ring, out)
 
 
-def spolynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    """S-polynomial: cancel the leading terms against their lcm."""
-    if g.ring != f.ring:
-        raise RingMismatchError("S-polynomial across rings")
-    bits = _bits(f.ring)
-    a = _divisor(f, f.leading_monomial(order), bits)
-    b = _divisor(g, g.leading_monomial(order), bits)
-    return _spair(a, b, tuple(map(max, a.lm, b.lm)))
-
-
 def normal_form(
     f: Polynomial, basis, order: MonomialOrder = GREVLEX, *, bits: tuple[int, ...] | None = None
 ) -> Polynomial:
@@ -245,8 +241,8 @@ def _update(
     (Gebauer and Moeller 1988; Becker-Weispfenning 5.5, UPDATE).
 
     ``live`` maps each queued pair to its lcm and the lcm's support mask;
-    ``heap`` holds the same pairs and may hold dropped ones, which the
-    caller skips.  Returns the new active set: the indices whose leading
+    ``heap`` holds the same pairs and the generators still waiting, and
+    may hold dropped pairs, which the caller skips.  Returns the new active set: the indices whose leading
     monomials later elements pair with.
     """
     h = divisors[new]
@@ -296,41 +292,42 @@ def _update(
 def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of ``ideal`` under ``order``.
 
-    Pairs are reduced smallest lcm degree first and pruned by the
-    Gebauer-Moeller update as each element joins.  Generators join
-    largest leading monomial first and remainders are fully reduced, so
-    a joining leading monomial is never a proper multiple of an active
-    one; the update retires the active ones it divides.  The final
-    active set is therefore the minimal basis, and one tail reduction
-    of it is the reduced basis.
+    Generators and pairs wait in one queue by degree: a generator by
+    the degree of its leading monomial, a pair by the degree of its
+    lcm, smallest first.  Within a degree the generators come first,
+    largest leading monomial first, then the pairs.  A popped generator
+    or S-polynomial is fully reduced by the elements built so far, and
+    a nonzero remainder joins through the Gebauer-Moeller update, which
+    prunes the queued pairs.  A joining leading monomial is therefore
+    never a multiple of an earlier one; the update retires the active
+    ones it divides.  The final active set is the minimal basis, and
+    one tail reduction of it is the reduced basis.
     """
     bits = _bits(ideal.ring)
-    divisors: list[_Divisor] = []
-    seen = set()
+    key = order.desc_key
+    # The deduplicated monic generators, largest leading monomial first.
+    queued: dict = {}
     for g in ideal.generators:
-        lm = g.leading_monomial(order)
+        k, lm = min((key(m), m) for m in g.terms)
         g = _monic(g, lm)
-        k = frozenset(g.terms.items())
-        if k not in seen:
-            seen.add(k)
-            divisors.append(_divisor(g, lm, bits))
-    if not divisors:
-        return GroebnerBasis(ideal.ring, order, ())
-    divisors.sort(key=lambda d: order.desc_key(d.lm))
+        queued.setdefault(frozenset(g.terms.items()), (k, sum(lm), g))
+    generators = sorted(queued.values(), key=itemgetter(0))
+    # Generator j waits as the pair (-1, j), ahead of its degree's pairs.
+    heap = [(degree, (-1, j)) for j, (_, degree, _) in enumerate(generators)]
+    heapify(heap)
 
+    divisors: list[_Divisor] = []
     active: list[int] = []
     live: dict[tuple[int, int], tuple[Monomial, int]] = {}
-    heap: list = []
-    for new in range(len(divisors)):
-        active = _update(divisors, active, live, heap, new)
-
     while heap:
-        pair = heappop(heap)[1]
-        if pair not in live:
+        i, j = pair = heappop(heap)[1]
+        if i < 0:
+            f = generators[j][2]
+        elif pair in live:
+            f = _spair(divisors[i], divisors[j], live.pop(pair)[0])
+        else:
             continue  # dropped by a later update
-        lcm = live.pop(pair)[0]
-        i, j = pair
-        r = normal_form(_spair(divisors[i], divisors[j], lcm), divisors, order, bits=bits)
+        r = normal_form(f, divisors, order, bits=bits)
         if r.is_zero:
             continue
         lm = next(iter(r.terms))  # normal_form lists the largest term first

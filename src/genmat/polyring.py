@@ -450,36 +450,6 @@ def random_linear_combination(basis, rng: random.Random):
     return out, coeffs
 
 
-def substitute(f: Polynomial, images, target: PolyRing) -> Polynomial:
-    """Evaluate f at variable -> polynomial images inside ``target``.
-
-    ``images`` is one target-ring polynomial per variable of f's ring,
-    in variable order.
-    """
-    images = list(images)
-    if len(images) != f.ring.nvars:
-        raise ValueError("need one image per variable")
-    for g in images:
-        if g.ring != target:
-            raise RingMismatchError("image outside the target ring")
-    out = target.zero()
-    powers: list[dict[int, Polynomial]] = [{0: target.one()} for _ in images]
-
-    def power(i: int, e: int) -> Polynomial:
-        cache = powers[i]
-        if e not in cache:
-            cache[e] = power(i, e - 1) * images[i]
-        return cache[e]
-
-    for mon, c in f.terms.items():
-        term = target.const(c)
-        for i, e in enumerate(mon):
-            if e:
-                term = term * power(i, e)
-        out = out + term
-    return out
-
-
 def reindex(f: Polynomial, target: PolyRing, source) -> Polynomial:
     """f copied into ``target`` by variable position.
 

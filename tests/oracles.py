@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks library output against.
 
 Everything here recomputes results along a different route than the
-library takes: schoolbook multiplication, criteria-free pair
+library takes: schoolbook multiplication, S-polynomials and
+substitution on plain polynomial arithmetic, criteria-free pair
 completion, combinatorial membership for monomial ideals, brute-force
 staircase dimension, ideal membership and equality by division against
 a criteria-free basis, Buchberger's S-pair criterion, the least
@@ -17,8 +18,8 @@ from functools import reduce
 
 from genmat import linalg
 from genmat.algebra import fiber_algebra
-from genmat.groebner import GroebnerBasis, normal_form, spolynomial
-from genmat.polyring import GREVLEX, Polynomial, mon_divides
+from genmat.groebner import GroebnerBasis, normal_form
+from genmat.polyring import GREVLEX, Polynomial, RingMismatchError, mon_divides
 
 
 def naive_mul(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -30,6 +31,50 @@ def naive_mul(a: Polynomial, b: Polynomial) -> Polynomial:
             mon = tuple(x + y for x, y in zip(m1, m2))
             acc[mon] = (acc.get(mon, 0) + c1 * c2) % p
     return Polynomial(a.ring, acc)
+
+
+def spolynomial(f: Polynomial, g: Polynomial, order=GREVLEX) -> Polynomial:
+    """S-polynomial on plain Polynomial arithmetic: both polynomials
+    scaled to leading term lcm(LM(f), LM(g)) and subtracted.  Shares no
+    code with the S-pairs of the Buchberger engine."""
+    if g.ring != f.ring:
+        raise RingMismatchError("S-polynomial across rings")
+    ring, p = f.ring, f.ring.field.p
+    (mf, cf), (mg, cg) = f.leading_term(order), g.leading_term(order)
+    lcm = [max(a, b) for a, b in zip(mf, mg)]
+    a = ring.monomial([x - y for x, y in zip(lcm, mf)], pow(cf, p - 2, p))
+    b = ring.monomial([x - y for x, y in zip(lcm, mg)], pow(cg, p - 2, p))
+    return a * f - b * g
+
+
+def substitute(f: Polynomial, images, target) -> Polynomial:
+    """Evaluate f at variable -> polynomial images inside ``target``.
+
+    ``images`` is one target-ring polynomial per variable of f's ring,
+    in variable order.
+    """
+    images = list(images)
+    if len(images) != f.ring.nvars:
+        raise ValueError("need one image per variable")
+    for g in images:
+        if g.ring != target:
+            raise RingMismatchError("image outside the target ring")
+    out = target.zero()
+    powers: list[dict[int, Polynomial]] = [{0: target.one()} for _ in images]
+
+    def power(i: int, e: int) -> Polynomial:
+        cache = powers[i]
+        if e not in cache:
+            cache[e] = power(i, e - 1) * images[i]
+        return cache[e]
+
+    for mon, c in f.terms.items():
+        term = target.const(c)
+        for i, e in enumerate(mon):
+            if e:
+                term = term * power(i, e)
+        out = out + term
+    return out
 
 
 def naive_buchberger(ring, gens, order, max_degree=None):

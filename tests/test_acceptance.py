@@ -39,9 +39,9 @@ from genmat.matroid import (
     exchange_path,
     exchange_step,
 )
-from genmat.polyring import polynomial_ring, substitute
+from genmat.polyring import polynomial_ring
 
-from oracles import ideal_equal, least_power, verify_groebner
+from oracles import ideal_equal, least_power, substitute, verify_groebner
 
 
 def quadric(p=32003):

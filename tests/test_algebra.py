@@ -184,6 +184,37 @@ def test_ideal_power_and_product_match_enumeration():
     assert {next(iter(g.terms)) for g in prod.generators} == expected
 
 
+def test_products_and_powers_are_homogeneous_of_the_summed_degree():
+    # ideal_product and ideal_power skip validating what they build; the
+    # invariant they rely on is checked here on every generator.
+    S, _ = quadric()
+    rng = random.Random(17)
+    for _ in range(12):
+        a = equigenerated_ideal(S, [random_homogeneous(S.ring, rng, rng.randrange(1, 3))])
+        d = rng.randrange(1, 3)
+        b = equigenerated_ideal(S, [random_homogeneous(S.ring, rng, d) for _ in range(3)])
+        n = rng.randrange(1, 4)
+        for ideal, degree in (
+            (ideal_product(a, b), a.degree + b.degree),
+            (ideal_power(b, n), n * b.degree),
+            (ideal_product(ideal_power(b, n), a), n * b.degree + a.degree),
+        ):
+            assert ideal.degree == degree
+            assert ideal.generators
+            for g in ideal.generators:
+                assert not g.is_zero and S.element_degree(g) == (degree,)
+            # Rebuilding with validation agrees.
+            assert equigenerated_ideal(S, ideal.generators).degree == degree
+
+
+def test_linear_form_accumulates_repeated_names():
+    R = polynomial_ring(5, "x y z")
+    x, y, z = R.gens()
+    assert algebra._linear_form(R, ("x", "y", "x"), (1, 2, 4)) == 2 * y
+    assert algebra._linear_form(R, ("z", "x"), (7, -1)) == 2 * z + 4 * x
+    assert algebra._linear_form(R, ("y", "y"), (3, 2)).is_zero
+
+
 def test_reduction_power_criterion_yes():
     # (x^2, y^2) reduces (x, y)^2 at power one: frozen by degree-4
     # monomial enumeration.

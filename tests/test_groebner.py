@@ -16,7 +16,6 @@ from genmat.groebner import (
     kernel_of_map,
     krull_dimension,
     normal_form,
-    spolynomial,
     top_degree,
 )
 from genmat.polyring import (
@@ -28,7 +27,6 @@ from genmat.polyring import (
     RingMismatchError,
     elimination_order,
     polynomial_ring,
-    substitute,
 )
 
 from oracles import (
@@ -41,6 +39,8 @@ from oracles import (
     product_monomials,
     random_homogeneous,
     random_poly,
+    spolynomial,
+    substitute,
     verify_groebner,
 )
 
@@ -141,7 +141,9 @@ def test_pair_update_prunes_the_complete_reduction_ideal(monkeypatch):
     # 9 relations of the diagonal ring and 5 column products, 14
     # generators in 9 variables.  Without the Gebauer-Moeller update
     # (coprime pairs and the chain criterion checked at pop) Buchberger
-    # reduced 68 S-polynomials here.
+    # reduced 68 S-polynomials here, and 40 while every generator joined
+    # unreduced before the first pair; queued by degree, the linear
+    # column products reduce the relations before they join.
     R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3")
     S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
     diagonal_subring(S)  # memoized: its kernel is not counted
@@ -158,7 +160,27 @@ def test_pair_update_prunes_the_complete_reduction_ideal(monkeypatch):
     monkeypatch.setattr(groebner, "_spair", lambda *a: spairs.append(a) or spair(*a))
     assert is_complete_reduction_ring(S, rows)
     assert len(runs) == 1 and len(runs[0][0].generators) == 14
-    assert len(spairs) == 40
+    assert len(spairs) == 20
+
+
+def test_linear_forms_reduce_a_cubic_before_it_joins(monkeypatch):
+    # A dense cubic in 5 variables and 4 independent linear forms, as in
+    # a reduction verdict.  The forms join first with distinct leading
+    # variables, the cubic joins as a remainder in the fifth variable,
+    # and every pair is coprime: no S-polynomial is reduced.
+    R = polynomial_ring(32003, "x1 x2 x3 x4 x5")
+    rng = random.Random(5)
+    cubic = Polynomial(R, {m: rng.randrange(1, 32003) for m in monomials_of_degree(5, 3)})
+    linear = [random_homogeneous(R, rng, 1, terms=5) for _ in range(4)]
+    spairs, joined = [], []
+    spair, update = groebner._spair, groebner._update
+    monkeypatch.setattr(groebner, "_spair", lambda *a: spairs.append(a) or spair(*a))
+    monkeypatch.setattr(groebner, "_update", lambda *a: joined.append(a) or update(*a))
+    gb = buchberger(IdealSpec(R, (cubic, *linear)))
+    assert len(spairs) == 0
+    assert len(joined) == 5
+    assert sorted(sum(lm) for lm in gb.leading_monomials()) == [1, 1, 1, 1, 3]
+    assert set(gb.basis) == naive_buchberger(R, (cubic, *linear), GREVLEX)
 
 
 def test_matches_sympy_groebner():
@@ -221,6 +243,60 @@ def test_reduced_bases_match_golden_digest():
         nontrivial += basis != (R.one(),)
     assert nontrivial >= 200
     assert digest.hexdigest() == GOLDEN_BASES_SHA256
+
+
+def _linear_forms(R, rng, count, affine):
+    p = R.field.p
+    forms = [random_homogeneous(R, rng, 1, terms=3) for _ in range(count)]
+    return [f + R.const(rng.randrange(p)) if affine else f for f in forms]
+
+
+def mixed_degree_ideals():
+    """2,400 seeded ideals whose generators mix degrees, 2-4 variables,
+    p in {5, 101, 32003}, grevlex, lex and elimination orders.  Four
+    shapes: homogeneous linear forms with quadrics and cubics;
+    non-homogeneous generators of degree 1 to 3; and a reduced grevlex
+    relation basis plus linear forms, homogeneous (as in a quotient by
+    a Noether normalization) or not (affine forms)."""
+    rng = random.Random(51413)
+    for trial in range(2400):
+        p = (5, 101, 32003)[trial % 3]
+        nvars = rng.randrange(2, 5)
+        order = (GREVLEX, LEX, elimination_order(rng.randrange(1, nvars)))[trial // 3 % 3]
+        R = polynomial_ring(p, [f"x{i}" for i in range(nvars)])
+        shape = trial // 9 % 4
+        linear = _linear_forms(R, rng, rng.randrange(1, nvars), affine=shape in (1, 3))
+        degrees = [rng.randrange(2, 4) for _ in range(rng.randrange(1, 3))]
+        if shape == 0:
+            gens = [random_homogeneous(R, rng, d, terms=3) for d in degrees] + linear
+        elif shape == 1:
+            gens = [random_poly(R, rng, max_degree=d, terms=3) for d in degrees] + linear
+        else:
+            if shape == 2:
+                rels = [random_homogeneous(R, rng, d, terms=3) for d in degrees]
+            else:
+                rels = [random_poly(R, rng, max_degree=d, terms=3) for d in degrees]
+            gens = list(buchberger(IdealSpec(R, tuple(rels))).basis) + linear
+        rng.shuffle(gens)
+        yield R, tuple(gens), order
+
+
+# sha256 of mixed_degree_ideals()' reduced bases, computed at commit
+# c77d0c3, where every generator joined the basis unreduced before any
+# pair was processed.  Generators now wait in the pair queue by degree
+# and join as remainders; the reduced bases cannot change.
+MIXED_DEGREE_BASES_SHA256 = "79d85cc4273f8b84165b42fd128ba15cd946359b0011b5620aec27e3f64f4d1f"
+
+
+def test_mixed_degree_bases_match_golden_digest():
+    digest = hashlib.sha256()
+    nontrivial = 0
+    for R, gens, order in mixed_degree_ideals():
+        basis = buchberger(IdealSpec(R, gens), order).basis
+        digest.update(("; ".join(map(str, basis)) + "\n").encode())
+        nontrivial += basis != (R.one(),)
+    assert nontrivial >= 1800
+    assert digest.hexdigest() == MIXED_DEGREE_BASES_SHA256
 
 
 def test_reduced_basis_is_canonical():
@@ -353,23 +429,24 @@ def _count_records(monkeypatch):
 
 
 def test_each_divisor_record_built_once(monkeypatch):
-    """A record is built only for a generator or a fresh nonzero normal
-    form (an S-polynomial remainder or a tail-reduced element); the
-    GroebnerBasis reuses them, and elimination moves the kept ones over."""
+    """A record is built only for a fresh nonzero normal form (the
+    remainder of a generator or an S-polynomial, or a tail-reduced
+    element); the GroebnerBasis reuses them, and elimination moves the
+    kept ones over."""
     R = polynomial_ring(101, "x y z w")
     x, y, z, w = R.gens()
     gens = (x * y - z * w, x**2 - y * z + w**2, x * z - 2 * y * w)
     built, made = _count_records(monkeypatch)
     gb = buchberger(IdealSpec(R, gens), GREVLEX)
     assert len(made) > len(gb.basis) > len(gens)
-    assert len(built) == len(gens) + len(made)
+    assert len(built) == len(made)
 
     T = polynomial_ring(32003, "t x y")
     t, tx, ty = T.gens()
     built.clear()
     made.clear()
     out = elimination_ideal(IdealSpec(T, (tx - t**2, ty - t**3)), ["x", "y"])
-    assert len(built) == 2 + len(made)
+    assert len(built) == len(made)
     fresh = tuple(
         groebner._divisor(g, g.leading_monomial(GREVLEX), out.bits) for g in out.basis
     )

@@ -18,10 +18,9 @@ from genmat.polyring import (
     poly_to_str,
     polynomial_ring,
     random_linear_combination,
-    substitute,
 )
 
-from oracles import naive_mul, random_poly
+from oracles import naive_mul, random_poly, substitute
 
 
 def test_prime_field_rejects_composites():
