@@ -31,16 +31,16 @@ and each queued pair keeps its lcm.
 
 Everything downstream is a consequence of normal forms: elimination
 through a block order, kernels of algebra maps via T_i - f_i, and the
-Krull dimension and top degree read off the leading-term staircase.
-Elimination and kernels return the reduced basis they computed, so
-callers never run Buchberger on it again.
+Hilbert numerator of the leading monomials, which gives the Krull
+dimension and top degree.  Elimination and kernels return the reduced
+basis they computed, so callers never run Buchberger on it again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import accumulate, compress
 from operator import add, itemgetter, le, sub
 from typing import NamedTuple
 
@@ -52,7 +52,6 @@ from .polyring import (
     Polynomial,
     RingMismatchError,
     elimination_order,
-    mon_divides,
     reindex,
 )
 
@@ -431,55 +430,76 @@ def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> Gr
     return elimination_ideal(IdealSpec(big, tuple(gens)), names)
 
 
-def _min_cover(supports: list[frozenset[int]]) -> int:
-    """Fewest variables meeting every support.  Any such set holds a
-    variable of a smallest support, so branch on which one."""
-    if not supports:
-        return 0
-    smallest = min(supports, key=len)
-    return 1 + min(_min_cover([s for s in supports if v not in s]) for v in smallest)
+def _plus_shifted(a: list[int], b: list[int], shift: int) -> list[int]:
+    """Coefficients of a(t) + t^shift * b(t), lowest first."""
+    out = a + [0] * (shift + len(b) - len(a))
+    for i, c in enumerate(b, shift):
+        out[i] += c
+    return out
+
+
+def _numerator(gens: list[Monomial]) -> list[int]:
+    """N(t) for the monomial ideal M minimally generated by ``gens``
+    (Bigatti 1997).  A generator sharing no variable with another splits
+    off as a factor 1 - t^deg.  The rest pivot on p = x^e, x their most
+    frequent variable and e the lower median of its exponents:
+    N(M) = N(M + p) + t^e N(M : p).  The lower median keeps p outside M
+    (the upper one returns {xy, x^2} unchanged), so both sides shrink.
+    """
+    counts = [sum(map(bool, column)) for column in zip(*gens)]
+    tangled = [g for g in gens if any(counts[v] > 1 for v, e in enumerate(g) if e)]
+    numerator = [1]
+    if tangled:
+        v = counts.index(max(counts))
+        exponents = sorted(g[v] for g in tangled if g[v])
+        e = exponents[(len(exponents) - 1) // 2]
+        p = tuple(e if k == v else 0 for k in range(len(counts)))
+        quotients = {tuple(max(a - b, 0) for a, b in zip(g, p)) for g in tangled}
+        colon: list[Monomial] = []  # minimal generators of M : p
+        for q in sorted(quotients, key=sum):
+            if not any(all(map(le, k, q)) for k in colon):
+                colon.append(q)
+        plus = [g for g in tangled if g[v] < e] + [p]
+        numerator = _plus_shifted(_numerator(plus), _numerator(colon), e)
+    for g in set(gens).difference(tangled):
+        numerator = _plus_shifted(numerator, [-c for c in numerator], sum(g))
+    return numerator
+
+
+def hilbert_numerator(ideal, order: MonomialOrder = GREVLEX) -> list[int]:
+    """Coefficients of N(t), lowest first, where N(t)/(1 - t)^n is the
+    Hilbert series of ring/ideal, every variable in degree 1: that of its
+    leading monomials (Macaulay).  The unit ideal gives N = 0, i.e. []."""
+    numerator = _numerator(list(_as_gb(ideal, order).leading_monomials()))
+    while numerator and not numerator[-1]:
+        numerator.pop()
+    return numerator
 
 
 def krull_dimension(ideal, order: MonomialOrder = GREVLEX) -> int:
-    """Krull dimension of ring/ideal.
-
-    The variable count minus the fewest variables meeting every
-    leading-term support; the rest form a largest variable set that
-    contains no support.  Returns -1 for the unit ideal (the zero ring).
-    """
+    """Krull dimension of ring/ideal: the variable count minus the number
+    of times 1 - t divides the Hilbert numerator; -1 for the unit ideal."""
     gb = _as_gb(ideal, order)
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in gb.leading_monomials()]
-    if any(not s for s in supports):
+    numerator = hilbert_numerator(gb)
+    if not numerator:
         return -1
-    return gb.ring.nvars - _min_cover(supports)
+    dimension = gb.ring.nvars
+    while not sum(numerator):  # N(1) = 0
+        numerator = list(accumulate(numerator))[:-1]  # N / (1 - t)
+        dimension -= 1
+    return dimension
 
 
 def top_degree(ideal, order: MonomialOrder = GREVLEX) -> int | None:
     """Largest degree of a standard monomial of a zero-dimensional
     ring/ideal; None when it is not zero-dimensional, -1 for the unit ideal.
 
-    The standard monomials form an order ideal, so a walk raises them one
-    degree at a time, each variable at or after the last one raised; a
-    variable that is itself a leading monomial never occurs.
-    """
+    The Hilbert series N(t)/(1 - t)^n is then a polynomial of that degree."""
     gb = _as_gb(ideal, order)
-    dim = krull_dimension(gb)
-    if dim != 0:
-        return None if dim > 0 else -1
-    lms = gb.leading_monomials()
-    linear = {m.index(1) for m in lms if sum(m) == 1}
-    free = [v for v in range(gb.ring.nvars) if v not in linear]
-    level, top = [((0,) * gb.ring.nvars, 0)], -1
-    while level:
-        top += 1
-        raised = []
-        for mon, start in level:
-            for k in range(start, len(free)):
-                up = mon[: free[k]] + (mon[free[k]] + 1,) + mon[free[k] + 1 :]
-                if not any(mon_divides(lm, up) for lm in lms):
-                    raised.append((up, k))
-        level = raised
-    return top
+    if not is_zero_dimensional(gb):
+        return None
+    numerator = hilbert_numerator(gb)
+    return len(numerator) - 1 - gb.ring.nvars if numerator else -1
 
 
 def is_zero_dimensional(ideal, order: MonomialOrder = GREVLEX) -> bool:
@@ -489,4 +509,7 @@ def is_zero_dimensional(ideal, order: MonomialOrder = GREVLEX) -> bool:
     power among the leading terms; the unit ideal (dimension -1) returns
     True, since the zero ring is vacuously finite-dimensional.
     """
-    return krull_dimension(ideal, order) <= 0
+    gb = _as_gb(ideal, order)
+    # A pure power's support mask has one bit set; the constant 1 has none.
+    masks = {d.mask for d in gb.divisors if not d.mask & (d.mask - 1)}
+    return 0 in masks or len(masks) == gb.ring.nvars

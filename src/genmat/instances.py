@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .algebra import (
+    DEFAULT_POWER_BOUND,
     EquigeneratedIdeal,
     GradedAlgebraPresentation,
     InconclusiveError,
@@ -328,7 +329,7 @@ def nn_instance(
 
 def minred_instance(
     ideal: EquigeneratedIdeal,
-    n_max: int = 10,
+    n_max: int = DEFAULT_POWER_BOUND,
     handles: Mapping[str, Sequence[Polynomial]] | None = None,
     traps: Mapping[str, Polynomial] | None = None,
     name: str = "minimal-reduction",

@@ -282,16 +282,6 @@ class Polynomial:
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
         return self.leading_term(order)[0]
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        if not self.terms:
-            return self
-        _, c = self.leading_term(order)
-        if c == 1:
-            return self
-        inv = self.ring.field.inv(c)
-        p = self.ring.field.p
-        return Polynomial._raw(self.ring, {m: a * inv % p for m, a in self.terms.items()})
-
     def _coerce(self, other):
         if isinstance(other, Polynomial):
             if other.ring != self.ring:

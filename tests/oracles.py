@@ -1,8 +1,8 @@
 """Independent oracles the test suite checks library output against.
 
 Everything here recomputes results along a different route than the
-library takes: schoolbook multiplication, S-polynomials and
-substitution on plain polynomial arithmetic, criteria-free pair
+library takes: schoolbook multiplication, monic scaling, S-polynomials
+and substitution on plain polynomial arithmetic, criteria-free pair
 completion, combinatorial membership for monomial ideals, brute-force
 staircase dimension, ideal membership and equality by division against
 a criteria-free basis, Buchberger's S-pair criterion, the least
@@ -77,6 +77,14 @@ def substitute(f: Polynomial, images, target) -> Polynomial:
     return out
 
 
+def monic(f: Polynomial, order=GREVLEX) -> Polynomial:
+    """f divided by its leading coefficient; the zero polynomial as is."""
+    if f.is_zero:
+        return f
+    inv = f.ring.field.inv(f.leading_term(order)[1])
+    return Polynomial(f.ring, {m: a * inv for m, a in f.terms.items()})
+
+
 def naive_buchberger(ring, gens, order, max_degree=None):
     """Criteria-free pair completion with its own reduction bookkeeping.
 
@@ -86,7 +94,7 @@ def naive_buchberger(ring, gens, order, max_degree=None):
     homogeneous input, pairs whose lcm lies above that total degree are
     dropped: the result is a Groebner basis in degrees up to it.
     """
-    basis = [g.monic(order) for g in gens if not g.is_zero]
+    basis = [monic(g, order) for g in gens if not g.is_zero]
     queue = list(itertools.combinations(range(len(basis)), 2))
     while queue:
         i, j = queue.pop(0)
@@ -97,7 +105,7 @@ def naive_buchberger(ring, gens, order, max_degree=None):
         r = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
         if r.is_zero:
             continue
-        r = r.monic(order)
+        r = monic(r, order)
         new = len(basis)
         basis.append(r)
         queue.extend((k, new) for k in range(new))
@@ -120,7 +128,7 @@ def naive_buchberger(ring, gens, order, max_degree=None):
         stable = True
         for i in range(len(minimal)):
             rest = minimal[:i] + minimal[i + 1 :]
-            r = normal_form(minimal[i], rest, order).monic(order)
+            r = monic(normal_form(minimal[i], rest, order), order)
             if r.terms != minimal[i].terms:
                 minimal[i] = r
                 stable = False

@@ -1,6 +1,7 @@
 """Graded presentations and the verification oracles."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -29,7 +30,7 @@ from genmat.algebra import (
     multigraded_fiber_algebra,
     standard_graded_algebra,
 )
-from genmat.groebner import IdealSpec, buchberger
+from genmat.groebner import IdealSpec, buchberger, hilbert_numerator
 from genmat.polyring import RingMismatchError, polynomial_ring, random_linear_combination
 
 from oracles import (
@@ -476,6 +477,42 @@ def test_diagonal_subring_beyond_ten_generators():
     assert pres.ring.nvars == 12
     assert pres.dimension() == 6
     assert brute_dimension(pres.groebner().leading_monomials(), 12) == 6
+
+
+def _dimension_and_multiplicity(numerator, nvars):
+    """Read off N(t) through its derivatives at t = 1: the codimension c
+    is the order of the root, and e = (-1)^c N^(c)(1) / c!."""
+
+    def derivative(c):  # N^(c)(1) / c!
+        return sum(comb(k, c) * a for k, a in enumerate(numerator))
+
+    c = 0
+    while not derivative(c):
+        c += 1
+    return nvars - c, (-1) ** c * derivative(c)
+
+
+def test_multiplicity_matches_closed_forms():
+    # Segre diagonal of P^a x P^b x ...: dimension a + b + ... + 1 and
+    # multiplicity the multinomial (a + b + ...)! / (a! b! ...).
+    for blocks, dim, e in (((3, 3), 7, 20), ((1, 1, 1, 1), 5, 24), ((4, 4), 9, 70)):
+        names, degrees = [], []
+        for b, size in enumerate(blocks):
+            names += [f"x{b}_{i}" for i in range(size + 1)]
+            degrees += [tuple(int(j == b) for j in range(len(blocks)))] * (size + 1)
+        S = graded_algebra(polynomial_ring(32003, names), degrees)
+        pres = diagonal_subring(S).presentation
+        numerator = hilbert_numerator(pres.groebner())
+        assert _dimension_and_multiplicity(numerator, pres.ring.nvars) == (dim, e)
+        assert pres.dimension() == dim
+    # The fiber ring of m^k on the quadric is its k-th Veronese: 2k^2.
+    S, gens = quadric()
+    m = equigenerated_ideal(S, gens)
+    for k in (1, 2, 3):
+        pres, _ = fiber_algebra(ideal_power(m, k))
+        numerator = hilbert_numerator(pres.groebner())
+        assert _dimension_and_multiplicity(numerator, pres.ring.nvars) == (3, 2 * k * k)
+        assert pres.dimension() == 3
 
 
 def test_complete_reduction_ring_segre():

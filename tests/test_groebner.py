@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ from genmat.groebner import (
     IdealSpec,
     buchberger,
     elimination_ideal,
+    hilbert_numerator,
     is_zero_dimensional,
     kernel_of_map,
     krull_dimension,
@@ -574,16 +576,20 @@ def test_dimension_order_invariance():
 
 
 def test_dimension_matches_subset_search_on_staircases():
+    # Exponents up to 3.  An empty generator list gives the zero ideal,
+    # and now and then the constant 1 gives the unit ideal.
     rng = random.Random(2718)
-    for _ in range(500):
+    for _ in range(1000):
         nvars = rng.randrange(1, 11)
         R = polynomial_ring(101, [f"x{i}" for i in range(nvars)])
         mons = []
-        for _ in range(rng.randrange(1, 9)):
+        for _ in range(rng.randrange(0, 9)):
             mon = [0] * nvars
             for i in rng.sample(range(nvars), rng.randrange(1, min(nvars, 3) + 1)):
-                mon[i] = rng.randrange(1, 3)
+                mon[i] = rng.randrange(1, 4)
             mons.append(tuple(mon))
+        if rng.random() < 0.02:
+            mons.append((0,) * nvars)
         I = IdealSpec(R, tuple(R.monomial(m) for m in mons))
         assert krull_dimension(I) == brute_dimension(mons, nvars)
         assert is_zero_dimensional(I) == (brute_dimension(mons, nvars) <= 0)
@@ -595,11 +601,18 @@ def test_dimension_matches_subset_search_on_staircases():
     assert is_zero_dimensional(IdealSpec(R, (R.one(),)))
 
 
+def _hilbert_function(numerator, nvars, d):
+    """Coefficient of t^d in N(t)/(1 - t)^n, expanded as a power series."""
+    return sum(a * comb(d - k + nvars - 1, nvars - 1) for k, a in enumerate(numerator[: d + 1]))
+
+
 def test_top_degree_matches_staircase_enumeration():
     # Monomial ideals with a pure power of every variable but, now and
     # then, one; exponent-1 powers make variables leading monomials.
+    # The Hilbert function read off N(t) matches the staircase count in
+    # every degree up to 6, zero-dimensional or not.
     rng = random.Random(3141)
-    for _ in range(200):
+    for _ in range(1000):
         nvars = rng.randrange(1, 5)
         R = polynomial_ring(101, [f"x{i}" for i in range(nvars)])
         powers = [rng.randrange(1, 5) for _ in range(nvars)]
@@ -612,18 +625,21 @@ def test_top_degree_matches_staircase_enumeration():
         if infinite:
             mons = [m for m in mons if sum(1 for e in m if e) != 1 or m[0] == 0]
         I = IdealSpec(R, tuple(R.monomial(m) for m in mons))
+        counts = [
+            len(list(monomials_of_degree(nvars, d))) - len(monomial_ideal_members(mons, nvars, d))
+            for d in range(max(sum(powers), 6) + 1)
+        ]
+        numerator = hilbert_numerator(I)
+        assert [_hilbert_function(numerator, nvars, d) for d in range(7)] == counts[:7]
         if infinite:
             assert top_degree(I) is None
             continue
-        staircase = [
-            d
-            for d in range(sum(powers) + 1)
-            if len(monomial_ideal_members(mons, nvars, d))
-            < len(list(monomials_of_degree(nvars, d)))
-        ]
-        assert top_degree(I) == max(staircase)
+        assert top_degree(I) == max(d for d, c in enumerate(counts) if c)
     R = polynomial_ring(101, "x y")
     assert top_degree(IdealSpec(R, (R.one(),))) == -1
+    assert hilbert_numerator(IdealSpec(R, (R.one(),))) == []
+    assert top_degree(IdealSpec(R, ())) is None
+    assert hilbert_numerator(IdealSpec(R, ())) == [1]
 
 
 def test_zero_dimensionality():
