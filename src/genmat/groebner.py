@@ -3,9 +3,10 @@
 Buchberger's algorithm with the normal selection strategy applied to
 pairs and input alike (Giovini, Mora, Niesi, Robbiano and Traverso
 1991; Becker-Weispfenning ch. 5): generators wait in the pair queue by
-the degree of their leading monomial, ahead of the pairs of that
-degree, and join as remainders against the elements built so far, so
-linear forms reduce the relations before those join.  The
+the weighted degree of their leading monomial, ahead of the pairs of
+that degree, and join as remainders against the elements built so
+far, so linear forms reduce the relations before they join.  Weights
+default to 1; ``kernel_of_map`` gives T_i the degree of f_i.  The
 Gebauer-Moeller pair update runs once per element that joins: it
 prunes the queued pairs (criterion B_k), keeps one new pair per
 minimal lcm and queues none with coprime leading monomials (criteria M
@@ -16,18 +17,15 @@ reduced basis (monic, no term of any element divisible by another
 leading monomial), which is unique per ideal and order, so results are
 canonical.
 
-The hot path is division.  Every basis element carries a divisor
-record, built once when the element is made: its leading monomial, the
-inverse of its leading coefficient, a support mask with one bit per
-variable, and its other terms.  ``normal_form`` keeps the working
-polynomial in a heap on the order's descending key, so it computes one
-key per new monomial and pops the largest term first; the remainder
-comes out in descending order, which gives a fresh basis element its
-leading monomial for free.  Before comparing exponents, a divisor whose
-mask has a bit outside the monomial's mask is skipped (divisibility
-implies containment of supports, as in Singular's short exponent
-vectors); the pair update tests divisibility with the same prefilter,
-and each queued pair keeps its lcm.
+Inside the engine a monomial is one int (Monagan and Pearce 2007,
+packed exponent vectors) and its order key is linear in it (see
+``_Packing``).  Every basis element carries a divisor record, built
+once when the element is made: its leading key and exponents and its
+other terms, monic.  ``normal_form`` keeps the working polynomial in a
+heap of keys and pops the largest term first; the remainder comes out
+in descending order, which gives a fresh basis element its leading
+monomial for free.  ``Polynomial`` keeps tuple monomials, converted
+where polynomials enter and leave the engine.
 
 Everything downstream is a consequence of normal forms: elimination
 through a block order, kernels of algebra maps via T_i - f_i, and the
@@ -39,9 +37,11 @@ basis they computed, so callers never run Buchberger on it again.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress
-from operator import add, itemgetter, le, sub
+from itertools import accumulate
+from operator import itemgetter, le, mul
+from struct import Struct
 from typing import NamedTuple
 
 from .polyring import (
@@ -54,6 +54,9 @@ from .polyring import (
     elimination_order,
     reindex,
 )
+
+_WIDTH = 16  # bits per exponent field
+_LIMIT = 1 << _WIDTH - 1  # the guard bit: exponents stay below it
 
 
 @dataclass(frozen=True)
@@ -75,266 +78,328 @@ class IdealSpec:
         object.__setattr__(self, "generators", tuple(kept))
 
 
+class _Terms(dict):
+    """A polynomial inside the engine, key -> coefficient."""
+
+    is_zero = property(lambda self: not self)
+
+
 class _Divisor(NamedTuple):
-    """Leading data of one basis element, computed once."""
+    """Leading data of one monic basis element, computed once."""
 
-    lm: Monomial
-    inv: int  # inverse of the leading coefficient
-    mask: int  # _support_mask(lm)
-    tail: tuple  # the other (monomial, coefficient) terms
-    poly: Polynomial
+    lead: int  # key of the leading monomial
+    lm: int  # its exponent fields
+    tail: tuple  # the other (key, coefficient) terms, largest first
 
 
-def _bits(ring: PolyRing) -> tuple[int, ...]:
-    return tuple(1 << i for i in range(ring.nvars))
+def _lcm(a: int, b: int, guard: int) -> int:
+    """Fieldwise max: the guard bits of (a | guard) - b mark a >= b."""
+    s = ((a | guard) - b) & guard
+    s -= s >> _WIDTH - 1
+    return a & s | b & ~s
 
 
-def _support_mask(m: Monomial, bits: tuple[int, ...]) -> int:
-    """Bit i set iff variable i occurs in m.  A divisor's mask lies
-    inside the mask of every monomial it divides."""
-    return sum(compress(bits, m))
+class _Packing:
+    """Monomials of one ring, under one order, as ints.
+
+    Variable i owns the 16-bit field at bit 16i, whose top bit is a
+    guard that stays clear: a product is +, a divides m iff no field of
+    (m | guard) - a borrows, and ``_lcm`` selects by the guard bits.
+    The key of m is K(m) << 16n | m, where K packs the digits of
+    ``order.desc_key`` in base 2^(16 + bitlen n), more than twice any
+    block degree, so keys compare as desc_keys do and add like
+    monomials.  The fields break ties from the last variable down, so
+    trailing digits that say the same are left out of K (grevlex keeps
+    -deg).  The weighted ``degree`` is exact while the degree times the
+    largest weight stays below 2^16 - 1; past that only the selection
+    order changes.  ``keys`` and ``monomials`` memoize conversions.
+    """
+
+    def __init__(self, ring: PolyRing, order: MonomialOrder, weights=None) -> None:
+        n = ring.nvars
+        self.ring, self.p = ring, ring.field.p
+        self.full = (1 << _WIDTH * n) - 1
+        self.guard = sum(_LIMIT << _WIDTH * i for i in range(n))
+        self.coeffs = _unit_keys(n, order)
+        self.fields, self.size = Struct(f"<{n}H").unpack, 2 * n
+        weights = (1,) * n if weights is None else tuple(weights)
+        if len(weights) != n or min(weights) < 1:
+            raise ValueError("need one positive weight per variable")
+        self.top = _WIDTH * (n - 1)
+        self.weights = sum(w << self.top - _WIDTH * i for i, w in enumerate(weights))
+        self.keys: dict = {}  # tuple monomial -> key
+        self.monomials: dict = {}  # key -> tuple monomial
+
+    def key(self, m: int) -> int:
+        return sum(map(mul, self.coeffs, self.fields(m.to_bytes(self.size, "little"))))
+
+    def degree(self, m: int) -> int:
+        return m * self.weights >> self.top & 0xFFFF
+
+    def pack(self, f: Polynomial) -> dict:
+        keys, out = self.keys, {}
+        for m, c in f.terms.items():
+            k = keys.get(m)
+            if k is None:
+                if max(m) >= _LIMIT:
+                    raise ValueError(f"exponent {max(m)} exceeds the limit {_LIMIT - 1}")
+                k = keys[m] = sum(map(mul, self.coeffs, m))
+            out[k] = c
+        return out
+
+    def monomial(self, key: int) -> Monomial:
+        m = self.monomials.get(key)
+        if m is None:
+            m = self.monomials[key] = self.fields((key & self.full).to_bytes(self.size, "little"))
+        return m
+
+    def polynomial(self, terms: dict) -> Polynomial:
+        get, out = self.monomials.get, {}
+        for k, c in terms.items():
+            out[get(k) or self.monomial(k)] = c
+        return Polynomial._raw(self.ring, out)
 
 
-def _divisor(g: Polynomial, lm: Monomial, bits: tuple[int, ...]) -> _Divisor:
-    terms = g.terms
-    tail = tuple((m, c) for m, c in terms.items() if m != lm)
-    return _Divisor(lm, g.ring.field.inv(terms[lm]), _support_mask(lm, bits), tail, g)
+@lru_cache(maxsize=None)
+def _unit_keys(n: int, order: MonomialOrder) -> tuple[int, ...]:
+    """The key of each variable of an n-variable ring (see _Packing),
+    derived once per ring size and order."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    digits = list(zip(*map(order.desc_key, units)))  # digit d on each unit vector
+    ties = units[::-1]  # the fields compare from the last variable down
+    cut = next(j for j in range(len(digits) + 1) if digits[j:] == ties[: len(digits) - j])
+    base, keys = _WIDTH + n.bit_length(), [0] * n
+    for digit in digits[:cut]:
+        keys = [(k << base) + e for k, e in zip(keys, digit)]
+    return tuple((k << _WIDTH * n) + (1 << _WIDTH * i) for i, k in enumerate(keys))
 
 
-def _monic(g: Polynomial, lm: Monomial) -> Polynomial:
-    """g scaled to leading coefficient 1, its terms kept in their order."""
-    c = g.terms[lm]
+def _monic(terms: dict, p: int) -> dict:
+    """``terms``, largest first, scaled to leading coefficient 1."""
+    c = next(iter(terms.values()))
     if c == 1:
-        return g
-    fp = g.ring.field
-    inv = fp.inv(c)
-    return Polynomial._raw(g.ring, {m: a * inv % fp.p for m, a in g.terms.items()})
+        return terms
+    inv = pow(c, p - 2, p)
+    return {k: a * inv % p for k, a in terms.items()}
+
+
+def _divisor(terms: dict, pk: _Packing) -> _Divisor:
+    """Record of the monic multiple of ``terms``, which run largest first."""
+    items = iter(_monic(terms, pk.p).items())
+    lead, _ = next(items)
+    return _Divisor(lead, lead & pk.full, tuple(items))
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     """A reduced Groebner basis together with its ring and order.
 
-    It is made from ``divisors``, one divisor record per element in
-    basis order, handed over by the computation that built them;
-    ``basis`` holds their polynomials and ``bits`` the ring's bit table
-    for support masks.  Every ``normal_form`` against this basis reads
-    those records.
+    It is made from ``divisors``, one record per element in basis
+    order, handed over by the computation that built them, and the
+    ``packing`` they are written in; ``basis`` converts on first use.
     """
 
     ring: PolyRing
     order: MonomialOrder
-    divisors: tuple[_Divisor, ...] = field(repr=False, compare=False)
-    basis: tuple[Polynomial, ...] = field(init=False)
-    bits: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    divisors: tuple[_Divisor, ...] = field(repr=False)
+    packing: _Packing = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "basis", tuple(d.poly for d in self.divisors))
-        object.__setattr__(self, "bits", _bits(self.ring))
+    @cached_property
+    def basis(self) -> tuple[Polynomial, ...]:
+        return tuple(self.packing.polynomial(dict(((d.lead, 1),) + d.tail)) for d in self.divisors)
 
     def leading_monomials(self) -> tuple:
-        return tuple(d.lm for d in self.divisors)
+        return tuple(self.packing.monomial(d.lead) for d in self.divisors)
 
 
-def _spair(a: _Divisor, b: _Divisor, lcm: Monomial) -> Polynomial:
+def _spair(a: _Divisor, b: _Divisor, lcm: int, pk: _Packing) -> dict:
     """S-polynomial of two records with the given lcm of their leading
-    monomials: the leading terms cancel, so only the tails are scaled."""
-    ring = a.poly.ring
-    p = ring.field.p
-    out: dict = {}
-    shift = tuple(map(sub, lcm, a.lm))
-    for m, c in a.tail:
-        out[tuple(map(add, m, shift))] = c * a.inv % p
-    shift = tuple(map(sub, lcm, b.lm))
-    for m, c in b.tail:
-        m = tuple(map(add, m, shift))
-        s = (out.get(m, 0) - c * b.inv) % p
+    monomials: the leading terms cancel, so only the tails move."""
+    p = pk.p
+    top = pk.key(lcm)
+    shift = top - a.lead
+    out = {k + shift: c for k, c in a.tail}
+    shift = top - b.lead
+    for k, c in b.tail:
+        k += shift
+        s = (out.get(k, 0) - c) % p
         if s:
-            out[m] = s
-        elif m in out:
-            del out[m]
-    return Polynomial._raw(ring, out)
+            out[k] = s
+        elif k in out:
+            del out[k]
+    return out
 
 
 def normal_form(
-    f: Polynomial, basis, order: MonomialOrder = GREVLEX, *, bits: tuple[int, ...] | None = None
+    f, basis, order: MonomialOrder = GREVLEX, *, packing: _Packing | None = None
 ) -> Polynomial:
     """Remainder of f under full division by ``basis``.
 
     ``basis`` is a GroebnerBasis (whose order is used) or a sequence of
-    polynomials; Buchberger passes its own divisor records, with the
-    ring's bit table as ``bits``.  No term of the result is divisible by
-    any basis leading monomial, which makes the map idempotent and, for
-    a Groebner basis, a canonical representative of f modulo the ideal.  The
-    result lists its terms in descending order.  Raises
-    RingMismatchError when f and the basis live in different rings.
+    polynomials.  Buchberger passes its own records and ``packing``; f
+    is then a key -> coefficient dict, which the division consumes, and
+    the result is packed too.  No term of the result is divisible by any
+    basis leading monomial, which makes the map idempotent and, for a
+    Groebner basis, a canonical representative of f modulo the ideal.
+    Its terms run in descending order.  Raises RingMismatchError when f
+    and the basis live in different rings.
     """
-    ring = f.ring
-    if isinstance(basis, GroebnerBasis):
-        if basis.ring is not ring and basis.ring != ring:
-            raise RingMismatchError("normal form against a basis of another ring")
-        order = basis.order
-        divisors, bits = basis.divisors, basis.bits
-    elif bits is not None:
-        divisors = basis  # Buchberger's own records
-    else:
-        bits = _bits(ring)
-        divisors = []
-        for g in basis:
-            if g.ring is not ring and g.ring != ring:
+    work, divisors = f, basis
+    if packing is None:
+        ring = f.ring
+        if isinstance(basis, GroebnerBasis):
+            if basis.ring is not ring and basis.ring != ring:
+                raise RingMismatchError("normal form against a basis of another ring")
+            packing, divisors = basis.packing, basis.divisors
+        else:
+            if any(g.ring is not ring and g.ring != ring for g in basis):
                 raise RingMismatchError("normal form against a divisor of another ring")
-            if not g.is_zero:
-                divisors.append(_divisor(g, g.leading_monomial(order), bits))
-    p = ring.field.p
-    key = order.desc_key
-    # Every monomial enters ``work`` and the heap once; a coefficient
-    # that cancels stays as 0 until its monomial is popped.  Reduction
-    # only adds monomials below the one popped, so none comes back.
-    work = dict(f.terms)
-    heap = [(key(m), m) for m in work]
+            packing = _Packing(ring, order)
+            pack = packing.pack
+            divisors = [_divisor(dict(sorted(pack(g).items())), packing) for g in basis if g.terms]
+        work = packing.pack(f)
+    p, guard, full = packing.p, packing.guard, packing.full
+    # Every key enters ``work`` and the heap once; a coefficient that
+    # cancels stays as 0 until its key is popped.  Reduction only adds
+    # keys above the one popped, so none comes back.
+    heap = list(work)
     heapify(heap)
-    remainder: dict = {}
+    remainder = _Terms()
     while heap:
-        mon = heappop(heap)[1]
-        coeff = work.pop(mon)
+        key = heappop(heap)
+        coeff = work.pop(key)
         if not coeff:
             continue
-        outside = ~_support_mask(mon, bits)
-        for lm, cinv, mask, tail, _ in divisors:
-            if not mask & outside and all(map(le, lm, mon)):
+        if key & guard:  # a product overflowed an exponent field
+            raise ValueError(f"an exponent exceeds the limit {_LIMIT - 1}")
+        mon = key & full | guard
+        for lead, lm, tail in divisors:
+            if (mon - lm) & guard == guard:
                 break
         else:
-            remainder[mon] = coeff
+            remainder[key] = coeff
             continue
-        shift = tuple(map(sub, mon, lm))
-        scale = coeff * cinv % p
-        for m2, c2 in tail:
-            m = tuple(map(add, m2, shift))
-            c = work.get(m)
-            if c is None:
-                work[m] = -scale * c2 % p
-                heappush(heap, (key(m), m))
+        shift = key - lead
+        coeff = p - coeff
+        for k, c in tail:
+            k += shift
+            old = work.get(k)
+            if old is None:
+                work[k] = coeff * c % p
+                heappush(heap, k)
             else:
-                work[m] = (c - scale * c2) % p
-    return Polynomial._raw(ring, remainder)
+                work[k] = (old + coeff * c) % p
+    return remainder if work is f else packing.polynomial(remainder)
 
 
-def _interreduce(
-    minimal: list[_Divisor], order: MonomialOrder, bits: tuple[int, ...]
-) -> tuple[_Divisor, ...]:
+def _interreduce(minimal: list[_Divisor], pk: _Packing) -> tuple[_Divisor, ...]:
     # Tail-reduce each element of a minimal basis against the others.
     # Reduction keeps every leading monomial (none divides another), and
     # "no term divisible by another leading monomial" depends on those
     # alone, so one pass is final.
     for i, d in enumerate(minimal):
-        r = normal_form(d.poly, minimal[:i] + minimal[i + 1 :], order, bits=bits)
-        minimal[i] = _divisor(r, d.lm, bits)
-    minimal.sort(key=lambda d: order.desc_key(d.lm))
+        f = dict(((d.lead, 1),) + d.tail)
+        minimal[i] = _divisor(normal_form(f, minimal[:i] + minimal[i + 1 :], packing=pk), pk)
+    minimal.sort()  # ascending leading keys: largest leading monomial first
     return tuple(minimal)
 
 
 def _update(
-    divisors: list[_Divisor], active: list[int], live: dict, heap: list, new: int
+    divisors: list[_Divisor], active: list[int], live: dict, heap: list, new: int, pk: _Packing
 ) -> list[int]:
     """Gebauer-Moeller update for ``divisors[new]`` joining the basis
     (Gebauer and Moeller 1988; Becker-Weispfenning 5.5, UPDATE).
 
-    ``live`` maps each queued pair to its lcm and the lcm's support mask;
-    ``heap`` holds the same pairs and the generators still waiting, and
-    may hold dropped pairs, which the caller skips.  Returns the new active set: the indices whose leading
-    monomials later elements pair with.
+    ``live`` maps each queued pair to its lcm; ``heap`` holds the same
+    pairs and the generators still waiting, and may hold dropped pairs,
+    which the caller skips.  Returns the new active set: the indices
+    whose leading monomials later elements pair with.
     """
-    h = divisors[new]
-    lm, mask = h.lm, h.mask
+    guard, weighted = pk.guard, pk.degree
+    lm = divisors[new].lm
     # Criterion B_k: a queued pair whose lcm LM(h) divides is redundant
     # unless h reproduces one of the two companion lcms.
     dead = [
         (i, j)
-        for (i, j), (lcm, lcm_mask) in live.items()
-        if not mask & ~lcm_mask
-        and all(map(le, lm, lcm))
-        and tuple(map(max, divisors[i].lm, lm)) != lcm
-        and tuple(map(max, divisors[j].lm, lm)) != lcm
+        for (i, j), lcm in live.items()
+        if ((lcm | guard) - lm) & guard == guard
+        and _lcm(divisors[i].lm, lm, guard) != lcm
+        and _lcm(divisors[j].lm, lm, guard) != lcm
     ]
     for pair in dead:
         del live[pair]
     # Criteria M and F: a new pair is redundant when another new pair's
     # lcm divides its lcm; among equal lcms a coprime one is kept, and
-    # then not queued (product criterion).  Sorting by degree puts every
-    # proper divisor first, so only kept lcms need checking.
+    # then not queued (product criterion).  Sorting by weighted degree
+    # puts every proper divisor first, so only kept lcms need checking.
     candidates = []
     for k in active:
-        g = divisors[k]
-        lcm = tuple(map(max, g.lm, lm))
-        candidates.append((sum(lcm), bool(g.mask & mask), lcm, g.mask | mask, k))
+        g = divisors[k].lm
+        lcm = _lcm(g, lm, guard)
+        candidates.append((weighted(lcm), lcm != g + lm, lcm, k))
     candidates.sort()
-    kept: list[tuple[Monomial, int]] = []
-    for degree, shared, lcm, lcm_mask, k in candidates:
-        outside = ~lcm_mask
-        for o, m in kept:
-            if not m & outside and all(map(le, o, lcm)):
+    kept: list[int] = []
+    for degree, shared, lcm, k in candidates:
+        above = lcm | guard
+        for o in kept:
+            if (above - o) & guard == guard:
                 break
         else:
-            kept.append((lcm, lcm_mask))
+            kept.append(lcm)
             if shared:
-                live[k, new] = lcm, lcm_mask
+                live[k, new] = lcm
                 heappush(heap, (degree, (k, new)))
     # An element whose leading monomial LM(h) divides leaves the active
     # set; its queued pairs stay.
-    active = [
-        k for k in active if mask & ~divisors[k].mask or not all(map(le, lm, divisors[k].lm))
-    ]
+    active = [k for k in active if ((divisors[k].lm | guard) - lm) & guard != guard]
     active.append(new)
     return active
 
 
-def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX, weights=None) -> GroebnerBasis:
     """Reduced Groebner basis of ``ideal`` under ``order``.
 
-    Generators and pairs wait in one queue by degree: a generator by
-    the degree of its leading monomial, a pair by the degree of its
-    lcm, smallest first.  Within a degree the generators come first,
-    largest leading monomial first, then the pairs.  A popped generator
-    or S-polynomial is fully reduced by the elements built so far, and
-    a nonzero remainder joins through the Gebauer-Moeller update, which
-    prunes the queued pairs.  A joining leading monomial is therefore
-    never a multiple of an earlier one; the update retires the active
-    ones it divides.  The final active set is the minimal basis, and
-    one tail reduction of it is the reduced basis.
+    Generators and pairs wait in one queue by the degree, under the
+    variables' ``weights`` (default 1), of a generator's leading
+    monomial or a pair's lcm; within a degree the generators come
+    first, largest leading monomial first.  Each popped one is reduced
+    by the elements built so far, and a nonzero remainder joins through
+    the Gebauer-Moeller update.  The final active set is the minimal
+    basis; one tail reduction of it is the reduced basis.  Weights
+    change the work, never the result.  An exponent of 2^15 or more
+    raises ValueError, in the input before any pair, or when a product
+    reaches it.
     """
-    bits = _bits(ideal.ring)
-    key = order.desc_key
+    pk = _Packing(ideal.ring, order, weights)
     # The deduplicated monic generators, largest leading monomial first.
     queued: dict = {}
     for g in ideal.generators:
-        k, lm = min((key(m), m) for m in g.terms)
-        g = _monic(g, lm)
-        queued.setdefault(frozenset(g.terms.items()), (k, sum(lm), g))
+        terms = _monic(dict(sorted(pk.pack(g).items())), pk.p)
+        queued.setdefault(frozenset(terms.items()), (next(iter(terms)), terms))
     generators = sorted(queued.values(), key=itemgetter(0))
     # Generator j waits as the pair (-1, j), ahead of its degree's pairs.
-    heap = [(degree, (-1, j)) for j, (_, degree, _) in enumerate(generators)]
+    heap = [(pk.degree(lead & pk.full), (-1, j)) for j, (lead, _) in enumerate(generators)]
     heapify(heap)
 
     divisors: list[_Divisor] = []
     active: list[int] = []
-    live: dict[tuple[int, int], tuple[Monomial, int]] = {}
+    live: dict[tuple[int, int], int] = {}
     while heap:
         i, j = pair = heappop(heap)[1]
         if i < 0:
-            f = generators[j][2]
+            f = generators[j][1]
         elif pair in live:
-            f = _spair(divisors[i], divisors[j], live.pop(pair)[0])
+            f = _spair(divisors[i], divisors[j], live.pop(pair), pk)
         else:
             continue  # dropped by a later update
-        r = normal_form(f, divisors, order, bits=bits)
+        r = normal_form(f, divisors, order, packing=pk)
         if r.is_zero:
             continue
-        lm = next(iter(r.terms))  # normal_form lists the largest term first
-        divisors.append(_divisor(_monic(r, lm), lm, bits))
-        active = _update(divisors, active, live, heap, len(divisors) - 1)
+        divisors.append(_divisor(r, pk))
+        active = _update(divisors, active, live, heap, len(divisors) - 1, pk)
 
     minimal = [divisors[k] for k in active]
-    return GroebnerBasis(ideal.ring, order, _interreduce(minimal, order, bits))
+    return GroebnerBasis(ideal.ring, order, _interreduce(minimal, pk), pk)
 
 
 def _as_gb(ideal, order: MonomialOrder) -> GroebnerBasis:
@@ -343,7 +408,7 @@ def _as_gb(ideal, order: MonomialOrder) -> GroebnerBasis:
     return buchberger(ideal, order)
 
 
-def elimination_ideal(ideal: IdealSpec, keep) -> GroebnerBasis:
+def elimination_ideal(ideal: IdealSpec, keep, weights=None) -> GroebnerBasis:
     """Reduced grevlex basis of (ideal) intersected with F_p[keep].
 
     The result lives in the subring on the kept variables, in their
@@ -352,7 +417,8 @@ def elimination_ideal(ideal: IdealSpec, keep) -> GroebnerBasis:
     already is the reduced grevlex basis of the intersection.  It ranks
     every monomial with an eliminated variable above every one without,
     so an element lies in the subring iff its leading monomial does,
-    and its divisor record is moved over, not rebuilt.
+    and its divisor record is moved over, not rebuilt.  ``weights`` go
+    to Buchberger.
     """
     ring = ideal.ring
     keep_set = set(keep)
@@ -364,32 +430,23 @@ def elimination_ideal(ideal: IdealSpec, keep) -> GroebnerBasis:
     if not kept:
         raise ValueError("must keep at least one variable")
     if not dropped:
-        return buchberger(ideal)
+        return buchberger(ideal, weights=weights)
     # Reorder so the eliminated block comes first, then run a block order.
     shuffled = PolyRing(ring.field, tuple(dropped + kept))
     to_shuffled = [ring.index(n) for n in shuffled.names]
     moved = tuple(reindex(g, shuffled, to_shuffled) for g in ideal.generators)
-    gb = buchberger(IdealSpec(shuffled, moved), elimination_order(len(dropped)))
+    weights = weights and [weights[i] for i in to_shuffled]
+    gb = buchberger(IdealSpec(shuffled, moved), elimination_order(len(dropped)), weights)
     small = PolyRing(ring.field, tuple(kept))
-    nd = len(dropped)
-    return GroebnerBasis(
-        small, GREVLEX, tuple(_drop_block(d, small, nd) for d in gb.divisors if not any(d.lm[:nd]))
-    )
+    shift = _WIDTH * len(dropped)  # below it, the eliminated variables' fields
+    records = tuple(_drop_block(d, shift) for d in gb.divisors if not d.lm & (1 << shift) - 1)
+    return GroebnerBasis(small, GREVLEX, records, _Packing(small, GREVLEX))
 
 
-def _drop_block(d: _Divisor, small: PolyRing, nd: int) -> _Divisor:
-    """d's record moved into ``small``, the variables after the first nd.
-
-    The element must not involve those nd variables; its leading
-    monomial, coefficients and remaining support bits carry over.
-    """
-    return _Divisor(
-        d.lm[nd:],
-        d.inv,
-        d.mask >> nd,
-        tuple((m[nd:], c) for m, c in d.tail),
-        reindex(d.poly, small, range(nd, nd + small.nvars)),
-    )
+def _drop_block(d: _Divisor, shift: int) -> _Divisor:
+    """d's record moved to the fields above bit ``shift``, the only ones
+    it involves, where its elimination key is -deg above them: grevlex's."""
+    return _Divisor(d.lead >> shift, d.lm >> shift, tuple((k >> shift, c) for k, c in d.tail))
 
 
 def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> GroebnerBasis:
@@ -426,8 +483,9 @@ def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> Gr
         t = big.var(names[i])
         gens.append(t - reindex(f, big, to_big))
     # The source variables come first in ``big``, so elimination runs its
-    # block order on these generators as they stand.
-    return elimination_ideal(IdealSpec(big, tuple(gens)), names)
+    # block order on these generators, homogeneous under these weights.
+    weights = [1] * src.nvars + [max(f.degree(), 1) for f in targets]
+    return elimination_ideal(IdealSpec(big, tuple(gens)), names, weights)
 
 
 def _plus_shifted(a: list[int], b: list[int], shift: int) -> list[int]:
@@ -510,6 +568,7 @@ def is_zero_dimensional(ideal, order: MonomialOrder = GREVLEX) -> bool:
     True, since the zero ring is vacuously finite-dimensional.
     """
     gb = _as_gb(ideal, order)
-    # A pure power's support mask has one bit set; the constant 1 has none.
-    masks = {d.mask for d in gb.divisors if not d.mask & (d.mask - 1)}
-    return 0 in masks or len(masks) == gb.ring.nvars
+    # A pure power has one variable in its support; the constant 1 has none.
+    supports = (tuple(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials())
+    powers = {s for s in supports if len(s) < 2}
+    return () in powers or len(powers) == gb.ring.nvars

@@ -12,9 +12,9 @@ Monomial orders are value objects exposing a sort key: ``lex``,
 ``split`` variables, ties broken by grevlex on the rest).  The block
 order ranks any monomial touching the first block above every monomial
 free of it, which is the property elimination needs.  Each order also
-has a descending key, a flat int tuple whose ascending order lists
-monomials largest first: Groebner division keeps its working terms in
-a min-heap on it, computing one key per new monomial.
+has a descending key, a flat int tuple, linear in the exponents, whose
+ascending order lists monomials largest first: the Groebner engine
+derives its integer monomial keys from it.
 
 Text form, used by the CLI and the tests: ``2*x^2*y - z*w + 5``.
 ASCII only, ``^`` for powers, ``*`` for products, integer
@@ -114,8 +114,8 @@ class MonomialOrder:
     ``key(m)`` is comparable and strictly monotone: larger monomial,
     larger key, and key comparisons are preserved by multiplying both
     sides by a common monomial.  1 is the minimum for every kind.
-    ``desc_key(m)`` is the same order reversed, a flat tuple of ints that
-    costs a slice and a sum for grevlex: ascending ``desc_key`` lists
+    ``desc_key(m)`` is the same order reversed, a flat tuple of ints,
+    each linear in the exponents: ascending ``desc_key`` lists
     monomials largest first, which is what a min-heap pops.
     """
 

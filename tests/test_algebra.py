@@ -495,7 +495,8 @@ def _dimension_and_multiplicity(numerator, nvars):
 def test_multiplicity_matches_closed_forms():
     # Segre diagonal of P^a x P^b x ...: dimension a + b + ... + 1 and
     # multiplicity the multinomial (a + b + ...)! / (a! b! ...).
-    for blocks, dim, e in (((3, 3), 7, 20), ((1, 1, 1, 1), 5, 24), ((4, 4), 9, 70)):
+    blocks_dim_e = (((3, 3), 7, 20), ((1, 1, 1, 1), 5, 24), ((4, 4), 9, 70), ((2, 2, 2), 7, 90))
+    for blocks, dim, e in blocks_dim_e:
         names, degrees = [], []
         for b, size in enumerate(blocks):
             names += [f"x{b}_{i}" for i in range(size + 1)]
@@ -508,7 +509,7 @@ def test_multiplicity_matches_closed_forms():
     # The fiber ring of m^k on the quadric is its k-th Veronese: 2k^2.
     S, gens = quadric()
     m = equigenerated_ideal(S, gens)
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         pres, _ = fiber_algebra(ideal_power(m, k))
         numerator = hilbert_numerator(pres.groebner())
         assert _dimension_and_multiplicity(numerator, pres.ring.nvars) == (3, 2 * k * k)

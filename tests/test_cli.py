@@ -105,6 +105,14 @@ def test_check_exit_codes(monkeypatch, capsys):
     assert "unknown variable" in capsys.readouterr().err
 
 
+def test_check_exponent_limit_exit_code(monkeypatch, capsys):
+    doc = quadric_doc()
+    doc["ring"]["relations"] = ["x^32768*y - z^32768*w"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["check", "minimal-reduction", "--json"]) == 3
+    assert "limit 32767" in capsys.readouterr().err
+
+
 def test_check_wrong_count_exit_codes(monkeypatch, capsys):
     # A wrong count is a "false" for the minimal-reduction predicate but
     # an input error for the nn check.

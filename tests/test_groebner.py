@@ -315,6 +315,29 @@ def test_reduced_basis_is_canonical():
         assert buchberger(IdealSpec(R, scaled)).basis == base
 
 
+def test_exponent_limit_fails_loudly(monkeypatch):
+    # Exponents live in 16-bit fields whose top bit stays clear.  An
+    # input exponent of 2^15 fails before any pair is reduced, and a
+    # product that reaches 2^15 fails instead of wrapping into the
+    # next variable's field.
+    R = polynomial_ring(101, "x y z")
+    x, y, z = R.gens()
+    spairs = []
+    spair = groebner._spair
+    monkeypatch.setattr(groebner, "_spair", lambda *a: spairs.append(a) or spair(*a))
+    with pytest.raises(ValueError, match="limit 32767"):
+        buchberger(IdealSpec(R, (x * y - z, x * z - y, x ** (2**15) - y)))
+    assert not spairs
+    gb = buchberger(IdealSpec(R, (x**32767 - y, y * z - x)))
+    assert set(gb.leading_monomials()) >= {(0, 1, 1)}
+    # x^2 (z^32767 - x^32766) - z^32766 (x^2 z - y) has the term x^32768.
+    with pytest.raises(ValueError, match="limit 32767"):
+        buchberger(IdealSpec(R, (z**32767 - x**32766, x**2 * z - y)))
+    # Dividing x^32767 y by y - x reaches x^32768 too.
+    with pytest.raises(ValueError, match="limit 32767"):
+        normal_form(x**32767 * y, buchberger(IdealSpec(R, (y - x,))))
+
+
 def test_normal_form_rejects_another_ring():
     # Exponent vectors of different lengths used to be zipped short, so
     # x in F_101[x, y] reduced to zero against (a) in F_101[a, b, c].
@@ -449,8 +472,10 @@ def test_each_divisor_record_built_once(monkeypatch):
     made.clear()
     out = elimination_ideal(IdealSpec(T, (tx - t**2, ty - t**3)), ["x", "y"])
     assert len(built) == len(made)
+    pack = out.packing.pack
     fresh = tuple(
-        groebner._divisor(g, g.leading_monomial(GREVLEX), out.bits) for g in out.basis
+        groebner._divisor(dict(sorted(pack(g).items())), out.packing)
+        for g in out.basis
     )
     assert out.divisors == fresh
 

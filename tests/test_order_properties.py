@@ -1,16 +1,17 @@
-"""Monomial-order axioms and the divisibility prefilter, as properties.
+"""Monomial-order axioms and the packed monomials, as properties.
 
 Every ``MonomialOrder`` key must be a strict total order on exponent
 vectors that multiplication preserves, with 1 at the bottom, and must
 agree with the textbook definitions in ``oracles.textbook_compare``;
-``desc_key`` must list the same order largest first.  Division skips a
-divisor whose support mask has a bit outside the monomial's mask, which
-must never skip a true divisor.
+``desc_key`` must list the same order largest first.  The Groebner
+engine's packed monomials must convert back exactly, and their
+divisibility, lcm, coprimality, integer keys and degrees must agree
+with the tuple definitions.
 """
 
 import pytest
 
-from genmat.groebner import _bits, _support_mask
+from genmat.groebner import _lcm, _Packing, normal_form
 from genmat.polyring import GREVLEX, LEX, elimination_order, mon_divides, polynomial_ring
 
 from oracles import textbook_compare
@@ -20,12 +21,12 @@ st = hypothesis.strategies
 
 
 @st.composite
-def order_and_monomials(draw, count):
+def order_and_monomials(draw, count, exponents=st.integers(0, 4)):
     nvars = draw(st.integers(1, 6))
     order = draw(
         st.sampled_from([GREVLEX, LEX] + [elimination_order(s) for s in range(1, nvars + 1)])
     )
-    mono = st.tuples(*[st.integers(0, 4)] * nvars)
+    mono = st.tuples(*[exponents] * nvars)
     return (order,) + tuple(draw(mono) for _ in range(count))
 
 
@@ -59,12 +60,36 @@ def test_order_keys_are_textbook_multiplicative_total_orders(drawn):
 
 
 @hypothesis.settings(derandomize=True, deadline=None, max_examples=400)
-@hypothesis.given(order_and_monomials(2))
-def test_support_mask_prefilter_never_rejects_a_divisor(drawn):
-    _, a, c = drawn
-    bits = _bits(polynomial_ring(101, [f"x{i}" for i in range(len(a))]))
-    mask = _support_mask(a, bits)
-    assert mask == sum(1 << i for i, e in enumerate(a) if e)
-    for b in (_times(a, c), c):
-        if mon_divides(a, b):
-            assert not mask & ~_support_mask(b, bits)
+@hypothesis.given(order_and_monomials(3, st.integers(0, 4) | st.integers(0, (1 << 14) - 1)))
+def test_packed_monomials_agree_with_tuples(drawn):
+    order, a, b, c = drawn
+    n = len(a)
+    R = polynomial_ring(101, [f"x{i}" for i in range(n)])
+    weights = [1 + i % 3 for i in range(n)]
+    pk = _Packing(R, order, weights)
+
+    def key(m):
+        (k,) = pk.pack(R.monomial(m))
+        return k
+
+    def fields(m):
+        return key(m) & pk.full
+
+    guard = pk.guard
+    ka, kb, kc = key(a), key(b), key(c)
+    # Round trips: key to tuple, and exponent fields back to the key.
+    assert pk.monomial(ka) == a and pk.key(fields(a)) == ka
+    # The key orders as desc_key does, and adds like a product.
+    assert _sign(ka, kb) == _sign(order.desc_key(a), order.desc_key(b))
+    assert key(_times(a, c)) == ka + kc
+    # Division's guard-bit test, the lcm and coprimality against the
+    # tuple definitions: a monomial reduces to 0 by another iff divisible.
+    for m in (_times(a, c), b, c):
+        remainder = normal_form(R.monomial(m), [R.monomial(a)], order)
+        assert remainder.is_zero == mon_divides(a, m)
+    lcm = _lcm(fields(a), fields(b), guard)
+    assert lcm == fields(tuple(map(max, a, b)))
+    assert (lcm == fields(a) + fields(b)) == (not any(x and y for x, y in zip(a, b)))
+    # The selection degree is exact below its documented bound.
+    if sum(a) * max(weights) < (1 << 16) - 1:
+        assert pk.degree(fields(a)) == sum(map(lambda e, w: e * w, a, weights))
