@@ -12,7 +12,8 @@ reduce to Groebner computations in the ambient ring:
   iff F/JF is Artinian, with least power N = max(1, top degree of F/JF);
   an N above the bound N_max is inconclusive, and a named N is certified
   by I^(N+1) = J * I^N, both sides in the one graded piece (N+1)*delta,
-  so containment is linear algebra on normal forms there;
+  so containment is linear algebra on normal forms there, with J * I^N
+  read as rows of generator pairs, never built as products;
 * analytic spread, as the dimension of the subalgebra generated by the
   ideal's degree-delta piece;
 * complete reductions of N^n-graded algebras through the diagonal
@@ -26,9 +27,14 @@ independence and fiber rings are subalgebras presented by
 kernel_of_map.
 
 Presentations memoize only data fixed by themselves and their fixed
-ideals, keyed by generator tuples, never per-candidate data; one built
-on a kernel's reduced grevlex basis takes that basis as its own.  The
-cache is append-only derived data, so sharing across threads is safe.
+ideals, never per-candidate data: the Groebner basis (one built on a
+kernel's reduced grevlex basis takes that basis as its own), the
+dimension, and per graded piece the standard monomials with a row
+table, monomial -> coordinate row of its normal form, which every
+coordinate vector is summed from and which holds at most the monomials
+of that degree; the diagonal subring; and, keyed by generator tuples,
+ideal powers and fiber rings.  The cache is append-only derived data,
+so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -169,7 +175,15 @@ class GradedAlgebraPresentation:
         return self._standard_piece(target)[0]
 
     def _standard_piece(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict]:
-        """The ``target`` piece's monomial basis and its monomial -> index map."""
+        """The ``target`` piece's monomial basis and its row table.
+
+        The table maps a monomial of degree ``target`` to the sparse
+        coordinate row, ((index, coefficient), ...), of its normal form
+        in the piece.  It starts with the basis monomials, whose rows are
+        unit rows, and ``_fill_row`` adds every other monomial of the piece
+        the first time it meets one, so it never outgrows the monomials
+        of that degree.
+        """
         target = tuple(int(x) for x in target)
         return self._memo(("std", target), lambda: self._standard_monomials(target))
 
@@ -202,20 +216,61 @@ class GradedAlgebraPresentation:
             if any(mon_divides(lm, mon) for lm in lms):
                 continue
             out.append(mon)
-        return tuple(self.ring.monomial(m) for m in out), {m: i for i, m in enumerate(out)}
+        table = {m: ((i, 1),) for i, m in enumerate(out)}
+        return tuple(self.ring.monomial(m) for m in out), table
 
     def coordinates(self, f: Polynomial, target: MultiDegree) -> tuple[int, ...]:
         """Coordinate vector of f's normal form in the ``target`` piece."""
-        basis, index = self._standard_piece(target)
+        return self.product_row((f,), target)
+
+    def product_row(self, factors, target: MultiDegree) -> tuple[int, ...]:
+        """Coordinate vector in the ``target`` piece of the normal form
+        of the product of ``factors``.
+
+        The normal form is linear, so the row is the sum of c * row(m)
+        over the terms c*m of the product, each row(m) read from the
+        piece's row table; the product itself is never built.  Terms
+        off the piece must sum to an element of normal form zero
+        (ValueError otherwise).
+        """
+        ring = self.ring
+        for f in factors:
+            if f.ring is not ring and f.ring != ring:
+                raise RingMismatchError("element outside the ambient ring")
+        target = tuple(map(int, target))
+        basis, table = self._standard_piece(target)
+        terms = factors[0].terms.items()
+        for g in factors[1:]:
+            terms = [
+                (tuple(map(operator.add, m, n)), c * d)
+                for m, c in terms
+                for n, d in g.terms.items()
+            ]
+        p = ring.field.p
+        acc = [0] * len(basis)
+        off: dict = {}
+        for mon, c in terms:
+            row = table.get(mon)
+            if row is None and (row := self._fill_row(table, mon, target)) is None:
+                off[mon] = off.get(mon, 0) + c
+                continue
+            for i, v in row:
+                acc[i] += c * v
+        if off and not self.normal_form(Polynomial(ring, off)).is_zero:
+            product = reduce(operator.mul, factors)
+            raise ValueError(f"{product} does not lie in the degree-{target} piece")
+        return tuple([x % p for x in acc])
+
+    def _fill_row(self, table: dict, mon, target: MultiDegree):
+        """Add monomial ``mon``'s row to the ``target`` piece's table and
+        return it; None, and no entry, when ``mon`` lies off the piece."""
+        f = self.ring.monomial(mon)
+        if self.element_degree(f) != target:
+            return None
+        # The remainder's monomials are standard, with rows ((index, 1),).
         nf = self.normal_form(f)
-        coords = [0] * len(basis)
-        for mon, c in nf.terms.items():
-            if mon not in index:
-                raise ValueError(
-                    f"{f} does not lie in the degree-{tuple(target)} piece"
-                )
-            coords[index[mon]] = c
-        return tuple(coords)
+        row = table[mon] = tuple((table[m][0][0], c) for m, c in nf.terms.items())
+        return row
 
     def dimension(self) -> int:
         return self._memo(("dim",), lambda: krull_dimension(self.groebner()))
@@ -314,7 +369,7 @@ class EquigeneratedIdeal:
         """Span membership in f's graded piece; f is zero or homogeneous."""
         if not f.is_zero and self.algebra.element_degree(f) is None:
             raise ValueError(f"{f} is not homogeneous")
-        return f.is_zero or _first_outside(self, (f,)) is None
+        return f.is_zero or _first_outside_ideal(self, (f,)) is None
 
     def __eq__(self, other):
         if not isinstance(other, EquigeneratedIdeal):
@@ -402,27 +457,24 @@ class ReductionVerdict:
         return f"inconclusive (power bound {self.n_max})"
 
 
-def _first_outside(K: EquigeneratedIdeal, forms) -> Polynomial | None:
-    """The first of ``forms`` (all of one degree d) outside K, or None.
+def _first_outside(S: GradedAlgebraPresentation, left, right, forms) -> Polynomial | None:
+    """The first of ``forms`` (all of one degree d) outside the span of
+    the products a*b for a in ``left``, b in ``right``, or None.
 
-    K_d is spanned by S_(d - delta) * K's generators (zero if d < delta).
-    ``linalg.row_echelon`` pulls their coordinate rows one at a time and
-    stops once they span the whole piece S_d; then every form lies in
-    K and no form's row is built, though each is still checked to lie
-    in S_d (ValueError otherwise).  Else each form's row is reduced by
-    the echelon form.
+    ``linalg.row_echelon`` pulls the products' rows from
+    ``S.product_row``, a-major, one at a time, and stops once they span
+    the whole piece S_d; then every form lies in the span and no form's
+    row is built, though each is still checked to lie in S_d
+    (ValueError otherwise).  Else each form's row is reduced by the
+    echelon form.  No product is built either way.
     """
-    S = K.algebra
+    for f in forms:
+        if f.ring is not S.ring and f.ring != S.ring:
+            raise RingMismatchError("form outside the ambient ring")
     p = S.ring.field.p
     target = S.element_degree(forms[0])
-    shift = target[0] - K.degree
-    if shift == 0:
-        span = K.generators
-    elif shift > 0:
-        span = (m * g for m in S.standard_monomials((shift,)) for g in K.generators)
-    else:
-        span = ()
-    echelon, pivots = linalg.row_echelon((S.coordinates(g, target) for g in span), p)
+    rows = (S.product_row((a, b), target) for a in left for b in right)
+    echelon, pivots = linalg.row_echelon(rows, p)
     if len(pivots) == len(S.standard_monomials(target)):
         for f in forms:
             if S.element_degree(f) != target:
@@ -433,6 +485,20 @@ def _first_outside(K: EquigeneratedIdeal, forms) -> Polynomial | None:
         if any(linalg.residue(echelon, pivots, row, p)):
             return f
     return None
+
+
+def _first_outside_ideal(K: EquigeneratedIdeal, forms) -> Polynomial | None:
+    """The first of ``forms`` (all of one degree d) outside K, or None;
+    K_d is spanned by S_(d - delta) * K's generators (zero if d < delta)."""
+    if not forms:
+        return None
+    S = K.algebra
+    shift = S.element_degree(forms[0])[0] - K.degree
+    if shift < 0:
+        left = ()
+    else:
+        left = S.standard_monomials((shift,)) if shift else (S.ring.one(),)
+    return _first_outside(S, left, K.generators, forms)
 
 
 def _fresh_names(taken, count: int, prefix: str = "T") -> list[str]:
@@ -516,7 +582,7 @@ def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> int | 
     if J.degree == I.degree:
         coords = _generator_coords(I, J.generators)
     else:
-        outside = _first_outside(I, J.generators)
+        outside = _first_outside_ideal(I, J.generators)
         if outside is not None:
             raise _outside(J.generators.index(outside), outside)
         coords = []
@@ -550,8 +616,11 @@ def is_reduction(
         return ReductionVerdict("no", n_max=n_max, witness=(("fiber", False),))
     if n > n_max:
         return ReductionVerdict("inconclusive", n_max=n_max, witness=(("fiber", True),))
-    rhs = ideal_product(J, ideal_power(I, n))
-    failing = _first_outside(rhs, ideal_power(I, n + 1).generators)
+    # A J above degree delta puts J * I^n above (n+1)*delta: no rows there.
+    left = J.generators if J.degree == I.degree else ()
+    failing = _first_outside(
+        I.algebra, left, ideal_power(I, n).generators, ideal_power(I, n + 1).generators
+    )
     if failing is not None:
         raise RuntimeError(
             f"the fiber ring names power {n}, but {failing} lies outside J * I^{n}"
@@ -702,7 +771,7 @@ def is_complete_reduction_ideals(
                 raise ValueError(
                     f"entry ({i},{j}) is not homogeneous of degree {I.degree}"
                 )
-        outside = _first_outside(I, row)
+        outside = _first_outside_ideal(I, row)
         if outside is not None:
             raise OutsideIdealError(
                 f"entry ({i},{row.index(outside)}) does not lie in ideal {i}"

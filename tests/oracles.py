@@ -6,8 +6,9 @@ and substitution on plain polynomial arithmetic, criteria-free pair
 completion, combinatorial membership for monomial ideals, brute-force
 staircase dimension, ideal membership and equality by division against
 a criteria-free basis, Buchberger's S-pair criterion, the least
-reduction power by a power loop over that membership, and monomial
-comparison by the textbook definitions.  Expected values frozen into
+reduction power by a power loop over that membership, coordinates in
+a graded piece by one normal form read against the standard
+monomials, and monomial comparison by the textbook definitions.  Expected values frozen into
 the tests were produced by these.
 """
 
@@ -219,6 +220,20 @@ def fiber_image(I, f: Polynomial) -> Polynomial:
     for c, name in zip(coords, names):
         out = out + pres.ring.var(name) * c
     return out
+
+
+def reference_coordinates(pres, f: Polynomial, target) -> tuple[int, ...]:
+    """f's coordinate vector in the ``target`` piece along the direct
+    route: one normal form of the whole of f, each remainder monomial
+    then looked up among the piece's standard monomials; ValueError when
+    one is not there."""
+    index = {next(iter(m.terms)): i for i, m in enumerate(pres.standard_monomials(target))}
+    coords = [0] * len(index)
+    for mon, c in normal_form(f, pres.groebner()).terms.items():
+        if mon not in index:
+            raise ValueError(f"{f} does not lie in the degree-{tuple(target)} piece")
+        coords[index[mon]] = c
+    return tuple(coords)
 
 
 def monomials_of_degree(nvars: int, degree: int):

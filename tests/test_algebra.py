@@ -39,9 +39,11 @@ from oracles import (
     ideal_equal,
     least_power,
     monomial_ideal_members,
+    naive_mul,
     power_failure,
     product_monomials,
     random_homogeneous,
+    reference_coordinates,
 )
 
 
@@ -111,6 +113,82 @@ def test_coordinates():
     assert P.coordinates(3 * x + 5 * y, (1,)) == (3, 5)
     with pytest.raises(ValueError):
         P.coordinates(x * y, (1,))
+
+
+def cubic5():
+    R = polynomial_ring(32003, "a b c d e")
+    relation = random_homogeneous(R, random.Random(5), 3, 8)
+    return standard_graded_algebra(R, (relation,)), R.gens()
+
+
+def p2p2():
+    R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3")
+    x1, x2, x3, y1, y2, y3 = R.gens()
+    S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3, (x1 * y1 + x2 * y2 + x3 * y3,))
+    return S, R.gens()
+
+
+def _random_form(S, rng, target, terms=5):
+    """Random form of multidegree ``target`` under S's standard grading."""
+    blocks = [[v for v, d in enumerate(S.degrees) if d[i]] for i in range(S.components)]
+    out = S.ring.zero()
+    for _ in range(terms):
+        e = [0] * S.ring.nvars
+        for block, k in zip(blocks, target):
+            for _ in range(k):
+                e[rng.choice(block)] += 1
+        out = out + S.ring.monomial(e, rng.randrange(1, S.ring.field.p))
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, degrees",
+    [
+        (quadric, [((1,), (1,)), ((1,), (2,)), ((2,), (2,))]),
+        (cubic5, [((1,), (2,)), ((2,), (2,)), ((1,), (3,))]),
+        (p2p2, [((1, 0), (0, 1)), ((1, 1), (1, 0)), ((1, 1), (1, 1))]),
+    ],
+)
+def test_coordinates_match_the_normal_form_reference(make, degrees):
+    # Rows read from the piece's table against one normal form of the
+    # whole element, for single forms and for two-factor products.
+    S, _ = make()
+    rng = random.Random(1414)
+    for _ in range(4):
+        for da, db in degrees:
+            a, b = _random_form(S, rng, da), _random_form(S, rng, db)
+            target = tuple(i + j for i, j in zip(da, db))
+            assert S.coordinates(a, da) == reference_coordinates(S, a, da)
+            want = reference_coordinates(S, naive_mul(a, b), target)
+            assert S.product_row((a, b), target) == want
+            assert S.coordinates(a * b, target) == want
+
+
+def test_coordinates_test_the_off_piece_part_as_a_whole():
+    # x*y - z*w lies off S_1 with normal form 0, though neither of its
+    # monomials does; x*y alone does not reduce to 0.
+    S, (x, y, z, w) = quadric()
+    assert reference_coordinates(S, x * y - z * w + x, (1,)) == (1, 0, 0, 0)
+    assert S.coordinates(x * y - z * w + x, (1,)) == (1, 0, 0, 0)
+    with pytest.raises(ValueError, match="does not lie in the degree-"):
+        S.coordinates(x * y + x, (1,))
+    with pytest.raises(ValueError, match="does not lie in the degree-"):
+        reference_coordinates(S, x * y + x, (1,))
+
+
+def test_rows_refuse_forms_of_another_ring():
+    # A form over F_101 has the same exponent tuples as one over F_32003;
+    # the ring is checked before any table lookup.
+    S, (x, y, z, w) = quadric()
+    m = equigenerated_ideal(S, (x, y, z, w))
+    a, b, _, _ = polynomial_ring(101, "x y z w").gens()
+    assert S.coordinates(5 * x + y, (1,)) == (5, 1, 0, 0)
+    with pytest.raises(RingMismatchError):
+        S.coordinates(5 * a + b, (1,))
+    with pytest.raises(RingMismatchError):
+        S.product_row((x, a), (2,))
+    with pytest.raises(RingMismatchError):
+        m.contains(a + b)
 
 
 def test_hsop_quadric_verdicts():
@@ -339,15 +417,15 @@ def test_fiber_test_reads_generator_rows_once(monkeypatch):
     assert len(calls) == 7
 
 
-def _counted_coordinates(monkeypatch):
+def _counted_rows(monkeypatch):
     calls = []
-    coordinates = GradedAlgebraPresentation.coordinates
+    product_row = GradedAlgebraPresentation.product_row
 
-    def counted(self, f, target):
-        calls.append(f)
-        return coordinates(self, f, target)
+    def counted(self, factors, target):
+        calls.append(tuple(factors))
+        return product_row(self, factors, target)
 
-    monkeypatch.setattr(GradedAlgebraPresentation, "coordinates", counted)
+    monkeypatch.setattr(GradedAlgebraPresentation, "product_row", counted)
     return calls
 
 
@@ -356,14 +434,15 @@ def test_certificate_stops_once_the_span_fills_the_piece(monkeypatch):
     # lies in it and none of their rows is built.
     S, (x, y, z, w) = quadric()
     m = equigenerated_ideal(S, (x, y, z, w))
-    K = ideal_product(equigenerated_ideal(S, (x + y, z, w)), m)
+    J = equigenerated_ideal(S, (x + y, z, w))
+    pairs = [(a, b) for a in J.generators for b in m.generators]
     forms = ideal_power(m, 2).generators
-    calls = _counted_coordinates(monkeypatch)
-    assert algebra._first_outside(K, forms) is None
-    assert len(calls) < len(K.generators) + len(forms)
-    # The rows read are a prefix of K's generators, none multiplied by 1.
-    assert len(S.standard_monomials((2,))) <= len(calls) <= len(K.generators)
-    assert all(f is g for f, g in zip(calls, K.generators))
+    calls = _counted_rows(monkeypatch)
+    assert algebra._first_outside(S, J.generators, m.generators, forms) is None
+    assert len(calls) < len(pairs) + len(forms)
+    # The rows read are a prefix of the products, in order, none built.
+    assert len(S.standard_monomials((2,))) <= len(calls) <= len(pairs)
+    assert all(c[0] is a and c[1] is b for c, (a, b) in zip(calls, pairs))
 
 
 def test_certificate_failure_matches_power_oracle():
@@ -371,7 +450,7 @@ def test_certificate_failure_matches_power_oracle():
     P, (x, y) = plane()
     I = equigenerated_ideal(P, (x**4, x**3 * y, x * y**3, y**4))
     J = equigenerated_ideal(P, (x**4, y**4))
-    failing = algebra._first_outside(ideal_product(J, I), ideal_power(I, 2).generators)
+    failing = algebra._first_outside(P, J.generators, I.generators, ideal_power(I, 2).generators)
     assert failing is not None
     assert str(failing) == power_failure(P.ring, (), J.generators, I.generators, 1)
     S, (x, y, z, w) = quadric()
@@ -383,7 +462,7 @@ def test_certificate_failure_matches_power_oracle():
         )
         for n in (1, 2):
             failing = algebra._first_outside(
-                ideal_product(J, ideal_power(m, n)), ideal_power(m, n + 1).generators
+                S, J.generators, ideal_power(m, n).generators, ideal_power(m, n + 1).generators
             )
             want = power_failure(S.ring, S.relations.generators, J.generators, m.generators, n)
             assert want is not None and str(failing) == want
@@ -392,12 +471,13 @@ def test_certificate_failure_matches_power_oracle():
 def test_certificate_checks_forms_when_the_span_fills_the_piece():
     S, (x, y, z, w) = quadric()
     m = equigenerated_ideal(S, (x, y, z, w))
-    K = ideal_product(equigenerated_ideal(S, (x + y, z, w)), m)
+    J = equigenerated_ideal(S, (x + y, z, w))
     for stray in (x, x * y + x, x**3):
         with pytest.raises(ValueError, match="does not lie in the degree-"):
-            algebra._first_outside(K, (x * y, stray))
-    # A form whose normal form lies in S_2 is in K there.
-    assert algebra._first_outside(K, (x * y, x * y - z * w + z**2)) is None
+            algebra._first_outside(S, J.generators, m.generators, (x * y, stray))
+    # A form whose normal form lies in S_2 is in J * m there.
+    forms = (x * y, x * y - z * w + z**2)
+    assert algebra._first_outside(S, J.generators, m.generators, forms) is None
 
 
 def test_fiber_algebra_of_maximal_ideal():
@@ -566,6 +646,19 @@ def test_complete_reduction_ideals_validation():
         is_complete_reduction_ideals((I, I), ((x,), (y,)))
 
 
+def test_zero_width_matrices_are_counted_not_indexed():
+    # No column is a wrong count for an ideal of positive spread, and
+    # the complete reduction of a nilpotent ideal, whose spread is 0.
+    P, (x, y) = plane()
+    with pytest.raises(ValueError, match="needs 2 columns, got 0"):
+        is_complete_reduction_ideals([equigenerated_ideal(P, (x, y))], [[]])
+    N = standard_graded_algebra(P.ring, (x * x, x * y, y * y))
+    I = equigenerated_ideal(N, (x, y))
+    assert analytic_spread(I) == 0
+    assert is_complete_reduction_ideals([I], [[]]).power == 1
+    assert lemma_correspondence_check([I], [[]]) is True
+
+
 def test_correspondence_two_by_two():
     P, (x, y) = plane()
     I = equigenerated_ideal(P, (x, y))
@@ -684,6 +777,19 @@ def test_presentation_memo_stays_bounded_over_fresh_candidates():
     minred(fresh())
     is_hsop(S, fresh())
     size = len(S._cache)
+
+    def row_tables():
+        # Each piece's row table holds at most the monomials of its degree.
+        out = {}
+        for key, value in S._cache.items():
+            if key[0] == "std":
+                d = key[1][0]
+                assert len(value[1]) <= comb(d + S.ring.nvars - 1, d)
+                out[d] = len(value[1])
+        return out
+
+    tables = row_tables()
     verdicts = [minred(fresh()) for _ in range(50)] + [is_hsop(S, fresh()) for _ in range(50)]
     assert len(S._cache) == size
+    assert row_tables() == tables
     assert sum(verdicts) >= 50

@@ -201,6 +201,20 @@ def test_check_ideal_tuple_task(monkeypatch, capsys):
     assert report["verdicts"]["detail"]["witness"][0] == ["fiber", True]
 
 
+def test_check_zero_width_matrix_is_an_input_error(monkeypatch, capsys):
+    doc = {
+        "ring": {"vars": [{"name": "a"}, {"name": "b"}]},
+        "ideals": [{"name": "I", "generators": ["a", "b"]}],
+        "check": {"ideals": ["I"], "matrix": [[]]},
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["check", "complete-reduction-ideals", "--json"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: check: complete reduction of this ideal tuple needs 2 columns, got 0"
+    ]
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "nn", "instances/missing.json"]) == 3
     assert "cannot read" in capsys.readouterr().err

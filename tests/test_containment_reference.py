@@ -17,7 +17,6 @@ from genmat import algebra
 from genmat.algebra import (
     equigenerated_ideal,
     ideal_power,
-    ideal_product,
     is_reduction,
     standard_graded_algebra,
 )
@@ -106,8 +105,11 @@ def test_span_membership_matches_groebner_reference(make, delta, raised, seed):
     verdict = is_reduction(J, I, n_max=3)
     assert verdict.power == least_power(R, relations, J.generators, I.generators, 3)
     for n in (1, 2, 3):
-        rhs = ideal_product(J, ideal_power(I, n))
-        found = algebra._first_outside(rhs, ideal_power(I, n + 1).generators)
+        # A raised J puts J * I^n above the degree of I^(n+1).
+        left = () if raised else J.generators
+        found = algebra._first_outside(
+            S, left, ideal_power(I, n).generators, ideal_power(I, n + 1).generators
+        )
         failing = power_failure(R, relations, J.generators, I.generators, n)
         assert (None if found is None else str(found)) == failing
 

@@ -88,6 +88,8 @@ def test_nn_instance_quadric():
     assert not inst.is_basis((other, z, w))
     amb = inst.handles["ambient"]
     assert amb.contains(x + 5 * y) and not amb.contains(x * y)
+    # A handle vets its elements first: a form of another ring is none.
+    assert not amb.contains(other)
 
 
 def test_nn_instance_handle_validation():
