@@ -112,7 +112,7 @@ class _Packing:
     trailing digits that say the same are left out of K (grevlex keeps
     -deg).  The weighted ``degree`` is exact while the degree times the
     largest weight stays below 2^16 - 1; past that only the selection
-    order changes.  ``keys`` and ``monomials`` memoize conversions.
+    order changes.
     """
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, weights=None) -> None:
@@ -127,8 +127,6 @@ class _Packing:
             raise ValueError("need one positive weight per variable")
         self.top = _WIDTH * (n - 1)
         self.weights = sum(w << self.top - _WIDTH * i for i, w in enumerate(weights))
-        self.keys: dict = {}  # tuple monomial -> key
-        self.monomials: dict = {}  # key -> tuple monomial
 
     def key(self, m: int) -> int:
         return sum(map(mul, self.coeffs, self.fields(m.to_bytes(self.size, "little"))))
@@ -137,26 +135,19 @@ class _Packing:
         return m * self.weights >> self.top & 0xFFFF
 
     def pack(self, f: Polynomial) -> dict:
-        keys, out = self.keys, {}
+        coeffs, out = self.coeffs, {}
         for m, c in f.terms.items():
-            k = keys.get(m)
-            if k is None:
-                if max(m) >= _LIMIT:
-                    raise ValueError(f"exponent {max(m)} exceeds the limit {_LIMIT - 1}")
-                k = keys[m] = sum(map(mul, self.coeffs, m))
-            out[k] = c
+            if max(m) >= _LIMIT:
+                raise ValueError(f"exponent {max(m)} exceeds the limit {_LIMIT - 1}")
+            out[sum(map(mul, coeffs, m))] = c
         return out
 
     def monomial(self, key: int) -> Monomial:
-        m = self.monomials.get(key)
-        if m is None:
-            m = self.monomials[key] = self.fields((key & self.full).to_bytes(self.size, "little"))
-        return m
+        return self.fields((key & self.full).to_bytes(self.size, "little"))
 
     def polynomial(self, terms: dict) -> Polynomial:
-        get, out = self.monomials.get, {}
-        for k, c in terms.items():
-            out[get(k) or self.monomial(k)] = c
+        fields, full, size = self.fields, self.full, self.size
+        out = {fields((k & full).to_bytes(size, "little")): c for k, c in terms.items()}
         return Polynomial._raw(self.ring, out)
 
 
@@ -230,33 +221,24 @@ def _spair(a: _Divisor, b: _Divisor, lcm: int, pk: _Packing) -> dict:
     return out
 
 
-def normal_form(
-    f, basis, order: MonomialOrder = GREVLEX, *, packing: _Packing | None = None
-) -> Polynomial:
-    """Remainder of f under full division by ``basis``.
+def normal_form(f, basis, *, packing: _Packing | None = None) -> Polynomial:
+    """Remainder of f under full division by the GroebnerBasis ``basis``.
 
-    ``basis`` is a GroebnerBasis (whose order is used) or a sequence of
-    polynomials.  Buchberger passes its own records and ``packing``; f
-    is then a key -> coefficient dict, which the division consumes, and
-    the result is packed too.  No term of the result is divisible by any
-    basis leading monomial, which makes the map idempotent and, for a
-    Groebner basis, a canonical representative of f modulo the ideal.
-    Its terms run in descending order.  Raises RingMismatchError when f
-    and the basis live in different rings.
+    No term of the result is divisible by a leading monomial of the
+    basis, so it is the canonical representative of f modulo the
+    ideal, with its terms in descending order.  Buchberger and the
+    tail reduction pass their own records and ``packing`` instead; f is
+    then a key -> coefficient dict, which the division consumes, and
+    the result is packed too.  Raises TypeError when ``basis`` is not a
+    GroebnerBasis, RingMismatchError when it lives in another ring.
     """
     work, divisors = f, basis
     if packing is None:
-        ring = f.ring
-        if isinstance(basis, GroebnerBasis):
-            if basis.ring is not ring and basis.ring != ring:
-                raise RingMismatchError("normal form against a basis of another ring")
-            packing, divisors = basis.packing, basis.divisors
-        else:
-            if any(g.ring is not ring and g.ring != ring for g in basis):
-                raise RingMismatchError("normal form against a divisor of another ring")
-            packing = _Packing(ring, order)
-            pack = packing.pack
-            divisors = [_divisor(dict(sorted(pack(g).items())), packing) for g in basis if g.terms]
+        if not isinstance(basis, GroebnerBasis):
+            raise TypeError(f"normal_form divides by a GroebnerBasis, not {type(basis).__name__}")
+        if basis.ring is not f.ring and basis.ring != f.ring:
+            raise RingMismatchError("normal form against a basis of another ring")
+        packing, divisors = basis.packing, basis.divisors
         work = packing.pack(f)
     p, guard, full = packing.p, packing.guard, packing.full
     # Every key enters ``work`` and the heap once; a coefficient that
@@ -392,7 +374,7 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX, weights=None) -
             f = _spair(divisors[i], divisors[j], live.pop(pair), pk)
         else:
             continue  # dropped by a later update
-        r = normal_form(f, divisors, order, packing=pk)
+        r = normal_form(f, divisors, packing=pk)
         if r.is_zero:
             continue
         divisors.append(_divisor(r, pk))
@@ -402,10 +384,8 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX, weights=None) -
     return GroebnerBasis(ideal.ring, order, _interreduce(minimal, pk), pk)
 
 
-def _as_gb(ideal, order: MonomialOrder) -> GroebnerBasis:
-    if isinstance(ideal, GroebnerBasis):
-        return ideal
-    return buchberger(ideal, order)
+def _as_gb(ideal) -> GroebnerBasis:
+    return ideal if isinstance(ideal, GroebnerBasis) else buchberger(ideal)
 
 
 def elimination_ideal(ideal: IdealSpec, keep, weights=None) -> GroebnerBasis:
@@ -524,20 +504,20 @@ def _numerator(gens: list[Monomial]) -> list[int]:
     return numerator
 
 
-def hilbert_numerator(ideal, order: MonomialOrder = GREVLEX) -> list[int]:
+def hilbert_numerator(ideal) -> list[int]:
     """Coefficients of N(t), lowest first, where N(t)/(1 - t)^n is the
     Hilbert series of ring/ideal, every variable in degree 1: that of its
     leading monomials (Macaulay).  The unit ideal gives N = 0, i.e. []."""
-    numerator = _numerator(list(_as_gb(ideal, order).leading_monomials()))
+    numerator = _numerator(list(_as_gb(ideal).leading_monomials()))
     while numerator and not numerator[-1]:
         numerator.pop()
     return numerator
 
 
-def krull_dimension(ideal, order: MonomialOrder = GREVLEX) -> int:
+def krull_dimension(ideal) -> int:
     """Krull dimension of ring/ideal: the variable count minus the number
     of times 1 - t divides the Hilbert numerator; -1 for the unit ideal."""
-    gb = _as_gb(ideal, order)
+    gb = _as_gb(ideal)
     numerator = hilbert_numerator(gb)
     if not numerator:
         return -1
@@ -548,26 +528,26 @@ def krull_dimension(ideal, order: MonomialOrder = GREVLEX) -> int:
     return dimension
 
 
-def top_degree(ideal, order: MonomialOrder = GREVLEX) -> int | None:
+def top_degree(ideal) -> int | None:
     """Largest degree of a standard monomial of a zero-dimensional
     ring/ideal; None when it is not zero-dimensional, -1 for the unit ideal.
 
     The Hilbert series N(t)/(1 - t)^n is then a polynomial of that degree."""
-    gb = _as_gb(ideal, order)
+    gb = _as_gb(ideal)
     if not is_zero_dimensional(gb):
         return None
     numerator = hilbert_numerator(gb)
     return len(numerator) - 1 - gb.ring.nvars if numerator else -1
 
 
-def is_zero_dimensional(ideal, order: MonomialOrder = GREVLEX) -> bool:
+def is_zero_dimensional(ideal) -> bool:
     """Is ring/ideal finite-dimensional over F_p?
 
     A proper ideal has dimension 0 iff every variable occurs as a pure
     power among the leading terms; the unit ideal (dimension -1) returns
     True, since the zero ring is vacuously finite-dimensional.
     """
-    gb = _as_gb(ideal, order)
+    gb = _as_gb(ideal)
     # A pure power has one variable in its support; the constant 1 has none.
     supports = (tuple(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials())
     powers = {s for s in supports if len(s) < 2}

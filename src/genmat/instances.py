@@ -45,7 +45,7 @@ from .algebra import (
     is_noether_normalization,
 )
 from .matroid import GenericMatroidInstance, MatroidHandle
-from .polyring import Polynomial, PrimeField, random_linear_combination
+from .polyring import Polynomial, PrimeField, linear_combination, random_linear_combination
 
 _SAMPLE_RETRIES = 64
 
@@ -84,7 +84,6 @@ def finite_matroid(
     ground: Iterable,
     bases: Iterable,
     handles: Mapping[str, Iterable] | None = None,
-    name: str = "finite-matroid",
 ) -> GenericMatroidInstance:
     """Explicit basis family over hashable labels.
 
@@ -112,7 +111,7 @@ def finite_matroid(
     specs = dict(handles) if handles else {"ground": ground}
     built = {hname: _finite_handle(hname, subset, family) for hname, subset in specs.items()}
     return GenericMatroidInstance(
-        name,
+        "finite-matroid",
         sizes.pop(),
         oracle,
         built,
@@ -143,7 +142,6 @@ def vector_matroid(
     p: int,
     vectors: Iterable[Sequence[int]],
     handles: Mapping[str, Iterable] | None = None,
-    name: str = "vector-matroid",
 ) -> GenericMatroidInstance:
     """Finite list of F_p columns; bases are maximal independent subsets."""
     PrimeField(p)
@@ -168,7 +166,7 @@ def vector_matroid(
     specs = dict(handles) if handles else {"ground": vecs}
     built = {hname: _vector_handle(hname, subset, p, r) for hname, subset in specs.items()}
     return GenericMatroidInstance(
-        name,
+        "vector-matroid",
         r,
         oracle,
         built,
@@ -225,10 +223,7 @@ def _graded_handle(pres, name, blocks, targets, variant, column) -> MatroidHandl
             return col if variant else col[0]
         for _ in range(_SAMPLE_RETRIES):
             coeffs = [pres.ring.field.sample(rng) for _ in blocks[0]]
-            col = tuple(
-                sum((g * c for c, g in zip(coeffs, block)), pres.ring.zero())
-                for block in blocks
-            )
+            col = tuple(linear_combination(coeffs, block) for block in blocks)
             if not any(f.is_zero for f in col):
                 return col
         raise RuntimeError(f"handle {name!r} kept drawing degenerate columns")
@@ -244,8 +239,7 @@ def _graded_instance(
     specs: Mapping,
     variant: str | None,
     traps,
-    name: str,
-    oracle_name: str,
+    kind: str,
     ideals: tuple = (),
 ) -> GenericMatroidInstance:
     """The one builder behind nn, minred and complete-reduction instances.
@@ -257,7 +251,8 @@ def _graded_instance(
     piece and, when ``ideals`` are given, in the block's ideal.  The
     oracle checks the candidate count and every entry, then passes the
     n x rank matrix of entries to ``verdict``; only the containment
-    tests' OutsideIdealError reads as a rejection.
+    tests' OutsideIdealError reads as a rejection.  ``kind`` names both
+    the instance and its oracle.
     """
     bare = variant is None
     n = len(targets)
@@ -297,14 +292,13 @@ def _graded_instance(
                     outside = "the ideal" if bare else f"ideal {i}"
                     raise ValueError(f"{what} lies outside {outside}")
         built[hname] = _graded_handle(pres, hname, blocks, targets, variant, column)
-    return GenericMatroidInstance(name, rank, oracle, built, traps, oracle_name=oracle_name)
+    return GenericMatroidInstance(kind, rank, oracle, built, traps, oracle_name=kind)
 
 
 def nn_instance(
     algebra: GradedAlgebraPresentation,
     handles: Mapping[str, Sequence[Polynomial]] | None = None,
     traps: Mapping[str, Polynomial] | None = None,
-    name: str = "noether-normalization",
 ) -> GenericMatroidInstance:
     """Degree-one parameter systems of a standard graded algebra.
 
@@ -322,7 +316,6 @@ def nn_instance(
         dict(handles) if handles else {"ambient": algebra.ring.gens()},
         None,
         traps,
-        name,
         "noether-normalization",
     )
 
@@ -332,7 +325,6 @@ def minred_instance(
     n_max: int = DEFAULT_POWER_BOUND,
     handles: Mapping[str, Sequence[Polynomial]] | None = None,
     traps: Mapping[str, Polynomial] | None = None,
-    name: str = "minimal-reduction",
 ) -> GenericMatroidInstance:
     """Minimal reductions of an equigenerated ideal.
 
@@ -352,7 +344,6 @@ def minred_instance(
         dict(handles) if handles else {"generators": ideal.generators},
         None,
         traps,
-        name,
         "minimal-reduction",
         ideals=(ideal,),
     )
@@ -366,7 +357,6 @@ def complete_reduction_instance(
     variant: str = "vector",
     handles: Mapping[str, Sequence] | None = None,
     traps: Mapping[str, tuple] | None = None,
-    name: str | None = None,
 ) -> GenericMatroidInstance:
     """Complete reductions of a multigraded algebra or an ideal tuple.
 
@@ -401,7 +391,6 @@ def complete_reduction_instance(
             handles,
             variant,
             traps,
-            name or "complete-reduction-ring",
             "complete-reduction-ring",
         )
     ideals = tuple(source)
@@ -425,7 +414,6 @@ def complete_reduction_instance(
         handles if handles is not None else {"generators": tuple(I.generators for I in ideals)},
         variant,
         traps,
-        name or "complete-reduction-ideals",
         "complete-reduction-ideals",
         ideals=ideals,
     )

@@ -90,10 +90,6 @@ class PrimeField:
         return rng.randrange(self.p)
 
 
-def mon_one(nvars: int) -> Monomial:
-    return (0,) * nvars
-
-
 def mon_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
@@ -198,7 +194,7 @@ class PolyRing:
         c %= self.field.p
         if c == 0:
             return Polynomial._raw(self, {})
-        return Polynomial._raw(self, {mon_one(self.nvars): c})
+        return Polynomial._raw(self, {(0,) * self.nvars: c})
 
     def var(self, name: str) -> "Polynomial":
         i = self.index(name)
@@ -356,17 +352,6 @@ class Polynomial:
             e >>= 1
         return result
 
-    def scale_monomial(self, mon: Monomial, coeff: int) -> "Polynomial":
-        """self * coeff * x^mon, the inner step of division loops."""
-        p = self.ring.field.p
-        coeff %= p
-        if coeff == 0:
-            return self.ring.zero()
-        out = {}
-        for m, c in self.terms.items():
-            out[tuple(a + b for a, b in zip(m, mon))] = c * coeff % p
-        return Polynomial._raw(self.ring, out)
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.terms == self.ring.const(other).terms
@@ -420,6 +405,25 @@ def common_degree(f: Polynomial, degs) -> MultiDegree | None:
     return common
 
 
+def linear_combination(coeffs, basis) -> Polynomial:
+    """The sum of c * b over paired ``coeffs`` and ``basis``, built in
+    one pass; ``basis`` is a nonempty sequence over one ring."""
+    if not basis:
+        raise ValueError("empty basis")
+    ring = basis[0].ring
+    p, out = ring.field.p, {}
+    for c, b in zip(coeffs, basis):
+        if b.ring != ring:
+            raise RingMismatchError("basis spans several rings")
+        for m, a in b.terms.items():
+            s = (out.get(m, 0) + a * c) % p
+            if s:
+                out[m] = s
+            elif m in out:
+                del out[m]
+    return Polynomial._raw(ring, out)
+
+
 def random_linear_combination(basis, rng: random.Random):
     """Uniform F_p-combination of ``basis``; returns (poly, coefficients).
 
@@ -429,15 +433,8 @@ def random_linear_combination(basis, rng: random.Random):
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
-    ring = basis[0].ring
-    for b in basis:
-        if b.ring != ring:
-            raise RingMismatchError("basis spans several rings")
-    coeffs = tuple(ring.field.sample(rng) for _ in basis)
-    out = ring.zero()
-    for c, b in zip(coeffs, basis):
-        out = out + b.scale_monomial(mon_one(ring.nvars), c)
-    return out, coeffs
+    coeffs = tuple(basis[0].ring.field.sample(rng) for _ in basis)
+    return linear_combination(coeffs, basis), coeffs
 
 
 def reindex(f: Polynomial, target: PolyRing, source) -> Polynomial:

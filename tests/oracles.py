@@ -2,14 +2,17 @@
 
 Everything here recomputes results along a different route than the
 library takes: schoolbook multiplication, monic scaling, S-polynomials
-and substitution on plain polynomial arithmetic, criteria-free pair
+and substitution on plain polynomial arithmetic, textbook division
+(``divide``: leading terms cancelled one at a time on tuple monomials,
+sharing no code with the Groebner engine), criteria-free pair
 completion, combinatorial membership for monomial ideals, brute-force
-staircase dimension, ideal membership and equality by division against
-a criteria-free basis, Buchberger's S-pair criterion, the least
-reduction power by a power loop over that membership, coordinates in
-a graded piece by one normal form read against the standard
-monomials, and monomial comparison by the textbook definitions.  Expected values frozen into
-the tests were produced by these.
+staircase dimension, ideal membership and equality by that division
+against a criteria-free basis, Buchberger's S-pair criterion, the
+least reduction power by a power loop over that membership,
+coordinates in a graded piece by one division read against the
+standard monomials, and monomial comparison by the textbook
+definitions.  Expected values frozen into the tests were produced by
+these.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import reduce
 
 from genmat import linalg
 from genmat.algebra import fiber_algebra
-from genmat.groebner import GroebnerBasis, normal_form
+from genmat.groebner import GroebnerBasis
 from genmat.polyring import GREVLEX, Polynomial, RingMismatchError, mon_divides
 
 
@@ -86,6 +89,33 @@ def monic(f: Polynomial, order=GREVLEX) -> Polynomial:
     return Polynomial(f.ring, {m: a * inv for m, a in f.terms.items()})
 
 
+def divide(f: Polynomial, divisors, order=GREVLEX) -> Polynomial:
+    """Remainder of f under full division by ``divisors`` in ``order``.
+
+    The textbook loop (Cox, Little and O'Shea, section 2.3) on tuple
+    monomials: the leading term of what is left is cancelled by the
+    first divisor whose leading monomial divides it, or else moves to
+    the remainder.  Against a Groebner basis the remainder does not
+    depend on the order of the divisors.
+    """
+    if any(g.ring != f.ring for g in divisors):
+        raise RingMismatchError("division by a polynomial of another ring")
+    ring, p = f.ring, f.ring.field.p
+    leads = [(g.leading_term(order), g) for g in divisors if not g.is_zero]
+    remainder: dict = {}
+    while not f.is_zero:
+        mon, c = f.leading_term(order)
+        for (lm, lc), g in leads:
+            if mon_divides(lm, mon):
+                q = [a - b for a, b in zip(mon, lm)]
+                f = f - naive_mul(ring.monomial(q, c * pow(lc, p - 2, p)), g)
+                break
+        else:
+            remainder[mon] = c
+            f = f - ring.monomial(mon, c)
+    return Polynomial(ring, remainder)
+
+
 def naive_buchberger(ring, gens, order, max_degree=None):
     """Criteria-free pair completion with its own reduction bookkeeping.
 
@@ -103,7 +133,7 @@ def naive_buchberger(ring, gens, order, max_degree=None):
             lcm = map(max, basis[i].leading_monomial(order), basis[j].leading_monomial(order))
             if sum(lcm) > max_degree:
                 continue
-        r = normal_form(spolynomial(basis[i], basis[j], order), basis, order)
+        r = divide(spolynomial(basis[i], basis[j], order), basis, order)
         if r.is_zero:
             continue
         r = monic(r, order)
@@ -129,7 +159,7 @@ def naive_buchberger(ring, gens, order, max_degree=None):
         stable = True
         for i in range(len(minimal)):
             rest = minimal[:i] + minimal[i + 1 :]
-            r = monic(normal_form(minimal[i], rest, order), order)
+            r = monic(divide(minimal[i], rest, order), order)
             if r.terms != minimal[i].terms:
                 minimal[i] = r
                 stable = False
@@ -146,7 +176,7 @@ def naive_membership(ring, relations, gens, degree):
     """
     ideal = tuple(relations) + tuple(gens)
     basis = list(naive_buchberger(ring, ideal, GREVLEX, max_degree=degree))
-    return lambda f: normal_form(f, basis, GREVLEX).is_zero
+    return lambda f: divide(f, basis).is_zero
 
 
 def _generators(ideal):
@@ -156,7 +186,7 @@ def _generators(ideal):
 def ideal_membership(f: Polynomial, ideal) -> bool:
     """Is f in the ideal (an IdealSpec or a GroebnerBasis's span)?"""
     basis = list(naive_buchberger(ideal.ring, _generators(ideal), GREVLEX))
-    return normal_form(f, basis, GREVLEX).is_zero
+    return divide(f, basis).is_zero
 
 
 def ideal_equal(a, b) -> bool:
@@ -170,7 +200,7 @@ def ideal_equal(a, b) -> bool:
 def verify_groebner(gb: GroebnerBasis) -> bool:
     """Buchberger's criterion: every S-polynomial reduces to zero."""
     return all(
-        normal_form(spolynomial(f, g, gb.order), gb).is_zero
+        divide(spolynomial(f, g, gb.order), gb.basis, gb.order).is_zero
         for f, g in itertools.combinations(gb.basis, 2)
     )
 
@@ -224,12 +254,13 @@ def fiber_image(I, f: Polynomial) -> Polynomial:
 
 def reference_coordinates(pres, f: Polynomial, target) -> tuple[int, ...]:
     """f's coordinate vector in the ``target`` piece along the direct
-    route: one normal form of the whole of f, each remainder monomial
-    then looked up among the piece's standard monomials; ValueError when
-    one is not there."""
+    route: one division of the whole of f by the presentation's basis,
+    each remainder monomial then looked up among the piece's standard
+    monomials; ValueError when one is not there."""
     index = {next(iter(m.terms)): i for i, m in enumerate(pres.standard_monomials(target))}
     coords = [0] * len(index)
-    for mon, c in normal_form(f, pres.groebner()).terms.items():
+    gb = pres.groebner()
+    for mon, c in divide(f, gb.basis, gb.order).terms.items():
         if mon not in index:
             raise ValueError(f"{f} does not lie in the degree-{tuple(target)} piece")
         coords[index[mon]] = c

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from genmat import algebra
+from genmat import algebra, linalg
 from genmat.algebra import (
     DEFAULT_POWER_BOUND,
     EquigeneratedIdeal,
@@ -31,7 +31,12 @@ from genmat.algebra import (
     standard_graded_algebra,
 )
 from genmat.groebner import IdealSpec, buchberger, hilbert_numerator
-from genmat.polyring import RingMismatchError, polynomial_ring, random_linear_combination
+from genmat.polyring import (
+    RingMismatchError,
+    linear_combination,
+    polynomial_ring,
+    random_linear_combination,
+)
 
 from oracles import (
     brute_dimension,
@@ -517,6 +522,54 @@ def test_minimal_reduction_counts_and_independence():
     assert not is_minimal_reduction(equigenerated_ideal(P, (px**2, 3 * px**2)), sq)
 
 
+def _minimal_with_rank_check(J, I):
+    """The definition that also asked J's coordinate rows to be linearly
+    independent before the reduction verdict."""
+    if len(J.generators) != analytic_spread(I):
+        return False
+    rows = [J.algebra.coordinates(g, (J.degree,)) for g in J.generators]
+    return linalg.independent(rows, J.algebra.ring.field.p) and is_reduction(J, I).is_yes
+
+
+@pytest.mark.parametrize("p", (5, 7, 101))
+def test_minimality_needs_no_rank_check(p):
+    # A reduction on analytic-spread-many generators is minimally
+    # generated, so dropping the rank check changes no verdict on
+    # candidates inside I.  A third of them are dependent, and a third
+    # are drawn from the span of only the first generators, which is
+    # often too small to reduce I.
+    rng = random.Random(f"minimal/{p}")
+    R = polynomial_ring(p, "x y z w")
+    x, y, z, w = R.gens()
+    S = standard_graded_algebra(R, (x * y - z * w,))
+    P = standard_graded_algebra(polynomial_ring(p, "a b c"))
+    ideals = (
+        equigenerated_ideal(S, (x, y, z, w)),
+        equigenerated_ideal(S, (x * z, y * w, x * x)),
+        ideal_power(equigenerated_ideal(P, P.ring.gens()), 2),
+    )
+    seen = set()
+    for I in ideals:
+        gens, spread = I.generators, analytic_spread(I)
+        for trial in range(30):
+            pool = gens[:spread] if trial % 3 == 1 else gens
+            combos = []
+            while len(combos) < spread:
+                if trial % 3 == 0 and len(combos) == spread - 1 and spread > 1:
+                    f = linear_combination([rng.randrange(p) for _ in combos], combos)
+                else:
+                    f = random_linear_combination(pool, rng)[0]
+                if not f.is_zero:
+                    combos.append(f)
+            J = equigenerated_ideal(I.algebra, combos)
+            rows = [J.algebra.coordinates(g, (J.degree,)) for g in combos]
+            independent = linalg.independent(rows, p)
+            verdict = is_minimal_reduction(J, I)
+            assert verdict == _minimal_with_rank_check(J, I)
+            seen.add((independent, verdict))
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
 def test_minimal_reduction_agrees_with_fiber_hsop():
     # Minimal reductions of m correspond to parameter systems of the
     # fiber algebra through the generator images.
@@ -719,7 +772,7 @@ def test_verdicts_stable_under_generator_permutation_and_scaling():
     for _ in range(5):
         shuffled = list(base)
         rng.shuffle(shuffled)
-        scaled = [g.scale_monomial((0, 0, 0, 0), rng.randrange(1, 32003)) for g in shuffled]
+        scaled = [g * rng.randrange(1, 32003) for g in shuffled]
         J = equigenerated_ideal(S, tuple(scaled))
         assert is_minimal_reduction(J, m)
         assert is_hsop(S, tuple(scaled))

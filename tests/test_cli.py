@@ -125,6 +125,18 @@ def test_check_wrong_count_exit_codes(monkeypatch, capsys):
     assert "needs 3 elements, got 2" in capsys.readouterr().err
 
 
+def test_check_dependent_candidate_outside_the_ideal_is_refused(monkeypatch, capsys):
+    # (x, y) has analytic spread 2, so (z, 2*z) has the right count; it
+    # is dependent, but z lies outside (x, y), and a generator outside
+    # the ideal is refused whatever else is wrong with the candidate.
+    doc = quadric_doc()
+    doc["check"]["ideal"] = ["x", "y"]
+    doc["check"]["candidate"] = ["z", "2*z"]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert main(["check", "minimal-reduction", "--json"]) == 3
+    assert "(z) does not lie in the ideal" in capsys.readouterr().err
+
+
 def test_check_inconclusive_exit(monkeypatch, capsys):
     # (x^4, y^4) reduces (x^4, x^3*y, x*y^3, y^4) only at power 2.
     doc = {

@@ -33,6 +33,7 @@ from genmat.polyring import (
 
 from oracles import (
     brute_dimension,
+    divide,
     ideal_equal,
     ideal_membership,
     monomial_ideal_members,
@@ -311,7 +312,7 @@ def test_reduced_basis_is_canonical():
     for _ in range(5):
         shuffled = list(gens)
         rng.shuffle(shuffled)
-        scaled = tuple(g.scale_monomial((0, 0, 0, 0), rng.randrange(1, 32003)) for g in shuffled)
+        scaled = tuple(g * rng.randrange(1, 32003) for g in shuffled)
         assert buchberger(IdealSpec(R, scaled)).basis == base
 
 
@@ -347,10 +348,44 @@ def test_normal_form_rejects_another_ring():
     a = S.var("a")
     with pytest.raises(RingMismatchError):
         normal_form(x, buchberger(IdealSpec(S, (a,))))
-    with pytest.raises(RingMismatchError):
-        normal_form(x, [a])
     # A ring built apart but equal is the same ring.
-    assert normal_form(x, [polynomial_ring(101, "x y").var("x")]).is_zero
+    T = polynomial_ring(101, "x y")
+    assert normal_form(x, buchberger(IdealSpec(T, (T.var("x"),)))).is_zero
+
+
+def test_normal_form_divides_only_by_a_groebner_basis():
+    R = polynomial_ring(101, "x y")
+    x, y = R.gens()
+    for divisors in ([x], (x, y), IdealSpec(R, (x,))):
+        with pytest.raises(TypeError, match="GroebnerBasis"):
+            normal_form(y, divisors)
+
+
+@pytest.mark.parametrize("p", (5, 101, 32003))
+def test_normal_form_matches_textbook_division(p):
+    # The engine's packed heap division against the oracle's loop on
+    # tuple monomials, which shares none of its code: modulo a Groebner
+    # basis the remainder is unique, so the two agree term for term.
+    # 60 bases and 180 (f, basis) pairs per prime, a third per order.
+    # Generators without a constant term keep the ideal proper.
+    rng = random.Random(f"division/{p}")
+    nonzero = 0
+    for trial in range(60):
+        nvars = rng.randrange(2, 4)
+        R = polynomial_ring(p, [f"x{i}" for i in range(nvars)])
+        order = (GREVLEX, LEX, elimination_order(rng.randrange(1, nvars)))[trial % 3]
+        gens = tuple(
+            random_homogeneous(R, rng, rng.randrange(2, 4), terms=2)
+            + random_homogeneous(R, rng, 1, terms=1)
+            for _ in range(rng.randrange(2, 4))
+        )
+        gb = buchberger(IdealSpec(R, gens), order)
+        for _ in range(3):
+            f = random_poly(R, rng, max_degree=5, terms=6)
+            remainder = normal_form(f, gb)
+            assert remainder == divide(f, gb.basis, order)
+            nonzero += not remainder.is_zero
+    assert nonzero > 120
 
 
 def test_normal_form_properties():
@@ -593,8 +628,8 @@ def test_dimension_order_invariance():
         R = polynomial_ring(101, [f"x{i}" for i in range(nvars)])
         gens = tuple(random_poly(R, rng, max_degree=2, terms=2) for _ in range(2))
         I = IdealSpec(R, gens)
-        d_grevlex = krull_dimension(I, GREVLEX)
-        d_lex = krull_dimension(I, LEX)
+        d_grevlex = krull_dimension(I)
+        d_lex = krull_dimension(buchberger(I, LEX))
         assert d_grevlex == d_lex
         gb = buchberger(I, GREVLEX)
         assert d_grevlex == brute_dimension(gb.leading_monomials(), nvars)

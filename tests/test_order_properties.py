@@ -11,7 +11,7 @@ with the tuple definitions.
 
 import pytest
 
-from genmat.groebner import _lcm, _Packing, normal_form
+from genmat.groebner import IdealSpec, _lcm, _Packing, buchberger, normal_form
 from genmat.polyring import GREVLEX, LEX, elimination_order, mon_divides, polynomial_ring
 
 from oracles import textbook_compare
@@ -85,7 +85,7 @@ def test_packed_monomials_agree_with_tuples(drawn):
     # Division's guard-bit test, the lcm and coprimality against the
     # tuple definitions: a monomial reduces to 0 by another iff divisible.
     for m in (_times(a, c), b, c):
-        remainder = normal_form(R.monomial(m), [R.monomial(a)], order)
+        remainder = normal_form(R.monomial(m), buchberger(IdealSpec(R, (R.monomial(a),)), order))
         assert remainder.is_zero == mon_divides(a, m)
     lcm = _lcm(fields(a), fields(b), guard)
     assert lcm == fields(tuple(map(max, a, b)))

@@ -15,6 +15,7 @@ from genmat.polyring import (
     elimination_order,
     multidegree,
     parse_polynomial,
+    linear_combination,
     poly_to_str,
     polynomial_ring,
     random_linear_combination,
@@ -248,8 +249,27 @@ def test_random_linear_combination_deterministic():
     assert f1 == f2 and c1 == c2
     assert f1 != f3
     assert len(c1) == 3
+    assert f1 == sum((b * c for c, b in zip(c1, basis)), R.zero())
     # Combination of degree-one elements stays degree one.
     assert multidegree(f1, [(1,)] * 4) == (1,)
+
+
+def test_linear_combination_matches_repeated_sums():
+    R = polynomial_ring(101, "x y z")
+    x, y, z = R.gens()
+    # Terms that cancel leave no zero coefficient behind.
+    assert linear_combination((1, -1, 0), (x + y, x, z)).terms == y.terms
+    assert linear_combination((3, 98), (x, x)).is_zero
+    rng = random.Random(31)
+    for _ in range(50):
+        basis = [random_poly(R, rng) for _ in range(rng.randrange(1, 5))]
+        coeffs = [rng.randrange(-101, 202) for _ in basis]
+        expected = sum((b * c for c, b in zip(coeffs, basis)), R.zero())
+        assert linear_combination(coeffs, basis) == expected
+    with pytest.raises(ValueError, match="empty basis"):
+        linear_combination((), ())
+    with pytest.raises(RingMismatchError, match="several rings"):
+        linear_combination((1, 1), (x, polynomial_ring(101, "x y").var("x")))
 
 
 def test_random_linear_combination_validation():

@@ -1,9 +1,11 @@
-"""Source-level guards on genmat's error handling."""
+"""Source-level guards on genmat's error handling and on the
+independence of the test oracles."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "genmat"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 # Catching any of these turns a library bug into an answer.
 BLANKET = {"TypeError", "AttributeError", "IndexError", "Exception", "BaseException"}
@@ -38,4 +40,28 @@ def test_no_except_clause_catches_bug_errors():
                 caught = _names(node.type, aliases) & BLANKET
                 if caught:
                     offenders.append(f"{path.name}:{node.lineno} catches {sorted(caught)}")
+    assert not offenders, offenders
+
+
+def test_oracles_take_nothing_from_the_groebner_engine_but_its_basis_type():
+    # The oracles check the engine's division, bases and normal forms,
+    # so they may read a GroebnerBasis but must not call into the engine.
+    engine = ast.parse((SRC / "groebner.py").read_text())
+    defined = {
+        node.name
+        for node in engine.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    offenders = []
+    for node in ast.walk(ast.parse(ORACLES.read_text())):
+        if isinstance(node, ast.Import):
+            offenders += [a.name for a in node.names if a.name.startswith("genmat.groebner")]
+        elif isinstance(node, ast.ImportFrom) and node.module == "genmat.groebner":
+            offenders += [a.name for a in node.names if a.name != "GroebnerBasis"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "genmat":
+            offenders += [
+                a.name
+                for a in node.names
+                if a.name == "groebner" or a.name in defined - {"GroebnerBasis"}
+            ]
     assert not offenders, offenders
