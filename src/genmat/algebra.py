@@ -152,7 +152,10 @@ class GradedAlgebraPresentation:
         """Reduced basis of relations + extra, recomputed on every call.
 
         Buchberger queues generators by degree, so linear forms in
-        ``extra`` join first and reduce each relation as it arrives.
+        ``extra`` join first and reduce each relation as it arrives.  The
+        basis is tail-reduced only when its elements are read: a caller
+        that wants its Hilbert series or top degree reads leading
+        monomials alone.
         """
         return buchberger(
             IdealSpec(self.ring, self.relations.generators + tuple(extra)), GREVLEX
@@ -560,8 +563,10 @@ def _outside(idx: int, f: Polynomial) -> OutsideIdealError:
 
 
 def _module_finite(pres: GradedAlgebraPresentation, forms) -> bool:
-    """Graded Nakayama: is ``pres`` module-finite over F_p[forms]?"""
-    return is_zero_dimensional(pres.quotient_groebner(forms))
+    """Graded Nakayama: is ``pres`` module-finite over F_p[forms]?
+
+    Asked of the ideal itself, so Buchberger stops at the answer."""
+    return is_zero_dimensional(IdealSpec(pres.ring, pres.relations.generators + tuple(forms)))
 
 
 def analytic_spread(I: EquigeneratedIdeal) -> int:

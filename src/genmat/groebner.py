@@ -17,6 +17,15 @@ reduced basis (monic, no term of any element divisible by another
 leading monomial), which is unique per ideal and order, so results are
 canonical.
 
+The engine does only the work its caller reads.  The loop is one
+generator that yields each element as it joins: ``buchberger`` reads it
+to the end, and ``is_zero_dimensional`` stops reading once the leading
+monomials joined so far hold 1 or a pure power of every variable, which
+already decides the question.  A ``GroebnerBasis`` holds the minimal
+basis and tail-reduces it the first time its elements are read; the
+Hilbert numerator, dimension and top degree read leading monomials
+only, which the minimal basis already has.
+
 Inside the engine a monomial is one int (Monagan and Pearce 2007,
 packed exponent vectors) and its order key is linear in it (see
 ``_Packing``).  Every basis element carries a divisor record, built
@@ -30,8 +39,9 @@ where polynomials enter and leave the engine.
 Everything downstream is a consequence of normal forms: elimination
 through a block order, kernels of algebra maps via T_i - f_i, and the
 Hilbert numerator of the leading monomials, which gives the Krull
-dimension and top degree.  Elimination and kernels return the reduced
-basis they computed, so callers never run Buchberger on it again.
+dimension and top degree.  Elimination and kernels keep the minimal
+elements free of the eliminated block and tail-reduce only those, so
+callers never run Buchberger on the result again.
 """
 
 from __future__ import annotations
@@ -181,26 +191,45 @@ def _divisor(terms: dict, pk: _Packing) -> _Divisor:
     return _Divisor(lead, lead & pk.full, tuple(items))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroebnerBasis:
     """A reduced Groebner basis together with its ring and order.
 
-    It is made from ``divisors``, one record per element in basis
-    order, handed over by the computation that built them, and the
-    ``packing`` they are written in; ``basis`` converts on first use.
+    It is made from ``minimal``, the records of a minimal basis, largest
+    leading monomial first, handed over by the computation that built
+    them, and the ``packing`` they are written in.  Tail reduction keeps
+    every leading monomial, so ``leading_monomials`` reads the minimal
+    records as they are; ``divisors``, the reduced basis's records, are
+    tail-reduced from them on first use, and ``basis`` converts those.
+    Equality and hashing compare the reduced basis.
     """
 
     ring: PolyRing
     order: MonomialOrder
-    divisors: tuple[_Divisor, ...] = field(repr=False)
-    packing: _Packing = field(repr=False, compare=False)
+    minimal: tuple[_Divisor, ...] = field(repr=False)
+    packing: _Packing = field(repr=False)
+
+    @cached_property
+    def divisors(self) -> tuple[_Divisor, ...]:
+        return _interreduce(self.minimal, self.packing)
 
     @cached_property
     def basis(self) -> tuple[Polynomial, ...]:
         return tuple(self.packing.polynomial(dict(((d.lead, 1),) + d.tail)) for d in self.divisors)
 
     def leading_monomials(self) -> tuple:
-        return tuple(self.packing.monomial(d.lead) for d in self.divisors)
+        return tuple(self.packing.monomial(d.lead) for d in self.minimal)
+
+    def _reduced(self) -> tuple:
+        return self.ring, self.order, self.divisors
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroebnerBasis):
+            return NotImplemented
+        return self is other or self._reduced() == other._reduced()
+
+    def __hash__(self) -> int:
+        return hash(self._reduced())
 
 
 def _spair(a: _Divisor, b: _Divisor, lcm: int, pk: _Packing) -> dict:
@@ -274,16 +303,16 @@ def normal_form(f, basis, *, packing: _Packing | None = None) -> Polynomial:
     return remainder if work is f else packing.polynomial(remainder)
 
 
-def _interreduce(minimal: list[_Divisor], pk: _Packing) -> tuple[_Divisor, ...]:
+def _interreduce(minimal: tuple[_Divisor, ...], pk: _Packing) -> tuple[_Divisor, ...]:
     # Tail-reduce each element of a minimal basis against the others.
     # Reduction keeps every leading monomial (none divides another), and
     # "no term divisible by another leading monomial" depends on those
-    # alone, so one pass is final.
-    for i, d in enumerate(minimal):
+    # alone, so one pass is final, and the order stays.
+    work = list(minimal)
+    for i, d in enumerate(work):
         f = dict(((d.lead, 1),) + d.tail)
-        minimal[i] = _divisor(normal_form(f, minimal[:i] + minimal[i + 1 :], packing=pk), pk)
-    minimal.sort()  # ascending leading keys: largest leading monomial first
-    return tuple(minimal)
+        work[i] = _divisor(normal_form(f, work[:i] + work[i + 1 :], packing=pk), pk)
+    return tuple(work)
 
 
 def _update(
@@ -338,21 +367,18 @@ def _update(
     return active
 
 
-def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX, weights=None) -> GroebnerBasis:
-    """Reduced Groebner basis of ``ideal`` under ``order``.
+def _completion(ideal: IdealSpec, pk: _Packing):
+    """Buchberger's loop on ``ideal``: yields each element's record as it
+    joins, and returns the minimal basis, largest leading monomial
+    first, when the queue runs dry.
 
-    Generators and pairs wait in one queue by the degree, under the
-    variables' ``weights`` (default 1), of a generator's leading
-    monomial or a pair's lcm; within a degree the generators come
-    first, largest leading monomial first.  Each popped one is reduced
-    by the elements built so far, and a nonzero remainder joins through
-    the Gebauer-Moeller update.  The final active set is the minimal
-    basis; one tail reduction of it is the reduced basis.  Weights
-    change the work, never the result.  An exponent of 2^15 or more
-    raises ValueError, in the input before any pair, or when a product
-    reaches it.
+    Generators and pairs wait in one queue by the weighted degree of a
+    generator's leading monomial or a pair's lcm; within a degree the
+    generators come first, largest leading monomial first.  Each popped
+    one is reduced by the elements built so far, and a nonzero remainder
+    joins through the Gebauer-Moeller update.  The final active set is
+    the minimal basis.
     """
-    pk = _Packing(ideal.ring, order, weights)
     # The deduplicated monic generators, largest leading monomial first.
     queued: dict = {}
     for g in ideal.generators:
@@ -379,9 +405,27 @@ def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX, weights=None) -
             continue
         divisors.append(_divisor(r, pk))
         active = _update(divisors, active, live, heap, len(divisors) - 1, pk)
+        yield divisors[-1]
+    return tuple(sorted(divisors[k] for k in active))  # ascending leading keys
 
-    minimal = [divisors[k] for k in active]
-    return GroebnerBasis(ideal.ring, order, _interreduce(minimal, pk), pk)
+
+def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX, weights=None) -> GroebnerBasis:
+    """Reduced Groebner basis of ``ideal`` under ``order``.
+
+    Runs ``_completion`` to its end, with selection degrees under the
+    variables' ``weights`` (default 1); the basis holds the minimal
+    basis it returns and tail-reduces it when first read.  Weights
+    change the work, never the result.  An exponent of 2^15 or more
+    raises ValueError, in the input before any pair, or when a product
+    reaches it.
+    """
+    pk = _Packing(ideal.ring, order, weights)
+    run = _completion(ideal, pk)
+    while True:
+        try:
+            next(run)
+        except StopIteration as done:
+            return GroebnerBasis(ideal.ring, order, done.value, pk)
 
 
 def _as_gb(ideal) -> GroebnerBasis:
@@ -393,12 +437,13 @@ def elimination_ideal(ideal: IdealSpec, keep, weights=None) -> GroebnerBasis:
 
     The result lives in the subring on the kept variables, in their
     original ring order.  The elimination order breaks ties by grevlex
-    on the kept block, so the kept-variable part of its reduced basis
-    already is the reduced grevlex basis of the intersection.  It ranks
-    every monomial with an eliminated variable above every one without,
-    so an element lies in the subring iff its leading monomial does,
-    and its divisor record is moved over, not rebuilt.  ``weights`` go
-    to Buchberger.
+    on the kept block, so the kept-variable part of its minimal basis
+    is a minimal grevlex basis of the intersection.  It ranks every
+    monomial with an eliminated variable above every one without, so an
+    element lies in the subring iff its leading monomial does.  Those
+    minimal records are moved over, not rebuilt, and only they are
+    tail-reduced, in the subring, when first read.  ``weights`` go to
+    Buchberger.
     """
     ring = ideal.ring
     keep_set = set(keep)
@@ -419,7 +464,7 @@ def elimination_ideal(ideal: IdealSpec, keep, weights=None) -> GroebnerBasis:
     gb = buchberger(IdealSpec(shuffled, moved), elimination_order(len(dropped)), weights)
     small = PolyRing(ring.field, tuple(kept))
     shift = _WIDTH * len(dropped)  # below it, the eliminated variables' fields
-    records = tuple(_drop_block(d, shift) for d in gb.divisors if not d.lm & (1 << shift) - 1)
+    records = tuple(_drop_block(d, shift) for d in gb.minimal if not d.lm & (1 << shift) - 1)
     return GroebnerBasis(small, GREVLEX, records, _Packing(small, GREVLEX))
 
 
@@ -545,10 +590,25 @@ def is_zero_dimensional(ideal) -> bool:
 
     A proper ideal has dimension 0 iff every variable occurs as a pure
     power among the leading terms; the unit ideal (dimension -1) returns
-    True, since the zero ring is vacuously finite-dimensional.
+    True, since the zero ring is vacuously finite-dimensional.  An
+    IdealSpec is decided while its grevlex basis is built: every element
+    joined so far lies in the ideal, so the answer is yes as soon as
+    their leading monomials hold 1 or a pure power of every variable
+    (the Finiteness Theorem, Cox, Little and O'Shea 5.3), and the loop
+    stops there.  Otherwise it runs to its end, and every leading
+    monomial of the basis has joined.
     """
-    gb = _as_gb(ideal)
-    # A pure power has one variable in its support; the constant 1 has none.
-    supports = (tuple(i for i, e in enumerate(lm) if e) for lm in gb.leading_monomials())
-    powers = {s for s in supports if len(s) < 2}
-    return () in powers or len(powers) == gb.ring.nvars
+    if isinstance(ideal, GroebnerBasis):
+        records = ideal.minimal
+    else:
+        records = _completion(ideal, _Packing(ideal.ring, GREVLEX))
+    powers = set()
+    for d in records:
+        if not d.lm:  # the constant 1
+            return True
+        v = (d.lm.bit_length() - 1) // _WIDTH  # the last variable of the support
+        if not d.lm & (1 << _WIDTH * v) - 1:  # ... and the only one
+            powers.add(v)
+            if len(powers) == ideal.ring.nvars:
+                return True
+    return False

@@ -11,10 +11,10 @@ Monomial orders are value objects exposing a sort key: ``lex``,
 ``grevlex``, and the block elimination order (grevlex on the first
 ``split`` variables, ties broken by grevlex on the rest).  The block
 order ranks any monomial touching the first block above every monomial
-free of it, which is the property elimination needs.  Each order also
-has a descending key, a flat int tuple, linear in the exponents, whose
-ascending order lists monomials largest first: the Groebner engine
-derives its integer monomial keys from it.
+free of it, which is the property elimination needs.  The key is
+descending, a flat int tuple, linear in the exponents, whose ascending
+order lists monomials largest first: the Groebner engine derives its
+integer monomial keys from it.
 
 Text form, used by the CLI and the tests: ``2*x^2*y - z*w + 5``.
 ASCII only, ``^`` for powers, ``*`` for products, integer
@@ -107,12 +107,12 @@ _ORDER_KINDS = ("lex", "grevlex", "elim")
 class MonomialOrder:
     """A multiplicative well-ordering on monomials, as a sort key.
 
-    ``key(m)`` is comparable and strictly monotone: larger monomial,
-    larger key, and key comparisons are preserved by multiplying both
-    sides by a common monomial.  1 is the minimum for every kind.
-    ``desc_key(m)`` is the same order reversed, a flat tuple of ints,
-    each linear in the exponents: ascending ``desc_key`` lists
-    monomials largest first, which is what a min-heap pops.
+    ``desc_key(m)`` is comparable and strictly antitone: larger
+    monomial, smaller key, and key comparisons are preserved by
+    multiplying both sides by a common monomial.  1 is the maximum key
+    for every kind.  It is a flat tuple of ints, each linear in the
+    exponents: ascending ``desc_key`` lists monomials largest first,
+    which is what a min-heap pops.
     """
 
     kind: str = "grevlex"
@@ -134,9 +134,6 @@ class MonomialOrder:
             return tuple(map(neg, m))
         s = self.split
         return _grevlex_desc(m[:s]) + _grevlex_desc(m[s:])
-
-    def key(self, m: Monomial) -> tuple[int, ...]:
-        return tuple(map(neg, self.desc_key(m)))
 
     def max(self, monomials):
         return min(monomials, key=self.desc_key)

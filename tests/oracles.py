@@ -347,6 +347,12 @@ def _grevlex_compare(a, b) -> int:
     return 0
 
 
+def order_key(order, m) -> tuple[int, ...]:
+    """Ascending sort key of monomial m in ``order``: larger monomial,
+    larger key.  The library's ``desc_key`` negated."""
+    return tuple(-d for d in order.desc_key(m))
+
+
 def textbook_compare(order, a, b) -> int:
     """-1, 0 or 1 as monomial a is below, equal to or above b in ``order``.
 

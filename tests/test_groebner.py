@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+from collections import Counter
+from functools import partial
 from math import comb
 
 import pytest
@@ -39,6 +41,7 @@ from oracles import (
     monomial_ideal_members,
     monomials_of_degree,
     naive_buchberger,
+    order_key,
     product_monomials,
     random_homogeneous,
     random_poly,
@@ -98,9 +101,9 @@ def _random_monomial(rng, nvars, degree):
 
 def _with_lead(R, rng, order, lead):
     """The monomial ``lead`` plus random terms of its degree below it."""
-    top = order.key(lead)
+    top = order_key(order, lead)
     tail = [_random_monomial(rng, R.nvars, sum(lead)) for _ in range(3)]
-    below = {m: rng.randrange(1, R.field.p) for m in tail if order.key(m) < top}
+    below = {m: rng.randrange(1, R.field.p) for m in tail if order_key(order, m) < top}
     return R.monomial(lead) + Polynomial(R, below)
 
 
@@ -139,17 +142,32 @@ def test_pair_update_edge_cases_match_naive_completion(p, kind):
         assert verify_groebner(gb)
 
 
-def test_pair_update_prunes_the_complete_reduction_ideal(monkeypatch):
-    # One complete-reduction verdict on the P^2 x P^2 diagonal: the
-    # 9 relations of the diagonal ring and 5 column products, 14
-    # generators in 9 variables.  Without the Gebauer-Moeller update
-    # (coprime pairs and the chain criterion checked at pop) Buchberger
-    # reduced 68 S-polynomials here, and 40 while every generator joined
-    # unreduced before the first pair; queued by degree, the linear
-    # column products reduce the relations before they join.
-    R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3")
-    S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
-    diagonal_subring(S)  # memoized: its kernel is not counted
+def _count_runs(monkeypatch):
+    """Record every run of the engine loop, whoever starts it: the
+    records it yielded, then None if it ran to its end."""
+    runs = []
+    completion = groebner._completion
+
+    def counted(*args):
+        joined = []
+        runs.append(joined)
+        loop = completion(*args)
+        while True:
+            try:
+                record = next(loop)
+            except StopIteration as done:
+                joined.append(None)
+                return done.value
+            joined.append(record)
+            yield record
+
+    monkeypatch.setattr(groebner, "_completion", counted)
+    return runs
+
+
+def _segre_columns(R, rows_x=None):
+    """Five seeded columns (w.x, w.y) on P^2 x P^2; ``rows_x`` replaces
+    the x-row."""
     rng = random.Random(2)
     weights = [[rng.randrange(1, 32003) for _ in range(3)] for _ in range(5)]
     xs, ys = R.gens()[:3], R.gens()[3:]
@@ -157,13 +175,59 @@ def test_pair_update_prunes_the_complete_reduction_ideal(monkeypatch):
         tuple(sum((c * v for c, v in zip(w, block)), R.zero()) for w in weights)
         for block in (xs, ys)
     )
-    runs, spairs = [], []
-    monkeypatch.setattr(algebra, "buchberger", lambda *a: runs.append(a) or buchberger(*a))
+    return rows if rows_x is None else (tuple(rows_x), rows[1])
+
+
+def test_pair_update_prunes_the_complete_reduction_ideal(monkeypatch):
+    # The ideal of one complete-reduction verdict on the P^2 x P^2
+    # diagonal: the 9 relations of the diagonal ring and 5 column
+    # products, 14 generators in 9 variables.  Without the
+    # Gebauer-Moeller update (coprime pairs and the chain criterion
+    # checked at pop) Buchberger reduced 68 S-polynomials for its full
+    # basis, and 40 while every generator joined unreduced before the
+    # first pair; queued by degree, the linear column products reduce
+    # the relations before they join, and 20 remain.  The verdict itself
+    # stops at the last pure power, after 4.
+    R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3")
+    S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
+    diag = diagonal_subring(S)  # memoized: its kernel is not counted
+    rows = _segre_columns(R)
+    forms = [diag.embed(x) for x in algebra._column_products(rows)]
+    runs, spairs = _count_runs(monkeypatch), []
     spair = groebner._spair
     monkeypatch.setattr(groebner, "_spair", lambda *a: spairs.append(a) or spair(*a))
-    assert is_complete_reduction_ring(S, rows)
-    assert len(runs) == 1 and len(runs[0][0].generators) == 14
+    gb = diag.presentation.quotient_groebner(forms)
+    assert len(runs) == 1 and runs[0][-1] is None
+    assert len(diag.presentation.relations.generators) + len(forms) == 14
     assert len(spairs) == 20
+    assert is_zero_dimensional(gb)
+    runs.clear()
+    spairs.clear()
+    assert is_complete_reduction_ring(S, rows)
+    assert len(runs) == 1 and runs[0][-1] is not None
+    assert len(spairs) == 4
+
+
+def test_module_finiteness_reads_a_no_to_the_end(monkeypatch):
+    # Every x-entry x1: the column products all vanish on x1 = 0, so
+    # the diagonal is not module-finite over them, and no pure power
+    # stops the loop; it reads every pair a full basis reads.
+    R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3")
+    S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
+    diag = diagonal_subring(S)
+    rows = _segre_columns(R, rows_x=[R.var("x1")] * 5)
+    forms = [diag.embed(x) for x in algebra._column_products(rows)]
+    runs, spairs = _count_runs(monkeypatch), []
+    spair = groebner._spair
+    monkeypatch.setattr(groebner, "_spair", lambda *a: spairs.append(a) or spair(*a))
+    assert not is_complete_reduction_ring(S, rows)
+    assert len(runs) == 1 and runs[0][-1] is None
+    verdict_spairs = len(spairs)
+    spairs.clear()
+    gb = diag.presentation.quotient_groebner(forms)
+    assert len(spairs) == verdict_spairs
+    assert len(runs[0]) - 1 == len(runs[1]) - 1 >= len(gb.leading_monomials())
+    assert not is_zero_dimensional(gb)
 
 
 def test_linear_forms_reduce_a_cubic_before_it_joins(monkeypatch):
@@ -489,30 +553,37 @@ def _count_records(monkeypatch):
 
 
 def test_each_divisor_record_built_once(monkeypatch):
-    """A record is built only for a fresh nonzero normal form (the
-    remainder of a generator or an S-polynomial, or a tail-reduced
-    element); the GroebnerBasis reuses them, and elimination moves the
-    kept ones over."""
+    """A record is built only for a fresh nonzero normal form: the
+    remainder of a generator or an S-polynomial while Buchberger runs,
+    and one tail-reduced element per basis element the first time the
+    basis is read.  Elimination moves the kept minimal records over and
+    tail-reduces only those."""
     R = polynomial_ring(101, "x y z w")
     x, y, z, w = R.gens()
     gens = (x * y - z * w, x**2 - y * z + w**2, x * z - 2 * y * w)
     built, made = _count_records(monkeypatch)
     gb = buchberger(IdealSpec(R, gens), GREVLEX)
-    assert len(made) > len(gb.basis) > len(gens)
-    assert len(built) == len(made)
+    joined = len(made)
+    assert len(built) == joined > len(gens)
+    assert len(gb.leading_monomials()) > len(gens) and len(made) == joined
+    basis = gb.basis
+    assert len(built) == len(made) == joined + len(basis)
 
     T = polynomial_ring(32003, "t x y")
     t, tx, ty = T.gens()
     built.clear()
     made.clear()
     out = elimination_ideal(IdealSpec(T, (tx - t**2, ty - t**3)), ["x", "y"])
-    assert len(built) == len(made)
+    joined = len(made)
+    assert len(built) == joined
+    records = out.divisors
+    assert len(built) == len(made) == joined + len(records) < 2 * joined
     pack = out.packing.pack
     fresh = tuple(
         groebner._divisor(dict(sorted(pack(g).items())), out.packing)
         for g in out.basis
     )
-    assert out.divisors == fresh
+    assert records == fresh
 
 
 def test_elimination_validation():
@@ -715,6 +786,124 @@ def test_zero_dimensionality():
     assert is_zero_dimensional(IdealSpec(Q, (rel, qx + qy, qz, qw)))
     assert not is_zero_dimensional(IdealSpec(Q, (rel, qx, qz, qw)))
     assert is_zero_dimensional(IdealSpec(Q, (rel, qx, qy, qz + qw)))
+
+
+def _zero_dimensional_inputs(R, rng):
+    """Generators for the stop test: homogeneous, non-homogeneous, or
+    pure powers of some variables hidden behind lower terms."""
+    n, shape = R.nvars, rng.randrange(3)
+    if shape == 0:
+        degrees = [rng.randrange(1, 4) for _ in range(rng.randrange(1, n + 2))]
+        return [random_homogeneous(R, rng, d, terms=3) for d in degrees]
+    if shape == 1:
+        count = rng.randrange(1, n + 2)
+        return [random_poly(R, rng, max_degree=3, terms=3) for _ in range(count)]
+    chosen = rng.sample(range(n), rng.randrange(1, n + 1))
+    powers = [R.gens()[v] ** rng.randrange(1, 4) for v in chosen]
+    extra = [random_poly(R, rng, max_degree=2, terms=2) for _ in range(rng.randrange(2))]
+    return [x + random_poly(R, rng, max_degree=1, terms=2) for x in powers] + extra
+
+
+@pytest.mark.parametrize("p", (5, 101, 32003))
+def test_zero_dimensionality_stops_at_the_answer(p, monkeypatch):
+    # An IdealSpec is decided while Buchberger runs, and the run stops
+    # once the leading monomials joined so far hold 1 or a pure power of
+    # every variable.  On 350 seeded ideals per prime, plus the zero and
+    # unit ideals, that verdict must equal the one read from the full
+    # basis and the one of the criteria-free oracle's staircase.
+    rng = random.Random(f"zero-dimensional/{p}")
+    runs = _count_runs(monkeypatch)
+    ideals = [IdealSpec(polynomial_ring(p, "x y"), ())]
+    ideals.append(IdealSpec(ideals[0].ring, (ideals[0].ring.const(3),)))
+    for _ in range(350):
+        R = polynomial_ring(p, [f"x{i}" for i in range(rng.randrange(1, 4))])
+        ideals.append(IdealSpec(R, tuple(_zero_dimensional_inputs(R, rng))))
+    outcomes = Counter()
+    for I in ideals:
+        runs.clear()
+        verdict = is_zero_dimensional(I)
+        assert verdict == is_zero_dimensional(buchberger(I))
+        lms = [g.leading_monomial(GREVLEX) for g in naive_buchberger(I.ring, I.generators, GREVLEX)]
+        assert verdict == (brute_dimension(lms, I.ring.nvars) <= 0)
+        (stop, full) = runs
+        assert full[-1] is None and (stop[-1] is None) == (not verdict)
+        assert stop == full[: len(stop)]  # the same loop, up to the stop
+        outcomes[verdict, len(stop) < len(full) - 1] += 1
+    # Yes verdicts that joined fewer elements than the full basis did,
+    # and ones that needed every element; no verdicts read everything.
+    assert outcomes[True, True] >= 30 and outcomes[True, False] >= 30
+    assert outcomes[False, False] >= 50 and not outcomes[False, True]
+
+
+def _lazy_inputs(p, count):
+    """Seeded (kind, compute, expected) triples: grevlex, lex and
+    elimination bases and kernels of maps, each with the criteria-free
+    oracle's reduced basis in the result's ring, largest leading
+    monomial first."""
+    rng = random.Random(f"lazy/{p}")
+    for trial in range(count):
+        kind = ("grevlex", "lex", "elimination", "kernel")[trial % 4]
+        nvars = {"elimination": 3, "kernel": 2}.get(kind) or rng.randrange(2, 4)
+        R = polynomial_ring(p, [f"x{i}" for i in range(nvars)])
+        if kind == "kernel":
+            targets = [random_homogeneous(R, rng, rng.randrange(1, 3), terms=2) for _ in range(4)]
+            names = ["T1", "T2", "T3", "T4"]
+            big = polynomial_ring(p, list(R.names) + names)
+            lift = [big.parse(str(f)) for f in targets]
+            gens = tuple(t - f for t, f in zip(big.gens()[nvars:], lift))
+            order, small, drop = elimination_order(nvars), polynomial_ring(p, names), nvars
+            compute = partial(kernel_of_map, targets)
+        else:
+            count = rng.randrange(2, 4) + (kind == "elimination")
+            if trial % 8 < 4:
+                degrees = [rng.randrange(1, 4) for _ in range(count)]
+                gens = [random_homogeneous(R, rng, d, terms=3) for d in degrees]
+            else:
+                gens = [random_poly(R, rng, max_degree=3, terms=3) for _ in range(count)]
+            I, big, small, drop = IdealSpec(R, tuple(gens)), R, R, 0
+            order = {"grevlex": GREVLEX, "lex": LEX}.get(kind, elimination_order(1))
+            compute = partial(buchberger, I, order)
+            if kind == "elimination":
+                drop, small = 1, polynomial_ring(p, R.names[1:])
+                compute = partial(elimination_ideal, I, R.names[1:])
+            gens = I.generators
+        kept = [
+            Polynomial(small, {m[drop:]: c for m, c in g.terms.items()})
+            for g in naive_buchberger(big, gens, order)
+            if not any(g.leading_monomial(order)[:drop])
+        ]
+        small_order = order if small is big else GREVLEX
+        kept.sort(key=lambda g: small_order.desc_key(g.leading_monomial(small_order)))
+        yield kind, compute, kept
+
+
+@pytest.mark.parametrize("p", (5, 101, 32003))
+def test_lazy_bases_equal_reduced_ones_term_for_term(p):
+    # A basis is tail-reduced the first time its elements are read.  Its
+    # leading monomials, Hilbert numerator, dimension and top degree come
+    # from the minimal basis before that, and must not force it; then the
+    # elements must equal the oracle's reduced basis term for term, in
+    # the order of their leading monomials, and a second basis of the
+    # same ideal, read at once, must equal it and hash alike.
+    kinds = Counter()
+    for kind, compute, expected in _lazy_inputs(p, 160):
+        gb = compute()
+        lms = gb.leading_monomials()
+        verdicts = (hilbert_numerator(gb), krull_dimension(gb), top_degree(gb))
+        assert "divisors" not in vars(gb) and is_zero_dimensional(gb) == (verdicts[2] is not None)
+        assert [g.terms for g in gb.basis] == [g.terms for g in expected]
+        assert lms == tuple(g.leading_monomial(gb.order) for g in gb.basis)
+        eager = compute()
+        assert eager.basis == gb.basis
+        assert gb == eager and hash(gb) == hash(eager)
+        kinds[kind] += len(expected) > 1
+    assert min(kinds.values()) >= 15
+    # Equality reads the reduced basis, not the minimal records.
+    R = polynomial_ring(p, "x y")
+    x, y = R.gens()
+    a, b = buchberger(IdealSpec(R, (x + y, y))), buchberger(IdealSpec(R, (x, y)))
+    assert a.minimal != b.minimal and a == b and hash(a) == hash(b)
+    assert a != buchberger(IdealSpec(R, (x - y, y**2)))
 
 
 def test_spolynomial_cancels_leads():

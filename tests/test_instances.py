@@ -2,13 +2,13 @@
 
 import pytest
 
+from genmat import groebner
 from genmat.algebra import (
     InconclusiveError,
     equigenerated_ideal,
     graded_algebra,
     standard_graded_algebra,
 )
-from genmat.groebner import buchberger
 from genmat.instances import (
     complete_reduction_instance,
     finite_matroid,
@@ -324,12 +324,13 @@ def test_verify_recomputes_after_a_cached_verdict(monkeypatch):
     inst = nn_instance(standard_graded_algebra(R, (x * y - z * w,)))
     basis = (x + y, z, w)
     assert inst.is_basis(basis)
-    calls = []
+    runs = []
+    completion = groebner._completion
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return buchberger(*args, **kwargs)
+    def counting(*args):
+        runs.append(args)
+        return completion(*args)
 
-    monkeypatch.setattr("genmat.algebra.buchberger", counting)
+    monkeypatch.setattr(groebner, "_completion", counting)
     assert inst.verify(basis)
-    assert calls
+    assert runs
