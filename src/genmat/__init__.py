@@ -34,7 +34,6 @@ from .groebner import (
     top_degree,
 )
 from .algebra import (
-    DiagonalSubring,
     EquigeneratedIdeal,
     GradedAlgebraPresentation,
     InconclusiveError,

@@ -32,9 +32,9 @@ kernel's reduced grevlex basis takes that basis as its own), the
 dimension, and per graded piece the standard monomials with a row
 table, monomial -> coordinate row of its normal form, which every
 coordinate vector is summed from and which holds at most the monomials
-of that degree; the diagonal subring; and, keyed by generator tuples,
-ideal powers and fiber rings.  The cache is append-only derived data,
-so sharing across threads is safe.
+of that degree; the diagonal presentation; and, keyed by generator
+tuples, ideal powers and fiber presentations.  The cache is append-only
+derived data, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from .polyring import (
     Polynomial,
     RingMismatchError,
     common_degree,
+    linear_combination,
     mon_divides,
     multidegree,
     reindex,
@@ -504,7 +505,7 @@ def _first_outside_ideal(K: EquigeneratedIdeal, forms) -> Polynomial | None:
     return _first_outside(S, left, K.generators, forms)
 
 
-def _fresh_names(taken, count: int, prefix: str = "T") -> list[str]:
+def _fresh_names(taken, count: int, prefix: str) -> list[str]:
     taken = set(taken)
     for k in itertools.count(1):
         names = [f"{prefix * k}{i + 1}" for i in range(count)]
@@ -512,33 +513,24 @@ def _fresh_names(taken, count: int, prefix: str = "T") -> list[str]:
             return names
 
 
-def fiber_algebra(I: EquigeneratedIdeal):
-    """Presentation of the subalgebra generated by I's degree-delta piece.
+def _subalgebra(targets, relations: IdealSpec, prefix: str, degrees=None):
+    """Presentation of F_p[targets] modulo ``relations``, its relations
+    kernel_of_map's reduced basis: variable i, a fresh ``prefix`` name,
+    maps to target i in degree degrees[i] (1 by default).  A form enters
+    as ``linear_combination(coordinates, ring.gens())``."""
+    names = _fresh_names(targets[0].ring.names, len(targets), prefix)
+    ker = kernel_of_map(targets, relations=relations, names=names)
+    return GradedAlgebraPresentation(ker.ring, degrees or ((1,),) * len(targets), ker)
 
-    Returns (presentation, T-variable names); T_i maps to the i-th
-    generator.  For an equigenerated ideal this subalgebra is the fiber
-    ring of I, so its dimension is the analytic spread.
+
+def fiber_algebra(I: EquigeneratedIdeal) -> GradedAlgebraPresentation:
+    """Presentation of the subalgebra generated by I's degree-delta piece,
+    variable i mapping to the i-th generator.  For an equigenerated ideal
+    this subalgebra is the fiber ring of I, so its dimension is the
+    analytic spread.
     """
-    def compute():
-        names = _fresh_names(I.algebra.ring.names, len(I.generators))
-        ker = kernel_of_map(
-            list(I.generators), relations=I.algebra.relations, names=names
-        )
-        pres = standard_graded_algebra(ker.ring, ker)
-        return pres, tuple(names)
-
-    return I.algebra._memo(("fiber", I.generators), compute)
-
-
-def _linear_form(ring: PolyRing, names, coords) -> Polynomial:
-    """sum_i coords[i] * names[i] in ``ring``; a name may repeat."""
-    p, n = ring.field.p, ring.nvars
-    terms: dict = {}
-    for c, name in zip(coords, names):
-        i = ring.index(name)
-        mon = (0,) * i + (1,) + (0,) * (n - 1 - i)
-        terms[mon] = (terms.get(mon, 0) + c) % p
-    return Polynomial._raw(ring, {m: c for m, c in terms.items() if c})
+    gens = I.generators
+    return I.algebra._memo(("fiber", gens), lambda: _subalgebra(gens, I.algebra.relations, "T"))
 
 
 def _generator_coords(I: EquigeneratedIdeal, forms) -> list[tuple[int, ...]]:
@@ -571,7 +563,7 @@ def _module_finite(pres: GradedAlgebraPresentation, forms) -> bool:
 
 def analytic_spread(I: EquigeneratedIdeal) -> int:
     """Dimension of the fiber ring of I."""
-    return fiber_algebra(I)[0].dimension()
+    return fiber_algebra(I).dimension()
 
 
 def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> int | None:
@@ -591,9 +583,9 @@ def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> int | 
         if outside is not None:
             raise _outside(J.generators.index(outside), outside)
         coords = []
-    pres, names = fiber_algebra(I)
-    images = [_linear_form(pres.ring, names, c) for c in coords]
-    t = top_degree(pres.quotient_groebner(images))
+    pres = fiber_algebra(I)
+    T = pres.ring.gens()
+    t = top_degree(pres.quotient_groebner([linear_combination(c, T) for c in coords]))
     return None if t is None else max(1, t)
 
 
@@ -660,42 +652,16 @@ def is_minimal_reduction(
     return verdict.is_yes
 
 
-@dataclass(frozen=True)
-class DiagonalSubring:
-    """F_p[S_(1,..,1)] inside a standard N^n-graded S, with its own
-    standard N-graded presentation on fresh variables."""
-
-    parent: GradedAlgebraPresentation
-    generators: tuple[Polynomial, ...]
-    presentation: GradedAlgebraPresentation
-
-    def dimension(self) -> int:
-        return self.presentation.dimension()
-
-    def embed(self, f: Polynomial) -> Polynomial:
-        """Rewrite a multidegree-(1,..,1) element as a linear form."""
-        ones = (1,) * self.parent.components
-        ring = self.presentation.ring
-        return _linear_form(ring, ring.names, self.parent.coordinates(f, ones))
-
-
-def diagonal_subring(algebra: GradedAlgebraPresentation) -> DiagonalSubring:
-    """Diagonal subalgebra generated by the (1,..,1) graded piece.
-
-    The monomial basis of that piece becomes the generator list and the
-    presentation takes kernel_of_map's reduced basis as its relations.
-    """
+def diagonal_subring(algebra: GradedAlgebraPresentation) -> GradedAlgebraPresentation:
+    """Presentation of the diagonal subalgebra F_p[S_(1,..,1)], variable
+    i mapping to the i-th standard monomial of the (1,..,1) piece."""
     def compute():
         if not algebra.is_standard:
             raise ValueError("diagonal subrings need a standard multigrading")
-        ones = (1,) * algebra.components
-        mons = algebra.standard_monomials(ones)
+        mons = algebra.standard_monomials((1,) * algebra.components)
         if not mons:
             raise ValueError("the (1,..,1) graded piece is zero")
-        names = _fresh_names(algebra.ring.names, len(mons), prefix="u")
-        ker = kernel_of_map(list(mons), relations=algebra.relations, names=names)
-        pres = standard_graded_algebra(ker.ring, ker)
-        return DiagonalSubring(algebra, mons, pres)
+        return _subalgebra(mons, algebra.relations, "u")
 
     return algebra._memo(("diag",), compute)
 
@@ -742,8 +708,10 @@ def is_complete_reduction_ring(algebra: GradedAlgebraPresentation, rows) -> bool
         raise ValueError(
             f"complete reduction of this algebra needs {want} columns, got {r}"
         )
+    ones, u = (1,) * n, diag.ring.gens()
     return _module_finite(
-        diag.presentation, (diag.embed(x) for x in _column_products(mat))
+        diag,
+        (linear_combination(algebra.coordinates(x, ones), u) for x in _column_products(mat)),
     )
 
 
@@ -794,17 +762,16 @@ def is_complete_reduction_ideals(
     return is_reduction(J, product, n_max=n_max)
 
 
-def multigraded_fiber_algebra(ideals):
+def multigraded_fiber_algebra(ideals) -> GradedAlgebraPresentation:
     """Fiber presentation of an ideal tuple, graded by source ideal.
 
-    Builds the subalgebra of R[t_1..t_n] generated by g * t_i for each
-    generator g of I_i; the t-markers keep the N^n-grading faithful, so
-    the presentation ideal is multihomogeneous with the block of I_i's
-    T-variables in degree e_i.  Returns (presentation, name blocks).
+    Presents the subalgebra of R[t_1..t_n] generated by g * t_i for each
+    generator g of I_i, in that order; the t-markers keep the
+    N^n-grading faithful, so the presentation ideal is multihomogeneous
+    with the variables of I_i's block in degree e_i.
     """
     ideals = tuple(ideals)
     algebra = ideals[0].algebra
-    key = ("mfiber", tuple(I.generators for I in ideals))
 
     def compute():
         n = len(ideals)
@@ -812,24 +779,18 @@ def multigraded_fiber_algebra(ideals):
         markers = _fresh_names(ring.names, n, prefix="t")
         big = PolyRing(ring.field, ring.names + tuple(markers))
         to_big = list(range(ring.nvars)) + [None] * n
-        names = _fresh_names(big.names, sum(len(I.generators) for I in ideals))
-        targets = []
-        blocks = []
-        degrees = []
-        for i, I in enumerate(ideals):
-            t = big.var(markers[i])
-            start = len(targets)
-            targets.extend(reindex(g, big, to_big) * t for g in I.generators)
-            blocks.append(tuple(names[start : len(targets)]))
-            degrees.extend([_unit(n, i)] * len(I.generators))
+        targets = [
+            reindex(g, big, to_big) * big.var(t)
+            for I, t in zip(ideals, markers)
+            for g in I.generators
+        ]
+        degrees = [_unit(n, i) for i, I in enumerate(ideals) for _ in I.generators]
         relations = IdealSpec(
             big, tuple(reindex(g, big, to_big) for g in algebra.relations.generators)
         )
-        ker = kernel_of_map(targets, relations=relations, names=names)
-        pres = GradedAlgebraPresentation(ker.ring, tuple(degrees), ker)
-        return pres, tuple(blocks)
+        return _subalgebra(targets, relations, "T", degrees)
 
-    return algebra._memo(key, compute)
+    return algebra._memo(("mfiber", tuple(I.generators for I in ideals)), compute)
 
 
 def lemma_correspondence_check(
@@ -850,9 +811,11 @@ def lemma_correspondence_check(
     if ideal_verdict.is_inconclusive:
         return None
     mat = _as_matrix(rows)
-    pres, blocks = multigraded_fiber_algebra(ideals)
+    pres = multigraded_fiber_algebra(ideals)
+    T, n = pres.ring.gens(), len(ideals)
+    blocks = [[v for v, d in zip(T, pres.degrees) if d == _unit(n, i)] for i in range(n)]
     lifted_rows = tuple(
-        tuple(_linear_form(pres.ring, block, c) for c in _generator_coords(I, row))
+        tuple(linear_combination(c, block) for c in _generator_coords(I, row))
         for row, I, block in zip(mat, ideals, blocks)
     )
     ring_verdict = is_complete_reduction_ring(pres, lifted_rows)

@@ -138,6 +138,16 @@ def _parse_poly(ring: PolyRing, text, location: str) -> Polynomial:
         raise InstanceFileError(location, str(bad)) from bad
 
 
+def _name(spec, location: str, *fields) -> str:
+    """The string name of a named object, which must hold ``fields`` too."""
+    required = ("name", *fields)
+    if not isinstance(spec, dict) or any(f not in spec for f in required):
+        raise InstanceFileError(location, "must be an object with " + " and ".join(required))
+    if not isinstance(spec["name"], str):
+        raise InstanceFileError(f"{location}.name", "must be a string")
+    return spec["name"]
+
+
 def _poly_list(ring: PolyRing, items, location: str) -> tuple[Polynomial, ...]:
     if not isinstance(items, list):
         raise InstanceFileError(location, "must be a list of polynomial strings")
@@ -175,9 +185,7 @@ def build_context(doc: dict, env: Mapping[str, str] | None = None) -> InstanceCo
     names, degrees = [], []
     for i, spec in enumerate(var_specs):
         loc = f"ring.vars[{i}]"
-        if not isinstance(spec, dict) or "name" not in spec:
-            raise InstanceFileError(loc, "must be an object with a name")
-        names.append(spec["name"])
+        names.append(_name(spec, loc))
         deg = spec.get("multidegree", [1])
         if not isinstance(deg, list) or not all(_is_int(x) for x in deg):
             raise InstanceFileError(f"{loc}.multidegree", "must be a list of integers")
@@ -203,13 +211,12 @@ def build_context(doc: dict, env: Mapping[str, str] | None = None) -> InstanceCo
         raise InstanceFileError("ideals", "must be a list")
     for i, spec in enumerate(ideal_specs):
         loc = f"ideals[{i}]"
-        if not isinstance(spec, dict) or "name" not in spec or "generators" not in spec:
-            raise InstanceFileError(loc, "must be an object with name and generators")
-        if spec["name"] in ideals:
-            raise InstanceFileError(f"{loc}.name", f"duplicate ideal {spec['name']!r}")
+        name = _name(spec, loc, "generators")
+        if name in ideals:
+            raise InstanceFileError(f"{loc}.name", f"duplicate ideal {name!r}")
         gens = _poly_list(ring, spec["generators"], f"{loc}.generators")
         try:
-            ideals[spec["name"]] = equigenerated_ideal(algebra, gens)
+            ideals[name] = equigenerated_ideal(algebra, gens)
         except ValueError as bad:
             raise InstanceFileError(f"{loc}.generators", str(bad)) from bad
     return InstanceContext(doc, prime, algebra, ideals)
@@ -395,9 +402,7 @@ def build_exchange(
     handles = {}
     for i, spec in enumerate(handle_specs):
         loc = f"exchange.handles[{i}]"
-        if not isinstance(spec, dict) or "name" not in spec:
-            raise InstanceFileError(loc, "must be an object with a name")
-        hname = spec["name"]
+        hname = _name(spec, loc)
         if hname in handles:
             raise InstanceFileError(f"{loc}.name", f"duplicate handle {hname!r}")
         if columnar:

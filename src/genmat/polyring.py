@@ -410,7 +410,7 @@ def linear_combination(coeffs, basis) -> Polynomial:
     ring = basis[0].ring
     p, out = ring.field.p, {}
     for c, b in zip(coeffs, basis):
-        if b.ring != ring:
+        if b.ring is not ring and b.ring != ring:
             raise RingMismatchError("basis spans several rings")
         for m, a in b.terms.items():
             s = (out.get(m, 0) + a * c) % p

@@ -241,13 +241,13 @@ def fiber_image(I, f: Polynomial) -> Polynomial:
     """Image of f in I's fiber ring: the linear form in the T-variables
     whose coefficients write f over I's generators, solved on their raw
     terms.  That is exact when no relation lies in I's degree."""
-    pres, names = fiber_algebra(I)
+    pres = fiber_algebra(I)
     mons = sorted({m for g in (*I.generators, f) for m in g.terms})
     rows = [[g.terms.get(m, 0) for m in mons] for g in I.generators]
     coords = linalg.solve_coords(rows, [f.terms.get(m, 0) for m in mons], f.ring.field.p)
     assert coords is not None, f"{f} is not a combination of the generators"
     out = pres.ring.zero()
-    for c, name in zip(coords, names):
+    for c, name in zip(coords, pres.ring.names):
         out = out + pres.ring.var(name) * c
     return out
 

@@ -42,6 +42,7 @@ from oracles import (
     brute_dimension,
     fiber_image,
     ideal_equal,
+    ideal_membership,
     least_power,
     monomial_ideal_members,
     naive_mul,
@@ -49,6 +50,7 @@ from oracles import (
     product_monomials,
     random_homogeneous,
     reference_coordinates,
+    substitute,
 )
 
 
@@ -291,14 +293,6 @@ def test_products_and_powers_are_homogeneous_of_the_summed_degree():
             assert equigenerated_ideal(S, ideal.generators).degree == degree
 
 
-def test_linear_form_accumulates_repeated_names():
-    R = polynomial_ring(5, "x y z")
-    x, y, z = R.gens()
-    assert algebra._linear_form(R, ("x", "y", "x"), (1, 2, 4)) == 2 * y
-    assert algebra._linear_form(R, ("z", "x"), (7, -1)) == 2 * z + 4 * x
-    assert algebra._linear_form(R, ("y", "y"), (3, 2)).is_zero
-
-
 def test_reduction_power_criterion_yes():
     # (x^2, y^2) reduces (x, y)^2 at power one: frozen by degree-4
     # monomial enumeration.
@@ -402,7 +396,7 @@ def test_analytic_spread_beyond_ten_generators():
     gens = (a * a, a * b, a * c, b * b, b * d, c * c, c * e, d * d, d * e, e * e, a * e)
     I = equigenerated_ideal(standard_graded_algebra(R), gens)
     assert analytic_spread(I) == 5
-    pres, _ = fiber_algebra(I)
+    pres = fiber_algebra(I)
     assert brute_dimension(pres.groebner().leading_monomials(), 11) == 5
 
 
@@ -488,7 +482,7 @@ def test_certificate_checks_forms_when_the_span_fills_the_piece():
 def test_fiber_algebra_of_maximal_ideal():
     S, (x, y, z, w) = quadric()
     m = equigenerated_ideal(S, (x, y, z, w))
-    pres, names = fiber_algebra(m)
+    pres = fiber_algebra(m)
     T = pres.ring
     T1, T2, T3, T4 = T.gens()
     assert ideal_equal(pres.relations, IdealSpec(T, (T1 * T2 - T3 * T4,)))
@@ -575,7 +569,7 @@ def test_minimal_reduction_agrees_with_fiber_hsop():
     # fiber algebra through the generator images.
     S, (x, y, z, w) = quadric()
     m = equigenerated_ideal(S, (x, y, z, w))
-    pres, _ = fiber_algebra(m)
+    pres = fiber_algebra(m)
     for gens in [(x + y, z, w), (x, y, z + w), (x, z, w), (y, z, w), (z + w, z, w)]:
         J = equigenerated_ideal(S, gens)
         images = [fiber_image(m, g) for g in J.generators]
@@ -585,10 +579,11 @@ def test_minimal_reduction_agrees_with_fiber_hsop():
 def test_diagonal_subring_segre():
     S, _ = segre()
     D = diagonal_subring(S)
-    assert [str(g) for g in D.generators] == ["x1*y1", "x1*y2", "x2*y1", "x2*y2"]
-    pres = D.presentation
-    u1, u2, u3, u4 = pres.ring.gens()
-    assert ideal_equal(pres.relations, IdealSpec(pres.ring, (u1 * u4 - u2 * u3,)))
+    # Variable i maps to the i-th standard monomial of the (1, 1) piece.
+    mons = S.standard_monomials((1, 1))
+    assert [str(g) for g in mons] == ["x1*y1", "x1*y2", "x2*y1", "x2*y2"]
+    u1, u2, u3, u4 = D.ring.gens()
+    assert ideal_equal(D.relations, IdealSpec(D.ring, (u1 * u4 - u2 * u3,)))
     assert D.dimension() == 3
     # Same object on repeated calls: the presentation is memoized.
     assert diagonal_subring(S) is D
@@ -597,8 +592,8 @@ def test_diagonal_subring_segre():
 def test_diagonal_subring_trivial_grading():
     P, (x, y) = plane()
     D = diagonal_subring(P)
-    assert [str(g) for g in D.generators] == ["x", "y"]
-    assert D.presentation.relations.generators == ()
+    assert [str(g) for g in P.standard_monomials((1,))] == ["x", "y"]
+    assert D.relations.generators == ()
     assert D.dimension() == 2
 
 
@@ -606,7 +601,7 @@ def test_diagonal_subring_beyond_ten_generators():
     # P^2 x P^3: the Segre ring of 12 monomials has dimension 2 + 3 + 1.
     R = polynomial_ring(32003, "x0 x1 x2 y0 y1 y2 y3")
     S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 4)
-    pres = diagonal_subring(S).presentation
+    pres = diagonal_subring(S)
     assert pres.ring.nvars == 12
     assert pres.dimension() == 6
     assert brute_dimension(pres.groebner().leading_monomials(), 12) == 6
@@ -635,7 +630,7 @@ def test_multiplicity_matches_closed_forms():
             names += [f"x{b}_{i}" for i in range(size + 1)]
             degrees += [tuple(int(j == b) for j in range(len(blocks)))] * (size + 1)
         S = graded_algebra(polynomial_ring(32003, names), degrees)
-        pres = diagonal_subring(S).presentation
+        pres = diagonal_subring(S)
         numerator = hilbert_numerator(pres.groebner())
         assert _dimension_and_multiplicity(numerator, pres.ring.nvars) == (dim, e)
         assert pres.dimension() == dim
@@ -643,7 +638,7 @@ def test_multiplicity_matches_closed_forms():
     S, gens = quadric()
     m = equigenerated_ideal(S, gens)
     for k in (1, 2, 3, 4):
-        pres, _ = fiber_algebra(ideal_power(m, k))
+        pres = fiber_algebra(ideal_power(m, k))
         numerator = hilbert_numerator(pres.groebner())
         assert _dimension_and_multiplicity(numerator, pres.ring.nvars) == (3, 2 * k * k)
         assert pres.dimension() == 3
@@ -731,9 +726,123 @@ def test_multigraded_fiber_names_avoid_ring_variables():
     a, b = R.gens()
     I = equigenerated_ideal(standard_graded_algebra(R), (a, b))
     assert lemma_correspondence_check((I, I), ((a, b), (a, b))) is True
-    pres, blocks = multigraded_fiber_algebra((I, I))
+    pres = multigraded_fiber_algebra((I, I))
     assert not set(pres.ring.names) & set(R.names)
-    assert [len(block) for block in blocks] == [2, 2]
+    assert pres.degrees == ((1, 0), (1, 0), (0, 1), (0, 1))
+
+
+def _maps_back(pres, targets, relations, pairs):
+    """Variable i of ``pres`` maps to targets[i]: every (form, image)
+    pair and every relation of ``pres`` survive the substitution,
+    compared modulo ``relations`` by the oracles' own division."""
+    R = targets[0].ring
+    for g in pres.relations.generators:
+        assert ideal_membership(substitute(g, targets, R), relations)
+    for f, image in pairs:
+        assert ideal_membership(substitute(image, targets, R) - f, relations)
+
+
+def test_embeddings_map_back_to_their_forms():
+    rng = random.Random(1717)
+    S, (x, y, z, w) = quadric()
+    m = equigenerated_ideal(S, (x, y, z, w))
+    # Fiber rings: f in I_delta enters as its generator coordinates.
+    for I in (m, ideal_power(m, 2)):
+        pres = fiber_algebra(I)
+        forms = [random_linear_combination(I.generators, rng)[0] for _ in range(4)]
+        images = [
+            linear_combination(c, pres.ring.gens())
+            for c in algebra._generator_coords(I, forms)
+        ]
+        _maps_back(pres, I.generators, S.relations, zip(forms, images))
+    # The diagonal of the incidence variety in P^2 x P^2: f in S_(1,1)
+    # is a product whose normal form the relation rewrites.
+    R = polynomial_ring(32003, "x0 x1 x2 y0 y1 y2")
+    xs, ys = R.gens()[:3], R.gens()[3:]
+    inc = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3, (sum(a * b for a, b in zip(xs, ys)),))
+    D = diagonal_subring(inc)
+    forms = [
+        random_linear_combination(xs, rng)[0] * random_linear_combination(ys, rng)[0]
+        for _ in range(4)
+    ]
+    images = [linear_combination(inc.coordinates(f, (1, 1)), D.ring.gens()) for f in forms]
+    _maps_back(D, inc.standard_monomials((1, 1)), inc.relations, zip(forms, images))
+    # The multigraded fiber ring of (m, (x, z)): a row entry of I_i enters
+    # as a form in I_i's block, the variables of degree e_i; with the
+    # markers t_i set to 1, block i maps to I_i's generators.
+    ideals = (m, equigenerated_ideal(S, (x, z)))
+    pres = multigraded_fiber_algebra(ideals)
+    T = pres.ring.gens()
+    pairs = []
+    for i, I in enumerate(ideals):
+        block = [v for v, d in zip(T, pres.degrees) if d[i]]
+        forms = [random_linear_combination(I.generators, rng)[0] for _ in range(3)]
+        for f, c in zip(forms, algebra._generator_coords(I, forms)):
+            pairs.append((f, linear_combination(c, block)))
+    targets = [g for I in ideals for g in I.generators]
+    _maps_back(pres, targets, S.relations, pairs)
+
+
+# Frozen subalgebra presentations: names, grading and reduced relations,
+# in order.  Any change in what kernel_of_map is handed (names, target
+# order, relations) shows here before it shows in a benchmark.
+GOLDEN_PRESENTATIONS = {
+    "fiber m": ("T", ((1,),) * 4, "T1*T2 - T3*T4"),
+    "fiber m^2": (
+        "T",
+        ((1,),) * 10,
+        "T3^2 - T1*T8, T3*T4 - T1*T9, T4^2 - T1*T10, T1*T5 - T8*T10, "
+        "T3*T5 - T6*T9, T4*T5 - T6*T10, T1*T6 - T3*T9, T3*T6 - T8*T9, "
+        "T4*T6 - T8*T10, T6^2 - T5*T8, T1*T7 - T3*T10, T3*T7 - T8*T10, "
+        "T4*T7 - T9*T10, T6*T7 - T5*T9, T7^2 - T5*T10, T4*T8 - T3*T9, "
+        "T7*T8 - T6*T9, T4*T9 - T3*T10, T7*T9 - T6*T10, T9^2 - T8*T10, T2 - T9",
+    ),
+    "diagonal P2xP2": (
+        "u",
+        ((1,),) * 9,
+        "u2*u4 - u1*u5, u3*u4 - u1*u6, u3*u5 - u2*u6, u2*u7 - u1*u8, "
+        "u3*u7 - u1*u9, u5*u7 - u4*u8, u6*u7 - u4*u9, u3*u8 - u2*u9, u6*u8 - u5*u9",
+    ),
+    "diagonal P2xP3": (
+        "u",
+        ((1,),) * 12,
+        "u2*u5 - u1*u6, u3*u5 - u1*u7, u4*u5 - u1*u8, u3*u6 - u2*u7, "
+        "u4*u6 - u2*u8, u4*u7 - u3*u8, u2*u9 - u1*u10, u3*u9 - u1*u11, "
+        "u4*u9 - u1*u12, u6*u9 - u5*u10, u7*u9 - u5*u11, u8*u9 - u5*u12, "
+        "u3*u10 - u2*u11, u4*u10 - u2*u12, u7*u10 - u6*u11, u8*u10 - u6*u12, "
+        "u4*u11 - u3*u12, u8*u11 - u7*u12",
+    ),
+    "multigraded fiber (m, m) on P1": (
+        "T",
+        ((1, 0), (1, 0), (0, 1), (0, 1)),
+        "T2*T3 - T1*T4",
+    ),
+}
+
+
+def test_subalgebra_presentations_are_golden():
+    S, (x, y, z, w) = quadric()
+    m = equigenerated_ideal(S, (x, y, z, w))
+
+    def product_space(sizes):
+        names = [f"{'xy'[b]}{i}" for b, size in enumerate(sizes) for i in range(size)]
+        degrees = [(1, 0)] * sizes[0] + [(0, 1)] * sizes[1]
+        return graded_algebra(polynomial_ring(32003, names), degrees)
+
+    P, (u, v) = plane()
+    line = equigenerated_ideal(P, (u, v))
+    built = {
+        "fiber m": fiber_algebra(m),
+        "fiber m^2": fiber_algebra(ideal_power(m, 2)),
+        "diagonal P2xP2": diagonal_subring(product_space((3, 3))),
+        "diagonal P2xP3": diagonal_subring(product_space((3, 4))),
+        "multigraded fiber (m, m) on P1": multigraded_fiber_algebra((line, line)),
+    }
+    for label, (prefix, degrees, relations) in GOLDEN_PRESENTATIONS.items():
+        pres = built[label]
+        names = tuple(f"{prefix}{i + 1}" for i in range(len(degrees)))
+        assert (pres.ring.names, pres.degrees) == (names, degrees), label
+        assert ", ".join(map(str, pres.relations.generators)) == relations, label
 
 
 def test_presentations_reuse_their_kernel_basis(monkeypatch):
@@ -743,10 +852,10 @@ def test_presentations_reuse_their_kernel_basis(monkeypatch):
     R = polynomial_ring(32003, "x0 x1 x2 y0 y1 y2")
     P2P2 = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
     presentations = [
-        fiber_algebra(equigenerated_ideal(S, (x, y, z, w)))[0],
-        fiber_algebra(ideal_power(I, 2))[0],
-        diagonal_subring(P2P2).presentation,
-        multigraded_fiber_algebra((I, I))[0],
+        fiber_algebra(equigenerated_ideal(S, (x, y, z, w))),
+        fiber_algebra(ideal_power(I, 2)),
+        diagonal_subring(P2P2),
+        multigraded_fiber_algebra((I, I)),
     ]
     calls = []
 

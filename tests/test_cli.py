@@ -83,6 +83,32 @@ def test_build_context_locations():
     assert ctx.prime == 32003 and set(ctx.ideals) == {"m"}
 
 
+@pytest.mark.parametrize(
+    "section, bad, location",
+    [
+        ("ring", 5, "ring.vars[0].name"),
+        ("ideals", ["m"], "ideals[0].name"),
+        ("handles", {"name": "target"}, "exchange.handles[0].name"),
+    ],
+)
+@pytest.mark.parametrize("argv", [["check", "minimal-reduction"], ["exchange", "--seed", "1"]])
+def test_non_string_names_are_input_errors(monkeypatch, capsys, section, bad, location, argv):
+    doc = quadric_doc()
+    named = {
+        "ring": doc["ring"]["vars"][0],
+        "ideals": doc["ideals"][0],
+        "handles": doc["exchange"]["handles"][0],
+    }[section]
+    named["name"] = bad
+    if section == "handles" and argv[0] == "check":
+        # check reads no exchange section.
+        code, report = run_json(monkeypatch, capsys, argv + ["--json"], doc)
+        assert code == 0 and report["verdicts"]["status"] == "true"
+        return
+    code, err = _run_failure(monkeypatch, capsys, argv + ["--json"], doc)
+    assert (code, err) == (3, f"error: {location}: must be a string")
+
+
 # ----------------------------------------------------------------- check
 
 

@@ -30,6 +30,7 @@ from genmat.polyring import (
     PrimeField,
     RingMismatchError,
     elimination_order,
+    linear_combination,
     polynomial_ring,
 )
 
@@ -178,6 +179,13 @@ def _segre_columns(R, rows_x=None):
     return rows if rows_x is None else (tuple(rows_x), rows[1])
 
 
+def _diagonal_images(S, rows):
+    """The column products as linear forms of S's diagonal presentation."""
+    u = diagonal_subring(S).ring.gens()
+    products = algebra._column_products(rows)
+    return [linear_combination(S.coordinates(x, (1, 1)), u) for x in products]
+
+
 def test_pair_update_prunes_the_complete_reduction_ideal(monkeypatch):
     # The ideal of one complete-reduction verdict on the P^2 x P^2
     # diagonal: the 9 relations of the diagonal ring and 5 column
@@ -192,13 +200,13 @@ def test_pair_update_prunes_the_complete_reduction_ideal(monkeypatch):
     S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
     diag = diagonal_subring(S)  # memoized: its kernel is not counted
     rows = _segre_columns(R)
-    forms = [diag.embed(x) for x in algebra._column_products(rows)]
+    forms = _diagonal_images(S, rows)
     runs, spairs = _count_runs(monkeypatch), []
     spair = groebner._spair
     monkeypatch.setattr(groebner, "_spair", lambda *a: spairs.append(a) or spair(*a))
-    gb = diag.presentation.quotient_groebner(forms)
+    gb = diag.quotient_groebner(forms)
     assert len(runs) == 1 and runs[0][-1] is None
-    assert len(diag.presentation.relations.generators) + len(forms) == 14
+    assert len(diag.relations.generators) + len(forms) == 14
     assert len(spairs) == 20
     assert is_zero_dimensional(gb)
     runs.clear()
@@ -216,7 +224,7 @@ def test_module_finiteness_reads_a_no_to_the_end(monkeypatch):
     S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
     diag = diagonal_subring(S)
     rows = _segre_columns(R, rows_x=[R.var("x1")] * 5)
-    forms = [diag.embed(x) for x in algebra._column_products(rows)]
+    forms = _diagonal_images(S, rows)
     runs, spairs = _count_runs(monkeypatch), []
     spair = groebner._spair
     monkeypatch.setattr(groebner, "_spair", lambda *a: spairs.append(a) or spair(*a))
@@ -224,7 +232,7 @@ def test_module_finiteness_reads_a_no_to_the_end(monkeypatch):
     assert len(runs) == 1 and runs[0][-1] is None
     verdict_spairs = len(spairs)
     spairs.clear()
-    gb = diag.presentation.quotient_groebner(forms)
+    gb = diag.quotient_groebner(forms)
     assert len(spairs) == verdict_spairs
     assert len(runs[0]) - 1 == len(runs[1]) - 1 >= len(gb.leading_monomials())
     assert not is_zero_dimensional(gb)

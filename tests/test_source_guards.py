@@ -65,3 +65,14 @@ def test_oracles_take_nothing_from_the_groebner_engine_but_its_basis_type():
                 if a.name == "groebner" or a.name in defined - {"GroebnerBasis"}
             ]
     assert not offenders, offenders
+
+
+def test_one_subalgebra_builder_calls_kernel_of_map():
+    # Fiber, diagonal and multigraded fiber rings share one builder, so
+    # a second route into kernel_of_map cannot grow back unnoticed.
+    calls = [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "algebra.py").read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("kernel_of_map")
+    ]
+    assert len(calls) == 1, calls
