@@ -64,7 +64,6 @@ from .polyring import (
     common_degree,
     linear_combination,
     mon_divides,
-    multidegree,
     reindex,
 )
 
@@ -94,6 +93,8 @@ class GradedAlgebraPresentation:
 
     ``relations`` is a sequence of polynomials or a GroebnerBasis; a
     grevlex basis is kept as the presentation's memoized basis.
+    ``blocks`` holds the variable indices of each grading component, or
+    None unless every variable sits in a unit degree (a standard grading).
     """
 
     def __init__(self, ring: PolyRing, degrees, relations=()):
@@ -110,6 +111,11 @@ class GradedAlgebraPresentation:
                 raise ValueError(f"variable {name} has a negative degree entry")
             if all(x == 0 for x in d):
                 raise ValueError(f"variable {name} sits in degree zero")
+        self.blocks = None
+        if all(sum(d) == 1 for d in degrees):
+            self.blocks = tuple(tuple(v for v, d in enumerate(degrees) if d[i]) for i in range(n))
+        self.ring = ring
+        self.degrees = degrees
         gb = None
         if isinstance(relations, GroebnerBasis):
             if relations.ring != ring:
@@ -117,18 +123,11 @@ class GradedAlgebraPresentation:
             if relations.order == GREVLEX:
                 gb = relations
             relations = relations.basis
-        rels = []
+        relations = tuple(relations)
         for g in relations:
-            if g.ring != ring:
-                raise RingMismatchError("relation outside the ambient ring")
-            if g.is_zero:
-                continue
-            if multidegree(g, degrees) is None:
+            if self.element_degree(g) is None and not g.is_zero:
                 raise ValueError(f"relation {g} is not multihomogeneous")
-            rels.append(g)
-        self.ring = ring
-        self.degrees = degrees
-        self.relations = IdealSpec(ring, tuple(rels))
+        self.relations = IdealSpec(ring, tuple(g for g in relations if not g.is_zero))
         self._cache: dict = {} if gb is None else {("gb",): gb}
 
     @property
@@ -137,9 +136,7 @@ class GradedAlgebraPresentation:
 
     @property
     def is_standard(self) -> bool:
-        n = self.components
-        units = {_unit(n, i) for i in range(n)}
-        return all(d in units for d in self.degrees)
+        return self.blocks is not None
 
     def _memo(self, key, compute):
         if key not in self._cache:
@@ -166,7 +163,10 @@ class GradedAlgebraPresentation:
         return normal_form(f, self.groebner())
 
     def element_degree(self, f: Polynomial) -> MultiDegree | None:
-        """f's multidegree under the grading, which __init__ validated."""
+        """The one form check: f's multidegree, or None for zero or a mixed
+        element; an element of another ring raises RingMismatchError."""
+        if f.ring is not self.ring and f.ring != self.ring:
+            raise RingMismatchError(f"{f} lies outside the ambient ring")
         return common_degree(f, self.degrees)
 
     def standard_monomials(self, target: MultiDegree) -> tuple[Polynomial, ...]:
@@ -192,22 +192,16 @@ class GradedAlgebraPresentation:
         return self._memo(("std", target), lambda: self._standard_monomials(target))
 
     def _standard_monomials(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict]:
-        if not self.is_standard:
+        if self.blocks is None:
             raise ValueError("monomial bases need a standard multigrading")
-        n = self.components
-        if len(target) != n:
+        if len(target) != self.components:
             raise ValueError("degree vector length mismatch")
-        by_component: list[list[int]] = [[] for _ in range(n)]
-        for v, d in enumerate(self.degrees):
-            by_component[d.index(1)].append(v)
-        choices_per_component = []
-        for i in range(n):
-            picks = list(
-                itertools.combinations_with_replacement(by_component[i], target[i])
-            )
-            if not picks:
-                return (), {}
-            choices_per_component.append(picks)
+        choices_per_component = [
+            list(itertools.combinations_with_replacement(block, t))
+            for block, t in zip(self.blocks, target)
+        ]
+        if not all(choices_per_component):
+            return (), {}
         lms = self.groebner().leading_monomials()
         nv = self.ring.nvars
         out = []
@@ -314,10 +308,8 @@ def is_hsop(algebra: GradedAlgebraPresentation, elements) -> bool:
     """
     elements = tuple(elements)
     for f in elements:
-        if f.ring != algebra.ring:
-            raise RingMismatchError("element outside the ambient ring")
         d = algebra.element_degree(f)
-        if f.is_zero or d is None or sum(d) <= 0:
+        if d is None or sum(d) <= 0:
             raise ValueError(f"{f} is not homogeneous of positive degree")
     want = algebra.dimension()
     if len(elements) != want:
@@ -329,14 +321,12 @@ def is_hsop(algebra: GradedAlgebraPresentation, elements) -> bool:
 
 
 def is_noether_normalization(algebra: GradedAlgebraPresentation, elements) -> bool:
-    """Degree-one homogeneous system of parameters of a standard graded algebra."""
-    if algebra.components != 1 or not algebra.is_standard:
+    """Degree-one homogeneous system of parameters of a standard graded
+    algebra: a one-row matrix of forms in S_1."""
+    if len(algebra.blocks or ()) != 1:
         raise ValueError("Noether normalizations live in standard N-graded algebras")
-    elements = tuple(elements)
-    for f in elements:
-        if f.ring != algebra.ring or algebra.element_degree(f) != (1,):
-            raise ValueError(f"{f} is not linear in the ambient grading")
-    return is_hsop(algebra, elements)
+    (row,) = _forms_matrix(algebra, (elements,), ((1,),), "grading component")
+    return is_hsop(algebra, row)
 
 
 @dataclass(frozen=True)
@@ -349,17 +339,15 @@ class EquigeneratedIdeal:
     degree: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.algebra.components != 1 or not self.algebra.is_standard:
+        if len(self.algebra.blocks or ()) != 1:
             raise ValueError("equigenerated ideals live in standard N-graded algebras")
         gens = tuple(self.generators)
         if not gens:
             raise ValueError("ideal needs at least one generator")
         degs = set()
         for g in gens:
-            if g.ring != self.algebra.ring:
-                raise RingMismatchError("generator outside the ambient ring")
             d = self.algebra.element_degree(g)
-            if g.is_zero or d is None:
+            if d is None:
                 raise ValueError(f"generator {g} is not homogeneous")
             degs.add(d[0])
         if len(degs) != 1:
@@ -371,7 +359,7 @@ class EquigeneratedIdeal:
 
     def contains(self, f: Polynomial) -> bool:
         """Span membership in f's graded piece; f is zero or homogeneous."""
-        if not f.is_zero and self.algebra.element_degree(f) is None:
+        if self.algebra.element_degree(f) is None and not f.is_zero:
             raise ValueError(f"{f} is not homogeneous")
         return f.is_zero or _first_outside_ideal(self, (f,)) is None
 
@@ -472,16 +460,13 @@ def _first_outside(S: GradedAlgebraPresentation, left, right, forms) -> Polynomi
     (ValueError otherwise).  Else each form's row is reduced by the
     echelon form.  No product is built either way.
     """
-    for f in forms:
-        if f.ring is not S.ring and f.ring != S.ring:
-            raise RingMismatchError("form outside the ambient ring")
-    p = S.ring.field.p
-    target = S.element_degree(forms[0])
+    degrees = [S.element_degree(f) for f in forms]
+    p, target = S.ring.field.p, degrees[0]
     rows = (S.product_row((a, b), target) for a in left for b in right)
     echelon, pivots = linalg.row_echelon(rows, p)
     if len(pivots) == len(S.standard_monomials(target)):
-        for f in forms:
-            if S.element_degree(f) != target:
+        for f, d in zip(forms, degrees):
+            if d != target:
                 S.coordinates(f, target)  # ValueError unless f's normal form lies in S_d
         return None
     rows = [S.coordinates(f, target) for f in forms]
@@ -653,11 +638,10 @@ def is_minimal_reduction(
 
 
 def diagonal_subring(algebra: GradedAlgebraPresentation) -> GradedAlgebraPresentation:
-    """Presentation of the diagonal subalgebra F_p[S_(1,..,1)], variable
-    i mapping to the i-th standard monomial of the (1,..,1) piece."""
+    """Presentation of the diagonal subalgebra F_p[S_(1,..,1)] of a
+    standard multigraded algebra, variable i mapping to the i-th
+    standard monomial of the (1,..,1) piece."""
     def compute():
-        if not algebra.is_standard:
-            raise ValueError("diagonal subrings need a standard multigrading")
         mons = algebra.standard_monomials((1,) * algebra.components)
         if not mons:
             raise ValueError("the (1,..,1) graded piece is zero")
@@ -666,13 +650,20 @@ def diagonal_subring(algebra: GradedAlgebraPresentation) -> GradedAlgebraPresent
     return algebra._memo(("diag",), compute)
 
 
-def _as_matrix(rows) -> tuple[tuple[Polynomial, ...], ...]:
+def _forms_matrix(S: GradedAlgebraPresentation, rows, pieces, per: str):
+    """``rows`` as a tuple of equal-length tuples, one row per entry of
+    ``pieces``, every entry of row i a form of S in piece pieces[i]."""
     mat = tuple(tuple(row) for row in rows)
     if not mat:
         raise ValueError("empty matrix")
-    width = len(mat[0])
-    if any(len(row) != width for row in mat):
+    if any(len(row) != len(mat[0]) for row in mat):
         raise ValueError("ragged matrix")
+    if len(mat) != len(pieces):
+        raise ValueError(f"matrix needs {len(pieces)} rows, one per {per}")
+    for i, (row, d) in enumerate(zip(mat, pieces)):
+        for j, f in enumerate(row):
+            if S.element_degree(f) != d:
+                raise ValueError(f"entry ({i},{j}) is not a form of degree {d}")
     return mat
 
 
@@ -688,19 +679,8 @@ def is_complete_reduction_ring(algebra: GradedAlgebraPresentation, rows) -> bool
     products X_j land in the (1,..,1) piece, and the verdict is whether
     the diagonal subalgebra is module-finite over F_p[X_1..X_r].
     """
-    mat = _as_matrix(rows)
     n = algebra.components
-    if len(mat) != n:
-        raise ValueError(f"matrix needs {n} rows, one per grading component")
-    for i, row in enumerate(mat):
-        for j, entry in enumerate(row):
-            if entry.ring != algebra.ring:
-                raise RingMismatchError(f"entry ({i},{j}) outside the ambient ring")
-            if algebra.element_degree(entry) != _unit(n, i):
-                raise ValueError(
-                    f"entry ({i},{j}) is not homogeneous of the component-{i} "
-                    "unit degree"
-                )
+    mat = _forms_matrix(algebra, rows, [_unit(n, i) for i in range(n)], "grading component")
     diag = diagonal_subring(algebra)
     r = len(mat[0])
     want = diag.dimension()
@@ -710,8 +690,7 @@ def is_complete_reduction_ring(algebra: GradedAlgebraPresentation, rows) -> bool
         )
     ones, u = (1,) * n, diag.ring.gens()
     return _module_finite(
-        diag,
-        (linear_combination(algebra.coordinates(x, ones), u) for x in _column_products(mat)),
+        diag, (linear_combination(algebra.product_row(col, ones), u) for col in zip(*mat))
     )
 
 
@@ -735,17 +714,8 @@ def is_complete_reduction_ideals(
     for I in ideals:
         if not _same_algebra(I.algebra, algebra):
             raise ValueError("ideals live in different algebras")
-    mat = _as_matrix(rows)
-    if len(mat) != len(ideals):
-        raise ValueError(f"matrix needs {len(ideals)} rows, one per ideal")
+    mat = _forms_matrix(algebra, rows, [(I.degree,) for I in ideals], "ideal")
     for i, (row, I) in enumerate(zip(mat, ideals)):
-        for j, entry in enumerate(row):
-            if entry.ring != algebra.ring:
-                raise RingMismatchError(f"entry ({i},{j}) outside the ambient ring")
-            if algebra.element_degree(entry) != (I.degree,):
-                raise ValueError(
-                    f"entry ({i},{j}) is not homogeneous of degree {I.degree}"
-                )
         outside = _first_outside_ideal(I, row)
         if outside is not None:
             raise OutsideIdealError(
@@ -810,13 +780,11 @@ def lemma_correspondence_check(
     ideal_verdict = is_complete_reduction_ideals(ideals, rows, n_max=n_max)
     if ideal_verdict.is_inconclusive:
         return None
-    mat = _as_matrix(rows)
     pres = multigraded_fiber_algebra(ideals)
-    T, n = pres.ring.gens(), len(ideals)
-    blocks = [[v for v, d in zip(T, pres.degrees) if d == _unit(n, i)] for i in range(n)]
+    T = pres.ring.gens()
     lifted_rows = tuple(
-        tuple(linear_combination(c, block) for c in _generator_coords(I, row))
-        for row, I, block in zip(mat, ideals, blocks)
+        tuple(linear_combination(c, gens) for c in _generator_coords(I, row))
+        for row, I, gens in zip(rows, ideals, ([T[v] for v in b] for b in pres.blocks))
     )
     ring_verdict = is_complete_reduction_ring(pres, lifted_rows)
     return ring_verdict == ideal_verdict.is_yes

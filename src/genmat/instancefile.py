@@ -57,7 +57,6 @@ from .polyring import (
     PolyRing,
     Polynomial,
     PrimeField,
-    multidegree,
     polynomial_ring,
 )
 
@@ -194,16 +193,17 @@ def build_context(doc: dict, env: Mapping[str, str] | None = None) -> InstanceCo
         ring = polynomial_ring(prime, names)
     except ValueError as bad:
         raise InstanceFileError("ring.vars", str(bad)) from bad
+    try:
+        grading = graded_algebra(ring, degrees)
+    except ValueError as bad:
+        raise InstanceFileError("ring", str(bad)) from bad
     relations = _poly_list(ring, ring_section.get("relations", []), "ring.relations")
     for i, rel in enumerate(relations):
-        if multidegree(rel, degrees) is None:
+        if grading.element_degree(rel) is None:
             raise InstanceFileError(
                 f"ring.relations[{i}]", "not homogeneous in the declared grading"
             )
-    try:
-        algebra = graded_algebra(ring, degrees, relations)
-    except ValueError as bad:
-        raise InstanceFileError("ring", str(bad)) from bad
+    algebra = graded_algebra(ring, degrees, relations)
 
     ideals: dict[str, EquigeneratedIdeal] = {}
     ideal_specs = doc.get("ideals", [])

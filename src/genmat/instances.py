@@ -178,7 +178,8 @@ def vector_matroid(
 
 
 def _is_form(pres: GradedAlgebraPresentation, f, target) -> bool:
-    """Is f a nonzero form of the ambient ring in the ``target`` piece?"""
+    """Is f a nonzero form of the ambient ring in the ``target`` piece?
+    Never raises, unlike ``element_degree``: an element of another ring is not one."""
     return isinstance(f, Polynomial) and f.ring == pres.ring and pres.element_degree(f) == target
 
 
@@ -306,7 +307,7 @@ def nn_instance(
     spans every variable.  Rank 0 (a finite-dimensional algebra) gives
     the trivial instance whose single basis is empty.
     """
-    if algebra.components != 1 or not algebra.is_standard:
+    if len(algebra.blocks or ()) != 1:
         raise ValueError("needs a standard graded algebra with one component")
     return _graded_instance(
         algebra,
@@ -374,15 +375,9 @@ def complete_reduction_instance(
         units = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
         d = diagonal_subring(source).dimension()
         if handles is None:
-            blocks = tuple(
-                tuple(v for v, deg in zip(source.ring.gens(), source.degrees) if deg == u)
-                for u in units
-            )
-            if not all(blocks):
-                raise ValueError(
-                    "a grading component has no degree-one variable; pass handles explicitly"
-                )
-            handles = {"ambient": blocks}
+            # Every block is nonempty: an empty one would make the diagonal's piece zero.
+            gens = source.ring.gens()
+            handles = {"ambient": tuple(tuple(gens[v] for v in b) for b in source.blocks)}
         return _graded_instance(
             source,
             units,

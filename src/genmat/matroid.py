@@ -359,7 +359,8 @@ def check_generic_exchange_statistical(
     """Fraction of handle samples that complete the punctured basis.
 
     One draw per trial, no retries; the rate estimates how much of the
-    carrier the bad set eats.  Deterministic given the seed.
+    carrier the bad set eats.  Deterministic given the seed.  Like
+    ``exchange_step``, refuses a start that fails the basis oracle.
     """
     handle = inst.handle(handle)
     basis = tuple(basis)
@@ -367,6 +368,8 @@ def check_generic_exchange_statistical(
         raise ValueError("element to remove is not in the basis")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not inst.is_basis(basis):
+        raise ValueError("starting set fails the basis oracle")
     if seed is None:
         seed = _draw_seed()
     rng = random.Random(seed)

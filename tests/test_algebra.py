@@ -96,6 +96,45 @@ def test_standard_flag():
     assert not weighted.is_standard
 
 
+def test_blocks_list_each_components_variables():
+    assert quadric()[0].blocks == ((0, 1, 2, 3),)
+    assert segre()[0].blocks == ((0, 1), (2, 3))
+    R = polynomial_ring(101, "x y z")
+    assert GradedAlgebraPresentation(R, ((1, 0), (1, 1), (0, 1))).blocks is None
+    assert GradedAlgebraPresentation(R, ((1,), (2,), (1,))).blocks is None
+
+
+def _refusals():
+    """Each entry point that vets forms, as a call on one bad form."""
+    S, (x, y, z, w) = quadric()
+    m = equigenerated_ideal(S, (x, y, z, w))
+    return {
+        "relations": lambda f: GradedAlgebraPresentation(S.ring, S.degrees, (x * y - z * w, f)),
+        "is_hsop": lambda f: is_hsop(S, (f, z, w)),
+        "is_noether_normalization": lambda f: is_noether_normalization(S, (f, z, w)),
+        "equigenerated_ideal": lambda f: equigenerated_ideal(S, (x, f)),
+        "contains": m.contains,
+        "is_complete_reduction_ring": lambda f: is_complete_reduction_ring(S, ((f, z, w),)),
+        "is_complete_reduction_ideals": lambda f: is_complete_reduction_ideals(
+            (m,), ((f, z, w),)
+        ),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_refusals()))
+def test_one_refusal_per_bad_form(entry):
+    # A form of another ring is a ring mismatch wherever it enters; a
+    # mixed element of the right ring is a plain ValueError.
+    refuse = _refusals()[entry]
+    _, (x, y, z, w) = quadric()
+    a = polynomial_ring(101, "x y z w").var("x")
+    with pytest.raises(RingMismatchError):
+        refuse(a)
+    with pytest.raises(ValueError) as mixed:
+        refuse(x + y * z)
+    assert type(mixed.value) is ValueError
+
+
 def test_dimension():
     S, _ = quadric()
     assert algebra_dimension(S) == 3
@@ -137,11 +176,10 @@ def p2p2():
 
 def _random_form(S, rng, target, terms=5):
     """Random form of multidegree ``target`` under S's standard grading."""
-    blocks = [[v for v, d in enumerate(S.degrees) if d[i]] for i in range(S.components)]
     out = S.ring.zero()
     for _ in range(terms):
         e = [0] * S.ring.nvars
-        for block, k in zip(blocks, target):
+        for block, k in zip(S.blocks, target):
             for _ in range(k):
                 e[rng.choice(block)] += 1
         out = out + S.ring.monomial(e, rng.randrange(1, S.ring.field.p))
@@ -662,6 +700,27 @@ def test_complete_reduction_ring_validation():
         is_complete_reduction_ring(S, ((x1, x2), (y1, y2)))
     with pytest.raises(ValueError, match=r"\(1,0\)"):
         is_complete_reduction_ring(S, ((x1, x2, x1), (x1, y2, y1)))
+
+
+def test_column_products_enter_as_factor_rows(monkeypatch):
+    # A column's row in the (1,..,1) piece, read from its factors, is the
+    # row of the built product; the ring verdict builds no product.
+    R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3 z1 z2")
+    S = graded_algebra(R, [(1, 0, 0)] * 3 + [(0, 1, 0)] * 3 + [(0, 0, 1)] * 2)
+    rng, units = random.Random(300), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for _ in range(20):
+        col = tuple(_random_form(S, rng, u, terms=3) for u in units)
+        assert S.product_row(col, (1, 1, 1)) == S.coordinates(col[0] * col[1] * col[2], (1, 1, 1))
+    seg, (x1, x2, y1, y2) = segre()
+    calls = []
+    coordinates = GradedAlgebraPresentation.coordinates
+    monkeypatch.setattr(
+        GradedAlgebraPresentation,
+        "coordinates",
+        lambda self, f, target: calls.append(f) or coordinates(self, f, target),
+    )
+    assert is_complete_reduction_ring(seg, ((x1, x2, x1 + x2), (y1, y2, y1 + y2)))
+    assert calls == []
 
 
 def test_complete_reduction_ring_collapses_to_hsop():

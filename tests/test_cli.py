@@ -66,6 +66,17 @@ def test_build_context_locations():
         build_context(
             {"ring": {"vars": [{"name": "x"}], "relations": ["x + 1"]}}, env={}
         )
+    # The presentation vets the grading before any relation is read.
+    with pytest.raises(InstanceFileError, match="^ring: multidegrees must share one positive length$"):
+        build_context(
+            {
+                "ring": {
+                    "vars": [{"name": "x", "multidegree": [1, 0]}, {"name": "y"}],
+                    "relations": ["x*y"],
+                }
+            },
+            env={},
+        )
     with pytest.raises(InstanceFileError, match=r"ring\.vars\[0\]\.multidegree"):
         build_context({"ring": {"vars": [{"name": "x", "multidegree": [True]}]}}, env={})
     with pytest.raises(InstanceFileError, match=r"ideals\[1\]\.name"):

@@ -268,6 +268,10 @@ def test_complete_reduction_instance_validation():
             S, variant="vector", handles={"bad": ((x1,), (y1, y2))}
         )
     complete_reduction_instance(S, variant="matrix", handles={"ok": ((x1,), (y1, y2))})
+    # A component without variables leaves no diagonal, so no default handle either.
+    empty = graded_algebra(polynomial_ring(101, "x y"), ((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(ValueError, match=r"the \(1,..,1\) graded piece is zero"):
+        complete_reduction_instance(empty)
 
 
 def test_complete_reduction_ideal_form():

@@ -261,6 +261,9 @@ def test_statistical_validation():
         check_generic_exchange_statistical(inst, (x + y, z, w), x + y, "target", trials=0)
     with pytest.raises(ValueError, match="not in the basis"):
         check_generic_exchange_statistical(inst, (x + y, z, w), x, "target", trials=1)
+    # (x, z, w) fails the oracle; statistical mode refuses it as exchange does.
+    with pytest.raises(ValueError, match="starting set fails the basis oracle"):
+        check_generic_exchange_statistical(inst, (x, z, w), x, "target", trials=20, seed=1)
 
 
 def test_nn_instance_paths_stay_short():

@@ -76,3 +76,30 @@ def test_one_subalgebra_builder_calls_kernel_of_map():
         if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("kernel_of_map")
     ]
     assert len(calls) == 1, calls
+
+
+def test_one_form_check_reads_the_grading():
+    # element_degree is the one check of what a form is, so a second
+    # grading check cannot grow back beside it unnoticed.
+    tree = ast.parse((SRC / "algebra.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("common_degree")
+    ]
+    owners = [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if node in calls
+    ]
+    assert len(calls) == 1 and owners == ["element_degree"], owners
+    for name in ("algebra.py", "instances.py", "instancefile.py"):
+        uses = [
+            node.lineno
+            for node in ast.walk(ast.parse((SRC / name).read_text()))
+            if (isinstance(node, ast.alias) and node.name.split(".")[-1] == "multidegree")
+            or (isinstance(node, ast.Attribute) and node.attr == "multidegree")
+        ]
+        assert not uses, (name, uses)
