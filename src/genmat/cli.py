@@ -25,6 +25,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import fields, is_dataclass
 from typing import Sequence
 
 from .algebra import InconclusiveError, equigenerated_ideal, is_minimal_reduction
@@ -40,9 +41,7 @@ from .instancefile import (
 )
 from .matroid import (
     DEFAULT_MAX_TRIES,
-    ExchangeCertificate,
     ExchangeExhausted,
-    ExchangePath,
     check_generic_exchange_statistical,
     exchange_path,
     exchange_step,
@@ -59,36 +58,15 @@ EXIT_EXHAUSTED = 4
 EXIT_RUN_FAILURE = 5
 
 
-def _element_json(el):
-    if isinstance(el, tuple):
-        return [str(x) for x in el]
-    return str(el)
-
-
-def _certificate_json(cert: ExchangeCertificate) -> dict:
-    return {
-        "instance": cert.instance,
-        "handle": cert.handle,
-        "removed": _element_json(cert.removed),
-        "inserted": _element_json(cert.inserted),
-        "attempts": cert.attempts,
-        "seed": cert.seed,
-        "transcript": cert.transcript,
-        "basis_before": [_element_json(e) for e in cert.basis_before],
-        "basis_after": [_element_json(e) for e in cert.basis_after],
-        "rejected": [_element_json(e) for e in cert.rejected],
-    }
-
-
-def _path_json(path: ExchangePath) -> dict:
-    return {
-        "instance": path.instance,
-        "handle": path.handle,
-        "start": [_element_json(e) for e in path.start],
-        "final": [_element_json(e) for e in path.final],
-        "seed": path.seed,
-        "steps": [_certificate_json(c) for c in path.steps],
-    }
+def _json(value):
+    """Report form of certificates, paths and elements: a dataclass by
+    its fields, a sequence as a list, a name or count as it is, and
+    anything else (a polynomial) by its text."""
+    if is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    return value if isinstance(value, (int, str)) else str(value)
 
 
 def _report(task, document, flags, verdicts, certificates, seed, started) -> dict:
@@ -162,9 +140,9 @@ def cmd_exchange(args) -> int:
     ctx = build_context(doc)
     setup = build_exchange(ctx, variant=args.variant, n_max=args.n_max)
     handle = args.from_handle or setup.default_handle()
-    if handle not in setup.handle_names:
+    if handle not in setup.instance.handles:
         raise InstanceFileError(
-            "--from", f"unknown handle {handle!r}; defined: {sorted(setup.handle_names)}"
+            "--from", f"unknown handle {handle!r}; defined: {sorted(setup.instance.handles)}"
         )
     seed = _seed_of(args)
     flags = {
@@ -199,29 +177,29 @@ def cmd_exchange(args) -> int:
                 inst, setup.start, removed, handle, seed=seed, max_tries=args.max_tries
             )
             verdicts = {"mode": "step", "attempts": cert.attempts}
-            certs = [_certificate_json(cert)]
+            certs = [_json(cert)]
             lines.append(
-                f"exchanged {_element_json(cert.removed)} -> "
-                f"{_element_json(cert.inserted)} in {cert.attempts} attempt(s)"
+                f"exchanged {_json(cert.removed)} -> "
+                f"{_json(cert.inserted)} in {cert.attempts} attempt(s)"
             )
         else:
             path = exchange_path(
                 inst, setup.start, handle, seed=seed, max_tries=args.max_tries
             )
             verdicts = {"mode": "path", "steps": len(path.steps)}
-            certs = [_path_json(path)]
+            certs = [_json(path)]
             lines.append(f"path of {len(path.steps)} step(s) into handle {handle!r}")
-            lines.append(f"final basis: {[_element_json(e) for e in path.final]}")
+            lines.append(f"final basis: {_json(path.final)}")
     except ExchangeExhausted as spent:
         verdicts = {
             "mode": "exhausted",
             "attempts": spent.attempts,
-            "rejected": [_element_json(e) for e in spent.rejected],
-            "partial_steps": [_certificate_json(c) for c in spent.partial_path],
+            "rejected": _json(spent.rejected),
+            "partial_steps": _json(spent.partial_path),
         }
         report = _report("exchange", ctx.document, flags, verdicts, [], seed, started)
         lines.append(f"exhausted after {spent.attempts} tries; rejected samples follow")
-        lines.extend(f"  rejected: {_element_json(e)}" for e in spent.rejected)
+        lines.extend(f"  rejected: {_json(e)}" for e in spent.rejected)
         _emit(report, args.json, lines)
         return EXIT_EXHAUSTED
     report = _report("exchange", ctx.document, flags, verdicts, certs, seed, started)
@@ -320,8 +298,8 @@ def cmd_demo(args) -> int:
         f"Random replacements succeed at rate {rate:.3f} over {args.trials} trials."
     )
     lines.append(
-        f"One certificate: {_element_json(cert.removed)} -> "
-        f"{_element_json(cert.inserted)} in {cert.attempts} attempt(s)."
+        f"One certificate: {_json(cert.removed)} -> "
+        f"{_json(cert.inserted)} in {cert.attempts} attempt(s)."
     )
     verdicts = {
         "candidates": verdict_rows,
@@ -335,7 +313,7 @@ def cmd_demo(args) -> int:
         ctx.document,
         {"prime": prime, "trials": args.trials},
         verdicts,
-        [_certificate_json(trap_cert), _certificate_json(cert)],
+        _json([trap_cert, cert]),
         seed,
         started,
     )

@@ -71,12 +71,8 @@ CHECK_TASKS = (
     "complete-reduction-ideals",
 )
 
-EXCHANGE_KINDS = (
-    "nn",
-    "minred",
-    "complete-reduction-ring",
-    "complete-reduction-ideals",
-)
+COLUMN_KINDS = ("complete-reduction-ring", "complete-reduction-ideals")
+EXCHANGE_KINDS = ("nn", "minred", *COLUMN_KINDS)
 
 
 class InstanceFileError(ValueError):
@@ -147,12 +143,11 @@ def _name(spec, location: str, *fields) -> str:
     return spec["name"]
 
 
-def _poly_list(ring: PolyRing, items, location: str) -> tuple[Polynomial, ...]:
+def _poly_list(ring: PolyRing, items, location: str, parse=_parse_poly) -> tuple:
+    """A list of polynomial strings, or of whatever ``parse`` reads."""
     if not isinstance(items, list):
         raise InstanceFileError(location, "must be a list of polynomial strings")
-    return tuple(
-        _parse_poly(ring, item, f"{location}[{i}]") for i, item in enumerate(items)
-    )
+    return tuple(parse(ring, item, f"{location}[{i}]") for i, item in enumerate(items))
 
 
 @dataclass(frozen=True)
@@ -359,21 +354,19 @@ def run_check(ctx: InstanceContext, task: str, n_max: int | None = None) -> Chec
 
 @dataclass(frozen=True)
 class ExchangeSetup:
-    """Instance plus the start basis and trap names from the document."""
+    """Instance plus the kind and the start basis from the document."""
 
     instance: GenericMatroidInstance
     kind: str
     start: tuple
-    handle_names: tuple[str, ...]
 
     def default_handle(self) -> str:
-        if len(self.handle_names) == 1:
-            return self.handle_names[0]
-        if "target" in self.handle_names:
+        names = tuple(self.instance.handles)
+        if len(names) == 1:
+            return names[0]
+        if "target" in names:
             return "target"
-        raise InstanceFileError(
-            "exchange.handles", f"several handles {self.handle_names}; pass --from"
-        )
+        raise InstanceFileError("exchange.handles", f"several handles {names}; pass --from")
 
 
 def build_exchange(
@@ -398,39 +391,26 @@ def build_exchange(
         raise InstanceFileError("exchange.traps", "must be an object")
     bound = _power_bound(section, n_max, "exchange.n_max")
 
-    columnar = kind in ("complete-reduction-ring", "complete-reduction-ideals")
+    # A basis element of a column kind is a list of forms, else one form;
+    # a handle is a list of blocks of forms, else the forms themselves.
+    columnar = kind in COLUMN_KINDS
+    element = _poly_list if columnar else _parse_poly
+    part = "blocks" if columnar else "forms"
     handles = {}
     for i, spec in enumerate(handle_specs):
         loc = f"exchange.handles[{i}]"
         hname = _name(spec, loc)
         if hname in handles:
             raise InstanceFileError(f"{loc}.name", f"duplicate handle {hname!r}")
-        if columnar:
-            blocks = spec.get("blocks")
-            if not isinstance(blocks, list) or not blocks:
-                raise InstanceFileError(f"{loc}.blocks", "must be a nonempty list")
-            handles[hname] = tuple(
-                _poly_list(ctx.ring, b, f"{loc}.blocks[{j}]")
-                for j, b in enumerate(blocks)
-            )
-        else:
-            handles[hname] = _poly_list(ctx.ring, spec.get("forms"), f"{loc}.forms")
-
-    if columnar:
-        start = tuple(
-            _poly_list(ctx.ring, col, f"exchange.start[{i}]")
-            for i, col in enumerate(start_raw)
-        )
-        traps = {
-            tname: _poly_list(ctx.ring, col, f"exchange.traps.{tname}")
-            for tname, col in traps_raw.items()
-        }
-    else:
-        start = _poly_list(ctx.ring, start_raw, "exchange.start")
-        traps = {
-            tname: _parse_poly(ctx.ring, text, f"exchange.traps.{tname}")
-            for tname, text in traps_raw.items()
-        }
+        raw = spec.get(part)
+        if columnar and (not isinstance(raw, list) or not raw):
+            raise InstanceFileError(f"{loc}.blocks", "must be a nonempty list")
+        handles[hname] = _poly_list(ctx.ring, raw, f"{loc}.{part}", element)
+    start = _poly_list(ctx.ring, start_raw, "exchange.start", element)
+    traps = {
+        tname: element(ctx.ring, raw, f"exchange.traps.{tname}")
+        for tname, raw in traps_raw.items()
+    }
 
     try:
         if kind == "nn":
@@ -456,7 +436,7 @@ def build_exchange(
 
     if not inst.is_basis(start):
         raise InstanceFileError("exchange.start", "start set fails the basis oracle")
-    return ExchangeSetup(inst, kind, start, tuple(handles))
+    return ExchangeSetup(inst, kind, start)
 
 
 def resolve_removed(setup: ExchangeSetup, ctx: InstanceContext, flag: str):
@@ -465,7 +445,7 @@ def resolve_removed(setup: ExchangeSetup, ctx: InstanceContext, flag: str):
     Column kinds take a zero-based column index; the element kinds take
     polynomial text compared up to parsing.
     """
-    if setup.kind in ("complete-reduction-ring", "complete-reduction-ideals"):
+    if setup.kind in COLUMN_KINDS:
         try:
             index = int(flag)
         except ValueError:

@@ -61,23 +61,24 @@ def _nonzero_combo(forms: Sequence[Polynomial], rng: random.Random) -> Polynomia
 # ---------------------------------------------------------------- finite
 
 
-def _finite_handle(name: str, subset: Iterable, family: set) -> MatroidHandle:
-    subset_set = set(subset)
-    carrier: set = set()
-    for b in family:
-        if b <= subset_set:
-            carrier |= b
-    if not carrier:
-        raise ValueError(f"handle {name!r} contains no basis")
-    elements = tuple(sorted(carrier, key=str))
+def _finite_handle(name: str, subset: Iterable, ground: set, carrier_of) -> MatroidHandle:
+    """Handle over the bases of a finite instance that lie in ``subset``.
 
-    def contains(e) -> bool:
-        return e in carrier
+    ``carrier_of`` maps the subset, checked against the ground set, to
+    the union of those bases in sampling order.
+    """
+    subset = tuple(dict.fromkeys(subset))
+    if not ground.issuperset(subset):
+        raise ValueError(f"handle {name!r} leaves the ground set")
+    elements = tuple(carrier_of(subset))
+    if not elements:
+        raise ValueError(f"handle {name!r} contains no basis")
+    carrier = frozenset(elements)
 
     def sample(rng: random.Random):
         return elements[rng.randrange(len(elements))]
 
-    return MatroidHandle(name, contains, sample, elements=elements)
+    return MatroidHandle(name, carrier.__contains__, sample, elements=elements)
 
 
 def finite_matroid(
@@ -88,8 +89,7 @@ def finite_matroid(
     """Explicit basis family over hashable labels.
 
     Bases must share one size; handles are subsets of the ground set,
-    each carrying the union of the bases it contains.  Exchange over a
-    finite handle can run exhaustively.
+    each carrying the union of the bases it contains.
     """
     ground = tuple(ground)
     if len(set(ground)) != len(ground):
@@ -108,8 +108,15 @@ def finite_matroid(
     def oracle(tup: tuple) -> bool:
         return frozenset(tup) in family
 
+    def carrier_of(subset) -> list:
+        inside = set(subset)
+        return sorted(set().union(*(b for b in family if b <= inside)), key=str)
+
     specs = dict(handles) if handles else {"ground": ground}
-    built = {hname: _finite_handle(hname, subset, family) for hname, subset in specs.items()}
+    built = {
+        hname: _finite_handle(hname, subset, ground_set, carrier_of)
+        for hname, subset in specs.items()
+    }
     return GenericMatroidInstance(
         "finite-matroid",
         sizes.pop(),
@@ -122,28 +129,16 @@ def finite_matroid(
 # ---------------------------------------------------------------- vectors
 
 
-def _vector_handle(name: str, subset, p: int, rank_needed: int) -> MatroidHandle:
-    subset = tuple(dict.fromkeys(subset))
-    if linalg.rank(list(subset), p) < rank_needed:
-        raise ValueError(f"handle {name!r} contains no basis")
-    carrier = tuple(sorted(v for v in subset if any(x % p for x in v)))
-    carrier_set = set(carrier)
-
-    def contains(v) -> bool:
-        return v in carrier_set
-
-    def sample(rng: random.Random):
-        return carrier[rng.randrange(len(carrier))]
-
-    return MatroidHandle(name, contains, sample, elements=carrier)
-
-
 def vector_matroid(
     p: int,
     vectors: Iterable[Sequence[int]],
     handles: Mapping[str, Iterable] | None = None,
 ) -> GenericMatroidInstance:
-    """Finite list of F_p columns; bases are maximal independent subsets."""
+    """Finite list of F_p columns; bases are maximal independent subsets.
+
+    Ground and handle vectors are read mod p; a candidate must be a
+    ground vector.
+    """
     PrimeField(p)
     vecs = tuple(tuple(x % p for x in v) for v in vectors)
     if not vecs:
@@ -152,19 +147,23 @@ def vector_matroid(
         raise ValueError("vectors must share one length")
     if len(set(vecs)) != len(vecs):
         raise ValueError("duplicate ground vectors")
+    ground = set(vecs)
     r = linalg.rank(list(vecs), p)
-    width = len(vecs[0])
 
     def oracle(tup: tuple) -> bool:
-        if len(tup) != r or not all(
-            isinstance(v, tuple) and len(v) == width and all(isinstance(x, int) for x in v)
-            for v in tup
-        ):
-            return False
-        return linalg.independent([tuple(x % p for x in v) for v in tup], p)
+        return len(tup) == r and ground.issuperset(tup) and linalg.independent(list(tup), p)
+
+    def carrier_of(subset) -> list:
+        # Every nonzero vector of a full-rank subset extends to a basis in it.
+        if linalg.rank(list(subset), p) < r:
+            return []
+        return sorted(v for v in subset if any(v))
 
     specs = dict(handles) if handles else {"ground": vecs}
-    built = {hname: _vector_handle(hname, subset, p, r) for hname, subset in specs.items()}
+    built = {
+        hname: _finite_handle(hname, (tuple(x % p for x in v) for v in subset), ground, carrier_of)
+        for hname, subset in specs.items()
+    }
     return GenericMatroidInstance(
         "vector-matroid",
         r,

@@ -22,6 +22,7 @@ labels.  A basis is an ordered tuple whose order is bookkeeping only.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -44,7 +45,8 @@ class MatroidHandle:
     ``contains`` answers whether a ground element lies in the handle's
     carrier; ``sample`` draws one candidate using only the supplied
     RNG, so equal seeds give equal draws.  ``elements`` enumerates the
-    carrier when it is finite, enabling exhaustive exchange.
+    carrier when it is finite; forced into ``exchange_step`` with a
+    budget of their number, they search the whole carrier.
     """
 
     name: str
@@ -205,6 +207,39 @@ class ExchangeExhausted(RuntimeError):
         self.partial_path = tuple(partial_path)
 
 
+_PATH = object()  # ``removed`` of a path's start: no single element leaves
+
+
+def _start(inst, basis, removed, handle, seed, budget, budget_name="max_tries"):
+    """The one start check of every exchange entry point.
+
+    Resolves the handle, then refuses a ``removed`` element outside the
+    basis, a budget below one, and a start the basis oracle rejects, in
+    that order, before any candidate is drawn.  Returns the handle, the
+    basis as a tuple, and the seed, drawn fresh when none is passed.
+    """
+    handle = inst.handle(handle)
+    basis = tuple(basis)
+    if removed is not _PATH and removed not in basis:
+        raise ValueError("element to remove is not in the basis")
+    if budget < 1:
+        raise ValueError(f"{budget_name} must be at least 1")
+    if not inst.is_basis(basis):
+        raise ValueError("starting set fails the basis oracle")
+    return handle, basis, _draw_seed() if seed is None else seed
+
+
+def _splices(basis, removed, handle, seed, forced=()):
+    """The candidate stream: (candidate, basis with it in place of
+    ``removed``), the ``forced`` list first, then handle samples drawn
+    from an RNG seeded with ``seed``."""
+    rng = random.Random(seed)
+    position = basis.index(removed)
+    draws = (handle.sample(rng) for _ in itertools.count())
+    for cand in itertools.chain(forced, draws):
+        yield cand, basis[:position] + (cand,) + basis[position + 1 :]
+
+
 def exchange_step(
     inst: GenericMatroidInstance,
     basis: Sequence[Element],
@@ -213,46 +248,20 @@ def exchange_step(
     seed: int | None = None,
     max_tries: int = DEFAULT_MAX_TRIES,
     forced: Sequence[Element] = (),
-    exhaustive: bool = False,
 ) -> ExchangeCertificate:
     """Replace one basis element by a candidate from the handle.
 
-    Candidates are tried in order: the ``forced`` list first (each try
-    counts against the budget), then random samples, or the handle's
-    full enumeration when ``exhaustive`` is set.  A candidate outside
-    the handle's carrier or rejected by the basis oracle is recorded
-    and the next one drawn.  Deterministic given the seed; a fresh
-    seed is generated (and recorded in the certificate) when none is
-    passed.
+    Candidates are tried in order: the ``forced`` list first, then
+    random samples, each try counting against ``max_tries``.  Forcing a
+    finite handle's ``elements`` with ``max_tries`` equal to their
+    number searches the whole carrier.  A candidate outside the
+    handle's carrier or rejected by the basis oracle is recorded and
+    the next one drawn.  Deterministic given the seed; a fresh seed is
+    generated (and recorded in the certificate) when none is passed.
     """
-    handle = inst.handle(handle)
-    basis = tuple(basis)
-    if removed not in basis:
-        raise ValueError("element to remove is not in the basis")
-    if not inst.is_basis(basis):
-        raise ValueError("starting set fails the basis oracle")
-    if max_tries < 1:
-        raise ValueError("max_tries must be at least 1")
-    if seed is None:
-        seed = _draw_seed()
-    rng = random.Random(seed)
-    position = basis.index(removed)
-
-    def candidates():
-        yield from forced
-        if exhaustive:
-            if handle.elements is None:
-                raise ValueError(f"handle {handle.name!r} has no finite enumeration")
-            yield from handle.elements
-        else:
-            while True:
-                yield handle.sample(rng)
-
+    handle, basis, seed = _start(inst, basis, removed, handle, seed, max_tries)
     rejected = []
-    attempts = 0
-    for cand in candidates():
-        attempts += 1
-        new = basis[:position] + (cand,) + basis[position + 1 :]
+    for attempts, (cand, new) in enumerate(_splices(basis, removed, handle, seed, forced), 1):
         if handle.contains(cand) and inst.is_basis(new):
             if not inst.verify(new):
                 raise RuntimeError("oracle accepted a set and then rejected it")
@@ -269,7 +278,7 @@ def exchange_step(
                 rejected=tuple(rejected),
             )
         rejected.append(cand)
-        if not exhaustive and attempts >= max_tries:
+        if attempts >= max_tries:
             break
     raise ExchangeExhausted(
         f"no replacement for {removed} from handle {handle.name!r} "
@@ -306,12 +315,7 @@ def exchange_path(
     from the path RNG.  A failed step raises ExchangeExhausted with the
     partial path attached.
     """
-    handle = inst.handle(handle)
-    basis = tuple(basis)
-    if not inst.is_basis(basis):
-        raise ValueError("starting set fails the basis oracle")
-    if seed is None:
-        seed = _draw_seed()
+    handle, basis, seed = _start(inst, basis, _PATH, handle, seed, max_tries)
     master = random.Random(seed)
     steps: list[ExchangeCertificate] = []
     current = basis
@@ -359,25 +363,9 @@ def check_generic_exchange_statistical(
     """Fraction of handle samples that complete the punctured basis.
 
     One draw per trial, no retries; the rate estimates how much of the
-    carrier the bad set eats.  Deterministic given the seed.  Like
-    ``exchange_step``, refuses a start that fails the basis oracle.
+    carrier the bad set eats.  Deterministic given the seed.  Starts
+    as ``exchange_step`` does and reads its candidate stream.
     """
-    handle = inst.handle(handle)
-    basis = tuple(basis)
-    if removed not in basis:
-        raise ValueError("element to remove is not in the basis")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not inst.is_basis(basis):
-        raise ValueError("starting set fails the basis oracle")
-    if seed is None:
-        seed = _draw_seed()
-    rng = random.Random(seed)
-    position = basis.index(removed)
-    successes = 0
-    for _ in range(trials):
-        cand = handle.sample(rng)
-        new = basis[:position] + (cand,) + basis[position + 1 :]
-        if inst.is_basis(new):
-            successes += 1
-    return successes / trials
+    handle, basis, seed = _start(inst, basis, removed, handle, seed, trials, "trials")
+    splices = itertools.islice(_splices(basis, removed, handle, seed), trials)
+    return sum(inst.is_basis(new) for _, new in splices) / trials

@@ -335,7 +335,10 @@ def test_exchange_flag_errors(monkeypatch, capsys):
                  "--seed", "1"]) == 3
     assert main(["exchange", SEGRE, "--from", "ambient", "--remove", "7",
                  "--seed", "1"]) == 3
-    capsys.readouterr()
+    # Path mode refuses an empty budget up front, as step mode does.
+    assert main(["exchange", SEGRE, "--from", "ambient", "--max-tries", "0",
+                 "--seed", "1"]) == 3
+    assert "max_tries must be at least 1" in capsys.readouterr().err
 
 
 def test_exchange_column_remove_by_index(monkeypatch, capsys):
@@ -420,6 +423,52 @@ def test_path_longer_than_basis_exit(monkeypatch, capsys):
     argv = ["exchange", QUADRIC, "--from", "target", "--seed", "1"]
     code, err = _run_failure(monkeypatch, capsys, argv)
     assert (code, err) == (5, "error: exchange path exceeded the basis size")
+
+
+# The full --json report of fixed-seed runs, timing aside.  A change to
+# the exchange layer that keeps behaviour keeps these byte for byte.
+GOLDEN = "tests/golden_reports.json"
+
+
+def _hopeless_doc():
+    doc = quadric_doc()
+    doc["exchange"]["handles"].append({"name": "hopeless", "forms": ["z", "w"]})
+    return doc
+
+
+GOLDEN_RUNS = {
+    "quadric-step": (["exchange", QUADRIC, "--remove", "x + y", "--seed", "42", "--json"], None),
+    "quadric-path": (["exchange", QUADRIC, "--seed", "7", "--json"], None),
+    "quadric-statistical": (
+        ["exchange", QUADRIC, "--remove", "x + y", "--trials", "40", "--seed", "9", "--json"],
+        None,
+    ),
+    "segre-path": (
+        ["exchange", SEGRE, "--from", "crossed", "--variant", "vector", "--seed", "3", "--json"],
+        None,
+    ),
+    "quadric-exhausted": (
+        ["exchange", "--json", "--from", "hopeless", "--remove", "x + y",
+         "--seed", "1", "--max-tries", "5"],
+        _hopeless_doc,
+    ),
+    "demo": (["demo", "--seed", "9", "--trials", "20", "--json"], None),
+}
+
+
+def _golden_report(monkeypatch, capsys, name):
+    monkeypatch.delenv("GENMAT_PRIME", raising=False)
+    argv, doc = GOLDEN_RUNS[name]
+    code, report = run_json(monkeypatch, capsys, argv, doc() if doc else None)
+    del report["timing"]
+    return {"exit": code, "report": report}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_report(monkeypatch, capsys, name):
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    assert _golden_report(monkeypatch, capsys, name) == golden[name]
 
 
 def test_readme_example_document():

@@ -68,7 +68,22 @@ def test_vector_matroid_validation():
     with pytest.raises(ValueError, match="duplicate"):
         vector_matroid(5, [(1, 0), (6, 5)])  # equal after reduction
     with pytest.raises(ValueError, match="contains no basis"):
-        vector_matroid(5, [(1, 0), (0, 1)], handles={"thin": [(1, 0), (2, 0)]})
+        vector_matroid(5, [(1, 0), (0, 1), (2, 0)], handles={"thin": [(1, 0), (2, 0)]})
+
+
+def test_classical_handles_stay_in_the_ground_set():
+    # (2, 3) is no ground vector: the handle is refused, and the oracle
+    # rejects it as a candidate.  Handle vectors are read mod p, as the
+    # ground's are, so (6, 0) is the ground vector (1, 0).
+    ground = [(1, 0), (0, 1), (1, 1)]
+    with pytest.raises(ValueError, match="handle 'h' leaves the ground set"):
+        vector_matroid(5, ground, handles={"h": [(6, 0), (0, 1), (2, 3)]})
+    vm = vector_matroid(5, ground, handles={"h": [(6, 0), (0, 1)]})
+    assert vm.handles["h"].elements == ((0, 1), (1, 0))
+    assert vm.is_basis(((1, 1), (0, 1)))
+    assert not vm.is_basis(((2, 3), (0, 1)))
+    with pytest.raises(ValueError, match="handle 'h' leaves the ground set"):
+        finite_matroid("ab", [("a", "b")], handles={"h": "abq"})
 
 
 def test_nn_instance_quadric():

@@ -208,29 +208,25 @@ def test_exchange_path_vector_matroid_exhaustive_verification():
 
 
 def test_finite_exhaustive_matches_brute_force():
-    # Replacement exists under exhaustive sampling exactly when some
-    # carrier element completes the punctured set in the family.
+    # Replacement exists when the whole carrier is tried exactly when
+    # some carrier element completes the punctured set in the family.
     ground = "abcd"
     bases = [("a", "b"), ("c", "d"), ("a", "c")]
     fm = finite_matroid(ground, bases)
     family = {frozenset(b) for b in bases}
-    carrier = set(fm.handles["ground"].elements)
+    carrier = fm.handles["ground"].elements
     for B in bases:
         for b in B:
             possible = any(
                 frozenset(set(B) - {b} | {c}) in family for c in carrier
             )
             try:
-                cert = exchange_step(fm, B, b, "ground", seed=0, exhaustive=True)
+                cert = exchange_step(
+                    fm, B, b, "ground", seed=0, forced=carrier, max_tries=len(carrier)
+                )
                 assert possible and frozenset(cert.basis_after) in family
             except ExchangeExhausted:
                 assert not possible
-
-
-def test_exhaustive_needs_enumeration():
-    inst, (x, y, z, w) = quadric_instance()
-    with pytest.raises(ValueError, match="no finite enumeration"):
-        exchange_step(inst, (x + y, z, w), x + y, "target", seed=0, exhaustive=True)
 
 
 def test_statistical_rate_all_good():

@@ -103,3 +103,10 @@ def test_one_form_check_reads_the_grading():
             or (isinstance(node, ast.Attribute) and node.attr == "multidegree")
         ]
         assert not uses, (name, uses)
+
+
+def test_one_exchange_start_check():
+    # Step, path and statistical runs share one start check, so a second
+    # prologue cannot grow back beside it unnoticed.
+    text = (SRC / "matroid.py").read_text()
+    assert text.count('"starting set fails the basis oracle"') == 1
