@@ -15,7 +15,6 @@ from .polyring import (
     PrimeField,
     RingMismatchError,
     elimination_order,
-    multidegree,
     parse_polynomial,
     poly_to_str,
     polynomial_ring,

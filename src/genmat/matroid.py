@@ -31,6 +31,7 @@ Element = Hashable
 
 DEFAULT_MAX_TRIES = 64
 MAX_AXIOM_GROUND = 20
+MEMO_SIZE = 256  # basis verdicts an instance keeps, most recently used
 _SEED_BITS = 32
 
 
@@ -58,8 +59,10 @@ class MatroidHandle:
 class GenericMatroidInstance:
     """Immutable bundle of rank, basis oracle, and handles.
 
-    The oracle must be deterministic; verdicts are cached per element
-    set.  Candidate tuples with repeats never reach the oracle: a basis
+    The oracle must be deterministic; the verdicts of the ``MEMO_SIZE``
+    element sets asked about most recently are cached, so a start basis
+    checked before every step stays a hit while a long run keeps bounded
+    memory.  Candidate tuples with repeats never reach the oracle: a basis
     has no duplicate elements.  ``traps`` holds named known-bad
     candidates that regression tests force-inject to confirm rejection.
     """
@@ -83,17 +86,19 @@ class GenericMatroidInstance:
         self.traps = dict(traps or {})
         self.oracle_name = oracle_name
         self._oracle = oracle
-        self._cache: dict[frozenset, bool] = {}
+        self._cache: dict[frozenset, bool] = {}  # least recently used first
 
     def is_basis(self, elements: Sequence[Element]) -> bool:
         tup = tuple(elements)
         if len(set(tup)) != len(tup):
             return False
         key = frozenset(tup)
-        hit = self._cache.get(key)
+        hit = self._cache.pop(key, None)
         if hit is None:
             hit = bool(self._oracle(tup))
-            self._cache[key] = hit
+            if len(self._cache) >= MEMO_SIZE:
+                del self._cache[next(iter(self._cache))]
+        self._cache[key] = hit
         return hit
 
     def verify(self, elements: Sequence[Element]) -> bool:

@@ -5,7 +5,9 @@ nonzero coefficients.  Exponent vectors are plain tuples of ints, one
 slot per ring variable; coefficients are ints reduced to [0, p).  The
 field F_p with p large (default 32003) stands in for an infinite
 field: every genericity statement downstream becomes "fails for at
-most O(1/p) of the samples".
+most O(1/p) of the samples".  Each rule is stated once: sums,
+differences and negatives are ``linear_combination`` calls, and
+constants and variables are ``PolyRing.monomial`` calls.
 
 Monomial orders are value objects exposing a sort key: ``lex``,
 ``grevlex``, and the block elimination order (grevlex on the first
@@ -18,7 +20,9 @@ integer monomial keys from it.
 
 Text form, used by the CLI and the tests: ``2*x^2*y - z*w + 5``.
 ASCII only, ``^`` for powers, ``*`` for products, integer
-coefficients, no parentheses.  Parsing and printing round-trip.
+coefficients, no parentheses.  Parsing and printing round-trip.  The
+parser is one pass over the tokens of one pattern, and an error's
+column is the first character of the offending token.
 
 Everything here is immutable after construction, and all randomness
 flows through an explicit ``random.Random`` handle, so values can be
@@ -28,6 +32,7 @@ shared freely across threads.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from operator import neg
 
@@ -135,12 +140,6 @@ class MonomialOrder:
         s = self.split
         return _grevlex_desc(m[:s]) + _grevlex_desc(m[s:])
 
-    def max(self, monomials):
-        return min(monomials, key=self.desc_key)
-
-    def sorted_desc(self, monomials) -> list[Monomial]:
-        return sorted(monomials, key=self.desc_key)
-
 
 GREVLEX = MonomialOrder("grevlex")
 LEX = MonomialOrder("lex")
@@ -188,28 +187,21 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c: int) -> "Polynomial":
-        c %= self.field.p
-        if c == 0:
-            return Polynomial._raw(self, {})
-        return Polynomial._raw(self, {(0,) * self.nvars: c})
+        return self.monomial((0,) * self.nvars, c)
 
     def var(self, name: str) -> "Polynomial":
         i = self.index(name)
-        e = [0] * self.nvars
-        e[i] = 1
-        return Polynomial._raw(self, {tuple(e): 1})
+        return self.monomial((0,) * i + (1,) + (0,) * (self.nvars - i - 1))
 
     def gens(self) -> tuple["Polynomial", ...]:
         return tuple(self.var(n) for n in self.names)
 
     def monomial(self, exponents, coeff: int = 1) -> "Polynomial":
-        e = tuple(int(x) for x in exponents)
-        if len(e) != self.nvars or any(x < 0 for x in e):
+        e = tuple(map(int, exponents))
+        if len(e) != self.nvars or min(e) < 0:
             raise ValueError(f"bad exponent vector {exponents!r}")
         c = coeff % self.field.p
-        if c == 0:
-            return Polynomial._raw(self, {})
-        return Polynomial._raw(self, {e: c})
+        return Polynomial._raw(self, {e: c} if c else {})
 
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
@@ -234,8 +226,7 @@ class Polynomial:
 
     def __init__(self, ring: PolyRing, terms: dict):
         clean: dict = {}
-        p = ring.field.p
-        n = ring.nvars
+        p, n = ring.field.p, ring.nvars
         for mon, c in terms.items():
             mon = tuple(int(e) for e in mon)
             if len(mon) != n or any(e < 0 for e in mon):
@@ -262,18 +253,7 @@ class Polynomial:
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Monomial, int]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        m = order.max(self.terms)
-        return m, self.terms[m]
-
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
-        return self.leading_term(order)[0]
+        return max((sum(m) for m in self.terms), default=-1)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -290,33 +270,24 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        p = self.ring.field.p
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = (out.get(m, 0) + c) % p
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return Polynomial._raw(self.ring, out)
+        return linear_combination((1, 1), (self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.ring.field.p
-        return Polynomial._raw(self.ring, {m: p - c for m, c in self.terms.items()})
+        return linear_combination((-1,), (self,))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return linear_combination((1, -1), (self, other))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return linear_combination((1, -1), (other, self))
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -368,24 +339,10 @@ class Polynomial:
         return f"Polynomial({poly_to_str(self)!r})"
 
 
-def multidegree(f: Polynomial, var_degrees) -> MultiDegree | None:
-    """Common multidegree of f's terms under the given grading.
-
-    ``var_degrees`` assigns one MultiDegree per ring variable.  Returns
-    None when the terms disagree or f is zero; a nonzero homogeneous f
-    gets the shared degree vector.
-    """
-    degs = [tuple(int(x) for x in d) for d in var_degrees]
-    if len(degs) != f.ring.nvars:
-        raise ValueError("grading must assign a degree to every variable")
-    ncomp = len(degs[0]) if degs else 0
-    if any(len(d) != ncomp for d in degs):
-        raise ValueError("grading components have mixed lengths")
-    return common_degree(f, degs)
-
-
 def common_degree(f: Polynomial, degs) -> MultiDegree | None:
-    """multidegree for a grading of int tuples already checked against f's ring."""
+    """The multidegree shared by f's terms, or None when they disagree or
+    f is zero.  ``degs`` holds one int tuple per variable of f's ring,
+    all of one length; the caller has checked that."""
     ncomp = len(degs[0]) if degs else 0
     common: tuple | None = None
     for mon in f.terms:
@@ -404,9 +361,12 @@ def common_degree(f: Polynomial, degs) -> MultiDegree | None:
 
 def linear_combination(coeffs, basis) -> Polynomial:
     """The sum of c * b over paired ``coeffs`` and ``basis``, built in
-    one pass; ``basis`` is a nonempty sequence over one ring."""
+    one pass; ``basis`` is a nonempty sequence over one ring, and
+    ``coeffs`` a sequence of ints of the same length."""
     if not basis:
         raise ValueError("empty basis")
+    if len(coeffs) != len(basis):
+        raise ValueError(f"{len(coeffs)} coefficients for a basis of {len(basis)}")
     ring = basis[0].ring
     p, out = ring.field.p, {}
     for c, b in zip(coeffs, basis):
@@ -462,7 +422,7 @@ def poly_to_str(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
     p = f.ring.field.p
     names = f.ring.names
     pieces: list[str] = []
-    for mon in order.sorted_desc(f.terms):
+    for mon in sorted(f.terms, key=order.desc_key):
         c = f.terms[mon]
         if c > p // 2:
             sign, mag = "-", p - c
@@ -487,41 +447,17 @@ def poly_to_str(f: Polynomial, order: MonomialOrder = GREVLEX) -> str:
     return " ".join(pieces)
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+# Blanks, then one token; at the end of the text no group matches.
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<char>.)|\Z)", re.S
+)
 
-    def error(self, msg: str):
-        raise ValueError(f"polynomial syntax error at column {self.pos + 1}: {msg}")
 
-    def peek(self) -> str | None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
-
-    def take_int(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def take_name(self) -> str:
-        start = self.pos
-        ch = self.text[self.pos]
-        if not (ch.isalpha() or ch == "_"):
-            self.error("expected a variable name")
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isalnum() or ch == "_":
-                self.pos += 1
-            else:
-                break
-        return self.text[start : self.pos]
+def _syntax_error(token: re.Match, msg: str) -> ValueError:
+    # The column of the token's first character, or one past the text.
+    kind = token.lastgroup
+    column = token.start(kind) + 1 if kind else token.end() + 1
+    return ValueError(f"polynomial syntax error at column {column}: {msg}")
 
 
 def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
@@ -531,70 +467,54 @@ def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
     term   := factor { "*" factor }
     factor := INT | NAME [ "^" INT ]
 
-    Unknown variable names and stray characters raise ValueError with a
-    column position.
+    INT is ASCII digits, NAME an ASCII identifier, and blanks may stand
+    between tokens.  Unknown variable names and stray characters raise
+    ValueError with the column of the offending token's first character.
     """
     if not isinstance(text, str):
         raise ValueError(f"polynomial text must be a string, got {type(text).__name__}")
-    tok = _Tokenizer(text)
-    p = ring.field.p
-    n = ring.nvars
+    p, n = ring.field.p, ring.nvars
+    index = {name: i for i, name in enumerate(ring.names)}
     acc: dict = {}
-
-    def read_term(sign: int) -> None:
-        coeff = sign
-        expo = [0] * n
-        while True:
-            ch = tok.peek()
-            if ch is None:
-                tok.error("unexpected end of input")
-            if ch.isdigit():
-                coeff = coeff * tok.take_int() % p
-            elif ch.isalpha() or ch == "_":
-                name = tok.take_name()
-                try:
-                    i = ring.index(name)
-                except ValueError:
-                    tok.error(f"unknown variable {name!r}")
-                e = 1
-                if tok.peek() == "^":
-                    tok.pos += 1
-                    if tok.peek() is None or not tok.peek().isdigit():
-                        tok.error("expected an exponent after '^'")
-                    e = tok.take_int()
-                expo[i] += e
-            else:
-                tok.error(f"unexpected character {ch!r}")
-            nxt = tok.peek()
-            if nxt == "*":
-                tok.pos += 1
-                continue
-            break
-        mon = tuple(expo)
-        s = (acc.get(mon, 0) + coeff) % p
-        if s:
-            acc[mon] = s
-        elif mon in acc:
-            del acc[mon]
-
-    first = tok.peek()
-    if first is None:
-        raise ValueError("empty polynomial text")
-    sign = 1
-    if first in "+-":
-        sign = -1 if first == "-" else 1
-        tok.pos += 1
-    read_term(sign % p)
-    while True:
-        ch = tok.peek()
-        if ch is None:
-            break
-        if ch == "+":
-            sign = 1
-        elif ch == "-":
-            sign = p - 1
+    coeff, expo, var, state = 1, [0] * n, None, "start"
+    for token in _TOKEN.finditer(text):
+        kind = token.lastgroup
+        tok = token[kind] if kind else ""
+        if state == "factor done" and tok == "*":
+            state = "factor"
+        elif state == "factor done" and tok == "^" and var is not None:
+            state = "exponent"
+        elif state == "factor done":  # the term ends
+            mon = tuple(expo)
+            s = (acc.get(mon, 0) + coeff) % p
+            if s:
+                acc[mon] = s
+            elif mon in acc:
+                del acc[mon]
+            if kind is None:
+                return Polynomial._raw(ring, acc)
+            if tok != "+" and tok != "-":
+                raise _syntax_error(token, f"expected '+' or '-', found {tok[0]!r}")
+            coeff, expo, state = (1 if tok == "+" else -1), [0] * n, "factor"
+        elif state == "exponent":
+            if kind != "int":
+                raise _syntax_error(token, "expected an exponent after '^'")
+            expo[var] += int(tok) - 1
+            var, state = None, "factor done"
+        elif state == "start" and (tok == "+" or tok == "-"):
+            coeff, state = (1 if tok == "+" else -1), "factor"
+        elif kind == "int":
+            coeff = coeff * int(tok) % p
+            var, state = None, "factor done"
+        elif kind == "name":
+            var = index.get(tok)
+            if var is None:
+                raise _syntax_error(token, f"unknown variable {tok!r}")
+            expo[var] += 1
+            state = "factor done"
+        elif kind is None and state == "start":
+            raise ValueError("empty polynomial text")
+        elif kind is None:
+            raise _syntax_error(token, "unexpected end of input")
         else:
-            tok.error(f"expected '+' or '-', found {ch!r}")
-        tok.pos += 1
-        read_term(sign)
-    return Polynomial._raw(ring, acc)
+            raise _syntax_error(token, f"unexpected character {tok!r}")

@@ -10,7 +10,8 @@ staircase dimension, ideal membership and equality by that division
 against a criteria-free basis, Buchberger's S-pair criterion, the
 least reduction power by a power loop over that membership,
 coordinates in a graded piece by one division read against the
-standard monomials, and monomial comparison by the textbook
+standard monomials, fiber images by their own elimination over F_p,
+and monomial comparison, hence leading terms, by the textbook
 definitions.  Expected values frozen into the tests were produced by
 these.
 """
@@ -18,9 +19,8 @@ these.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
+from functools import cmp_to_key, partial, reduce
 
-from genmat import linalg
 from genmat.algebra import fiber_algebra
 from genmat.groebner import GroebnerBasis
 from genmat.polyring import GREVLEX, Polynomial, RingMismatchError, mon_divides
@@ -44,7 +44,7 @@ def spolynomial(f: Polynomial, g: Polynomial, order=GREVLEX) -> Polynomial:
     if g.ring != f.ring:
         raise RingMismatchError("S-polynomial across rings")
     ring, p = f.ring, f.ring.field.p
-    (mf, cf), (mg, cg) = f.leading_term(order), g.leading_term(order)
+    (mf, cf), (mg, cg) = leading_term(f, order), leading_term(g, order)
     lcm = [max(a, b) for a, b in zip(mf, mg)]
     a = ring.monomial([x - y for x, y in zip(lcm, mf)], pow(cf, p - 2, p))
     b = ring.monomial([x - y for x, y in zip(lcm, mg)], pow(cg, p - 2, p))
@@ -85,7 +85,7 @@ def monic(f: Polynomial, order=GREVLEX) -> Polynomial:
     """f divided by its leading coefficient; the zero polynomial as is."""
     if f.is_zero:
         return f
-    inv = f.ring.field.inv(f.leading_term(order)[1])
+    inv = f.ring.field.inv(leading_term(f, order)[1])
     return Polynomial(f.ring, {m: a * inv for m, a in f.terms.items()})
 
 
@@ -101,10 +101,10 @@ def divide(f: Polynomial, divisors, order=GREVLEX) -> Polynomial:
     if any(g.ring != f.ring for g in divisors):
         raise RingMismatchError("division by a polynomial of another ring")
     ring, p = f.ring, f.ring.field.p
-    leads = [(g.leading_term(order), g) for g in divisors if not g.is_zero]
+    leads = [(leading_term(g, order), g) for g in divisors if not g.is_zero]
     remainder: dict = {}
     while not f.is_zero:
-        mon, c = f.leading_term(order)
+        mon, c = leading_term(f, order)
         for (lm, lc), g in leads:
             if mon_divides(lm, mon):
                 q = [a - b for a, b in zip(mon, lm)]
@@ -130,7 +130,7 @@ def naive_buchberger(ring, gens, order, max_degree=None):
     while queue:
         i, j = queue.pop(0)
         if max_degree is not None:
-            lcm = map(max, basis[i].leading_monomial(order), basis[j].leading_monomial(order))
+            lcm = map(max, leading_term(basis[i], order)[0], leading_term(basis[j], order)[0])
             if sum(lcm) > max_degree:
                 continue
         r = divide(spolynomial(basis[i], basis[j], order), basis, order)
@@ -142,7 +142,7 @@ def naive_buchberger(ring, gens, order, max_degree=None):
         queue.extend((k, new) for k in range(new))
     # Minimalize: drop any element whose leading monomial another divides.
     keep: list[int] = []
-    lms = [g.leading_monomial(order) for g in basis]
+    lms = [leading_term(g, order)[0] for g in basis]
     for i in range(len(basis)):
         drop = False
         for j in range(len(basis)):
@@ -239,16 +239,30 @@ def least_power(ring, relations, J_gens, I_gens, n_max: int) -> int | None:
 
 def fiber_image(I, f: Polynomial) -> Polynomial:
     """Image of f in I's fiber ring: the linear form in the T-variables
-    whose coefficients write f over I's generators, solved on their raw
-    terms.  That is exact when no relation lies in I's degree."""
-    pres = fiber_algebra(I)
-    mons = sorted({m for g in (*I.generators, f) for m in g.terms})
-    rows = [[g.terms.get(m, 0) for m in mons] for g in I.generators]
-    coords = linalg.solve_coords(rows, [f.terms.get(m, 0) for m in mons], f.ring.field.p)
-    assert coords is not None, f"{f} is not a combination of the generators"
+    whose coefficients write f over I's generators.  That is exact when
+    no relation lies in I's degree.
+
+    Its own elimination on the polynomials: each generator, carrying a
+    record of the combination it is, is reduced by the pivots kept so
+    far and kept with a pivot monomial when something is left; f is
+    then reduced the same way, and the records of what it took add up
+    to its coordinates."""
+    pres, p = fiber_algebra(I), f.ring.field.p
+    pivots = []  # (pivot monomial, row with coefficient 1 there, its record)
+    T = pres.ring.gens()
+    for g, t in zip(I.generators, T):
+        for mon, row, record in pivots:
+            c = g.terms.get(mon, 0)
+            g, t = g - row * c, t - record * c
+        if not g.is_zero:
+            mon = min(g.terms)
+            inv = pow(g.terms[mon], p - 2, p)
+            pivots.append((mon, g * inv, t * inv))
     out = pres.ring.zero()
-    for c, name in zip(coords, pres.ring.names):
-        out = out + pres.ring.var(name) * c
+    for mon, row, record in pivots:
+        c = f.terms.get(mon, 0)
+        f, out = f - row * c, out + record * c
+    assert f.is_zero, "not a combination of the generators"
     return out
 
 
@@ -369,3 +383,12 @@ def textbook_compare(order, a, b) -> int:
         return _grevlex_compare(a, b)
     s = order.split
     return _grevlex_compare(a[:s], b[:s]) or _grevlex_compare(a[s:], b[s:])
+
+
+def leading_term(f: Polynomial, order=GREVLEX) -> tuple:
+    """f's largest monomial under ``textbook_compare``, with its
+    coefficient; ValueError for the zero polynomial."""
+    if f.is_zero:
+        raise ValueError("zero polynomial has no leading term")
+    mon = max(f.terms, key=cmp_to_key(partial(textbook_compare, order)))
+    return mon, f.terms[mon]

@@ -1,13 +1,17 @@
 """Axiom checker and the randomized exchange machinery."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from genmat.algebra import standard_graded_algebra, equigenerated_ideal
 from genmat.matroid import (
+    MEMO_SIZE,
     AxiomCheck,
     ExchangeExhausted,
+    GenericMatroidInstance,
+    MatroidHandle,
     check_generic_exchange_statistical,
     check_matroid_axioms,
     exchange_path,
@@ -88,6 +92,36 @@ def test_instance_duplicate_rejection_and_cache():
     assert inst.is_basis((x + y, z, w))
     assert inst.is_basis((z, w, x + y))  # order is bookkeeping only
     assert inst.verify((x + y, z, w))
+
+
+def counting_instance():
+    """Rank 2 over the integers: a pair is a basis when its sum is odd.
+    The handle draws from a billion integers, so draws rarely repeat;
+    ``asked`` counts the oracle's calls per element set."""
+    asked = Counter()
+
+    def oracle(elements):
+        asked[frozenset(elements)] += 1
+        return sum(elements) % 2 == 1
+
+    handle = MatroidHandle("ints", lambda e: isinstance(e, int), lambda rng: rng.randrange(10**9))
+    return GenericMatroidInstance("parity", 2, oracle, {"ints": handle}), asked
+
+
+def test_verdict_memo_stays_bounded():
+    inst, asked = counting_instance()
+    rate = check_generic_exchange_statistical(inst, (0, 1), 1, "ints", trials=5000, seed=3)
+    assert 0.45 < rate < 0.55 and len(asked) > MEMO_SIZE
+    assert len(inst._cache) <= MEMO_SIZE
+
+
+def test_start_basis_stays_a_memo_hit():
+    # Every step re-checks its start, and far more than MEMO_SIZE fresh
+    # candidates pass through the memo, yet the start costs one call.
+    inst, asked = counting_instance()
+    for seed in range(2 * MEMO_SIZE):
+        exchange_step(inst, (0, 1), 1, "ints", seed=seed)
+    assert asked[frozenset((0, 1))] == 1 and len(inst._cache) <= MEMO_SIZE
 
 
 def test_unknown_handle():

@@ -13,7 +13,6 @@ from genmat.polyring import (
     PrimeField,
     RingMismatchError,
     elimination_order,
-    multidegree,
     parse_polynomial,
     linear_combination,
     poly_to_str,
@@ -21,7 +20,9 @@ from genmat.polyring import (
     random_linear_combination,
 )
 
-from oracles import naive_mul, order_key, random_poly, substitute
+from genmat.algebra import graded_algebra
+
+from oracles import leading_term, naive_mul, order_key, random_poly, substitute
 
 
 def test_prime_field_rejects_composites():
@@ -144,13 +145,48 @@ def test_parse_print_round_trip_random():
         assert R.parse(poly_to_str(f, LEX)) == f
 
 
+_AT = "polynomial syntax error at column "
+PARSE_ERRORS = {
+    "x + ": _AT + "5: unexpected end of input",
+    "q": _AT + "1: unknown variable 'q'",
+    "x + q": _AT + "5: unknown variable 'q'",
+    "foo": _AT + "1: unknown variable 'foo'",
+    "x^": _AT + "3: expected an exponent after '^'",
+    "x ^ y": _AT + "5: expected an exponent after '^'",
+    "2 +* x": _AT + "4: unexpected character '*'",
+    "(x+y)": _AT + "1: unexpected character '('",
+    "x..y": _AT + "2: expected '+' or '-', found '.'",
+    "": "empty polynomial text",
+    "   ": "empty polynomial text",
+    "x y": _AT + "3: expected '+' or '-', found 'y'",
+    "+": _AT + "2: unexpected end of input",
+    "x*": _AT + "3: unexpected end of input",
+    "*x": _AT + "1: unexpected character '*'",
+    "x^-1": _AT + "3: expected an exponent after '^'",
+    "2x": _AT + "2: expected '+' or '-', found 'x'",
+    "x2": _AT + "1: unknown variable 'x2'",
+    "x^2^3": _AT + "4: expected '+' or '-', found '^'",
+    "x +- y": _AT + "4: unexpected character '-'",
+    "x^²": _AT + "3: expected an exponent after '^'",
+    "é": _AT + "1: unexpected character 'é'",
+    "x^٣": _AT + "3: expected an exponent after '^'",
+    5: "polynomial text must be a string, got int",
+}
+
+
 def test_parse_errors_carry_positions():
+    # The exact message of every malformed text; a column names the
+    # first character of the offending token, or the end of the text.
     R = polynomial_ring(101, "x y")
-    for bad in ("x + ", "q", "x^", "x ^ y", "2 +* x", "(x+y)", "x..y", ""):
-        with pytest.raises(ValueError):
-            parse_polynomial(R, bad)
-    with pytest.raises(ValueError, match="unknown variable 'q'"):
-        parse_polynomial(R, "x + q")
+    wrong = {}
+    for bad, message in PARSE_ERRORS.items():
+        try:
+            got = f"parsed as {parse_polynomial(R, bad)}"
+        except ValueError as err:
+            got = str(err)
+        if got != message:
+            wrong[bad] = got
+    assert not wrong, wrong
 
 
 def test_order_validation():
@@ -197,46 +233,45 @@ def test_elimination_order_blocks():
 
 
 def test_leading_term():
+    # The oracles' leading term, taken by the textbook comparison.
     R = polynomial_ring(101, "x y")
     x, y = R.gens()
     f = x * y + y**2 + x
-    assert f.leading_monomial(GREVLEX) == (1, 1)
-    assert f.leading_monomial(LEX) == (1, 1)
-    g = x + y**2
-    assert g.leading_monomial(GREVLEX) == (0, 2)
-    assert g.leading_monomial(LEX) == (1, 0)
+    assert leading_term(f, GREVLEX) == ((1, 1), 1)
+    assert leading_term(f, LEX) == ((1, 1), 1)
+    g = x + 3 * y**2
+    assert leading_term(g, GREVLEX) == ((0, 2), 3)
+    assert leading_term(g, LEX) == ((1, 0), 1)
     with pytest.raises(ValueError):
-        R.zero().leading_term()
+        leading_term(R.zero(), GREVLEX)
 
 
 def test_multidegree():
     R = polynomial_ring(101, "x1 x2 y1 y2")
     x1, x2, y1, y2 = R.gens()
-    segre = [(1, 0), (1, 0), (0, 1), (0, 1)]
-    assert multidegree(x1 * y2, segre) == (1, 1)
-    assert multidegree(x1 * x2, segre) == (2, 0)
-    assert multidegree(x1 + y1, segre) is None
-    assert multidegree(R.zero(), segre) is None
-    assert multidegree(R.const(1), segre) == (0, 0)
-    std = [(1,)] * 4
-    assert multidegree(x1 * y1 + x2 * y2, std) == (2,)
+    segre = graded_algebra(R, [(1, 0), (1, 0), (0, 1), (0, 1)]).element_degree
+    assert segre(x1 * y2) == (1, 1)
+    assert segre(x1 * x2) == (2, 0)
+    assert segre(x1 + y1) is None
+    assert segre(R.zero()) is None
+    assert segre(R.const(1)) == (0, 0)
+    std = graded_algebra(R, [(1,)] * 4).element_degree
+    assert std(x1 * y1 + x2 * y2) == (2,)
     with pytest.raises(ValueError):
-        multidegree(x1, [(1, 0), (1, 0)])
+        graded_algebra(R, [(1, 0), (1, 0)])
 
 
 def test_multidegree_multiplicative_sampled():
     R = polynomial_ring(101, "a b c")
-    grading = [(1, 0), (0, 1), (1, 1)]
+    degree = graded_algebra(R, [(1, 0), (0, 1), (1, 1)]).element_degree
     rng = random.Random(31)
     for _ in range(200):
         e1 = tuple(rng.randrange(3) for _ in range(3))
         e2 = tuple(rng.randrange(3) for _ in range(3))
         m1 = R.monomial(e1, rng.randrange(1, 101))
         m2 = R.monomial(e2, rng.randrange(1, 101))
-        d1, d2 = multidegree(m1, grading), multidegree(m2, grading)
-        assert multidegree(m1 * m2, grading) == tuple(
-            a + b for a, b in zip(d1, d2)
-        )
+        d1, d2 = degree(m1), degree(m2)
+        assert degree(m1 * m2) == tuple(a + b for a, b in zip(d1, d2))
 
 
 def test_random_linear_combination_deterministic():
@@ -251,7 +286,7 @@ def test_random_linear_combination_deterministic():
     assert len(c1) == 3
     assert f1 == sum((b * c for c, b in zip(c1, basis)), R.zero())
     # Combination of degree-one elements stays degree one.
-    assert multidegree(f1, [(1,)] * 4) == (1,)
+    assert graded_algebra(R, [(1,)] * 4).element_degree(f1) == (1,)
 
 
 def test_linear_combination_matches_repeated_sums():
@@ -270,6 +305,10 @@ def test_linear_combination_matches_repeated_sums():
         linear_combination((), ())
     with pytest.raises(RingMismatchError, match="several rings"):
         linear_combination((1, 1), (x, polynomial_ring(101, "x y").var("x")))
+    # Nothing is dropped: every coefficient meets one basis element.
+    for coeffs in ((1,), (1, 1, 1)):
+        with pytest.raises(ValueError, match="coefficients for a basis of 2"):
+            linear_combination(coeffs, (x, y))
 
 
 def test_random_linear_combination_validation():

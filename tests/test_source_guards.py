@@ -110,3 +110,47 @@ def test_one_exchange_start_check():
     # prologue cannot grow back beside it unnoticed.
     text = (SRC / "matroid.py").read_text()
     assert text.count('"starting set fails the basis oracle"') == 1
+
+
+def test_oracles_share_no_solver_or_order_key_with_the_library():
+    # fiber_image eliminates on its own, and leading terms come from
+    # textbook_compare, so only order_key, which tests desc_key itself,
+    # may read the library's order key.
+    tree = ast.parse(ORACLES.read_text())
+    linalg = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any("linalg" in a.name for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""))
+        or (isinstance(node, ast.ImportFrom) and any(a.name == "linalg" for a in node.names))
+    ]
+    assert not linalg, linalg
+    readers = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "desc_key"
+    }
+    assert readers == {"order_key"}, readers
+
+
+def test_one_polynomial_sum_and_one_scanner():
+    # Sums, differences and negatives go through linear_combination, and
+    # the parser is one loop over one pattern's tokens, so a second merge
+    # loop or a tokenizer class cannot grow back unnoticed.
+    tree = ast.parse((SRC / "polyring.py").read_text())
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert not [name for name in classes if "token" in name.lower()], sorted(classes)
+    methods = {fn.name: fn for fn in classes["Polynomial"].body if isinstance(fn, ast.FunctionDef)}
+    for name in ("__add__", "__sub__", "__rsub__", "__neg__"):
+        nodes = list(ast.walk(methods[name]))
+        assert any(
+            isinstance(node, ast.Call) and ast.unparse(node.func) == "linear_combination"
+            for node in nodes
+        ), name
+        loops = (ast.For, ast.While, ast.comprehension)
+        assert not any(isinstance(node, loops) for node in nodes), name
+    parser = next(fn for fn in tree.body if getattr(fn, "name", None) == "parse_polynomial")
+    nested = [node.name for node in ast.walk(parser) if isinstance(node, ast.FunctionDef)]
+    assert nested == ["parse_polynomial"], nested
