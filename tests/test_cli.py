@@ -174,9 +174,9 @@ def test_check_dependent_candidate_outside_the_ideal_is_refused(monkeypatch, cap
     assert "(z) does not lie in the ideal" in capsys.readouterr().err
 
 
-def test_check_inconclusive_exit(monkeypatch, capsys):
+def _inconclusive_doc():
     # (x^4, y^4) reduces (x^4, x^3*y, x*y^3, y^4) only at power 2.
-    doc = {
+    return {
         "ring": {"vars": [{"name": "x"}, {"name": "y"}]},
         "check": {
             "ideal": ["x^4", "x^3*y", "x*y^3", "y^4"],
@@ -184,6 +184,10 @@ def test_check_inconclusive_exit(monkeypatch, capsys):
             "n_max": 1,
         },
     }
+
+
+def test_check_inconclusive_exit(monkeypatch, capsys):
+    doc = _inconclusive_doc()
     code, report = run_json(monkeypatch, capsys, ["check", "reduction", "--json"], doc)
     assert code == 2 and report["verdicts"]["status"] == "inconclusive"
     assert report["verdicts"]["detail"]["witness"] == [["fiber", True]]
@@ -237,14 +241,17 @@ def test_check_all_tasks_on_shipped_files(capsys):
     capsys.readouterr()
 
 
-def test_check_ideal_tuple_task(monkeypatch, capsys):
-    doc = {
+def _ideal_tuple_doc():
+    return {
         "ring": {"vars": [{"name": "a"}, {"name": "b"}]},
         "ideals": [{"name": "I", "generators": ["a", "b"]}],
         "check": {"ideals": ["I", "I"], "matrix": [["a", "b"], ["a", "b"]]},
     }
+
+
+def test_check_ideal_tuple_task(monkeypatch, capsys):
     code, report = run_json(
-        monkeypatch, capsys, ["check", "complete-reduction-ideals", "--json"], doc
+        monkeypatch, capsys, ["check", "complete-reduction-ideals", "--json"], _ideal_tuple_doc()
     )
     assert code == 0 and report["verdicts"]["detail"]["power"] == 1
     assert report["verdicts"]["detail"]["witness"][0] == ["fiber", True]
@@ -425,8 +432,9 @@ def test_path_longer_than_basis_exit(monkeypatch, capsys):
     assert (code, err) == (5, "error: exchange path exceeded the basis size")
 
 
-# The full --json report of fixed-seed runs, timing aside.  A change to
-# the exchange layer that keeps behaviour keeps these byte for byte.
+# The full --json report and the plain-text stdout of fixed-seed runs,
+# timing aside.  A change to the exchange, check or report layers that
+# keeps behaviour keeps these byte for byte.
 GOLDEN = "tests/golden_reports.json"
 
 
@@ -453,22 +461,39 @@ GOLDEN_RUNS = {
         _hopeless_doc,
     ),
     "demo": (["demo", "--seed", "9", "--trials", "20", "--json"], None),
+    **{
+        f"check-{task}": (["check", task, QUADRIC, "--json"], None)
+        for task in ("nn", "hsop", "reduction", "minimal-reduction")
+    },
+    "check-complete-reduction-ring": (["check", "complete-reduction-ring", SEGRE, "--json"], None),
+    "check-complete-reduction-ideals": (
+        ["check", "complete-reduction-ideals", "--json"],
+        _ideal_tuple_doc,
+    ),
+    "check-inconclusive": (["check", "reduction", "--json"], _inconclusive_doc),
 }
 
 
-def _golden_report(monkeypatch, capsys, name):
+def _golden_report(monkeypatch, capsys, tmp_path, name):
     monkeypatch.delenv("GENMAT_PRIME", raising=False)
     argv, doc = GOLDEN_RUNS[name]
     code, report = run_json(monkeypatch, capsys, argv, doc() if doc else None)
     del report["timing"]
-    return {"exit": code, "report": report}
+    # The same run in text form reads its document from a file.
+    text_argv = [a for a in argv if a != "--json"]
+    if doc:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc()))
+        text_argv.append(str(path))
+    assert main(text_argv) == code
+    return {"exit": code, "report": report, "text": capsys.readouterr().out}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
-def test_golden_report(monkeypatch, capsys, name):
+def test_golden_report(monkeypatch, capsys, tmp_path, name):
     with open(GOLDEN) as fh:
         golden = json.load(fh)
-    assert _golden_report(monkeypatch, capsys, name) == golden[name]
+    assert _golden_report(monkeypatch, capsys, tmp_path, name) == golden[name]
 
 
 def test_readme_example_document():
