@@ -134,10 +134,6 @@ class GradedAlgebraPresentation:
     def components(self) -> int:
         return len(self.degrees[0])
 
-    @property
-    def is_standard(self) -> bool:
-        return self.blocks is not None
-
     def _memo(self, key, compute):
         if key not in self._cache:
             self._cache[key] = compute()

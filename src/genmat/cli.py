@@ -26,7 +26,7 @@ import random
 import sys
 import time
 from dataclasses import fields, is_dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import InconclusiveError, equigenerated_ideal, is_minimal_reduction
 from .instancefile import (
@@ -50,43 +50,47 @@ from .polyring import DEFAULT_PRIME
 
 REPORT_SCHEMA = "genmat-report/1"
 
-EXIT_TRUE = 0
-EXIT_FALSE = 1
-EXIT_INCONCLUSIVE = 2
-EXIT_INPUT_ERROR = 3
-EXIT_EXHAUSTED = 4
-EXIT_RUN_FAILURE = 5
+# The exit code of each verdict status and of each way a run can fail.
+_EXIT = {
+    "true": 0,
+    "false": 1,
+    "inconclusive": 2,
+    "input error": 3,
+    "exhausted": 4,
+    "run failure": 5,
+}
+
+
+class _Run(NamedTuple):
+    """What a subcommand found: the parts of its report, the lines of
+    its text form, and its exit status."""
+
+    task: str
+    document: dict
+    flags: dict
+    verdicts: dict
+    certificates: list
+    seed: int | None
+    lines: list
+    status: str
 
 
 def _json(value):
-    """Report form of certificates, paths and elements: a dataclass by
-    its fields, a sequence as a list, a name or count as it is, and
-    anything else (a polynomial) by its text."""
+    """Report form of verdict details, certificates, paths and elements:
+    a dataclass by its fields, a mapping by its values, a sequence as a
+    list, a name, count, flag or None as it is, and anything else (a
+    polynomial) by its text."""
     if is_dataclass(value):
-        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+        value = {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _json(v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):
         return [_json(v) for v in value]
-    return value if isinstance(value, (int, str)) else str(value)
+    return value if value is None or isinstance(value, (int, str)) else str(value)
 
 
-def _report(task, document, flags, verdicts, certificates, seed, started) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "task": task,
-        "inputs": {"document": document, "flags": flags},
-        "verdicts": verdicts,
-        "certificates": certificates,
-        "seed": seed,
-        "timing": {"seconds": round(time.perf_counter() - started, 6)},
-    }
-
-
-def _emit(report: dict, as_json: bool, lines: Sequence[str]) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in lines:
-            print(line)
+def _step_text(cert) -> str:
+    return f"{_json(cert.removed)} -> {_json(cert.inserted)} in {cert.attempts} attempt(s)"
 
 
 def _read_document(path: str | None, as_json: bool) -> dict:
@@ -107,43 +111,25 @@ def _seed_of(args) -> int:
     return random.SystemRandom().getrandbits(32)
 
 
-def cmd_check(args) -> int:
-    started = time.perf_counter()
-    doc = _read_document(args.file, args.json)
-    ctx = build_context(doc)
+def cmd_check(args) -> _Run:
+    ctx = build_context(_read_document(args.file, args.json))
     outcome = run_check(ctx, args.task, n_max=args.n_max)
-    verdicts = {"task": args.task, "status": outcome.status, "detail": outcome.detail}
-    report = _report(
-        f"check:{args.task}",
-        ctx.document,
-        {"n_max": args.n_max},
-        verdicts,
-        [],
-        None,
-        started,
-    )
-    _emit(
-        report,
-        args.json,
-        [
-            f"task: {args.task} over F_{ctx.prime}",
-            f"verdict: {outcome.status}"
-            + (f" ({outcome.detail['verdict']})" if "verdict" in outcome.detail else ""),
-        ],
-    )
-    return outcome.exit_code
+    detail = _json(outcome.detail)
+    verdicts = {"task": args.task, "status": outcome.status, "detail": detail}
+    lines = [
+        f"task: {args.task} over F_{ctx.prime}",
+        f"verdict: {outcome.status}"
+        + (f" ({detail['verdict']})" if "verdict" in detail else ""),
+    ]
+    task = f"check:{args.task}"
+    flags = {"n_max": args.n_max}
+    return _Run(task, ctx.document, flags, verdicts, [], None, lines, outcome.status)
 
 
-def cmd_exchange(args) -> int:
-    started = time.perf_counter()
-    doc = _read_document(args.file, args.json)
-    ctx = build_context(doc)
+def cmd_exchange(args) -> _Run:
+    ctx = build_context(_read_document(args.file, args.json))
     setup = build_exchange(ctx, variant=args.variant, n_max=args.n_max)
-    handle = args.from_handle or setup.default_handle()
-    if handle not in setup.instance.handles:
-        raise InstanceFileError(
-            "--from", f"unknown handle {handle!r}; defined: {sorted(setup.instance.handles)}"
-        )
+    handle = setup.default_handle(args.from_handle)
     seed = _seed_of(args)
     flags = {
         "remove": args.remove,
@@ -156,32 +142,25 @@ def cmd_exchange(args) -> int:
     }
     inst = setup.instance
     lines = [f"instance: {inst.name} (rank {inst.rank}) over F_{ctx.prime}", f"seed: {seed}"]
-
-    if args.trials is not None:
-        if args.remove is None:
-            raise InstanceFileError("--remove", "statistical mode needs --remove")
-        removed = resolve_removed(setup, ctx, args.remove)
-        rate = check_generic_exchange_statistical(
-            inst, setup.start, removed, handle, trials=args.trials, seed=seed
-        )
-        verdicts = {"mode": "statistical", "trials": args.trials, "rate": rate}
-        report = _report("exchange", ctx.document, flags, verdicts, [], seed, started)
-        lines.append(f"rate: {rate:.3f} over {args.trials} trials")
-        _emit(report, args.json, lines)
-        return EXIT_TRUE
-
+    if args.trials is not None and args.remove is None:
+        raise InstanceFileError("--remove", "statistical mode needs --remove")
+    removed = None if args.remove is None else resolve_removed(setup, ctx, args.remove)
+    certs = []
+    status = "true"
     try:
-        if args.remove is not None:
-            removed = resolve_removed(setup, ctx, args.remove)
+        if args.trials is not None:
+            rate = check_generic_exchange_statistical(
+                inst, setup.start, removed, handle, trials=args.trials, seed=seed
+            )
+            verdicts = {"mode": "statistical", "trials": args.trials, "rate": rate}
+            lines.append(f"rate: {rate:.3f} over {args.trials} trials")
+        elif removed is not None:
             cert = exchange_step(
                 inst, setup.start, removed, handle, seed=seed, max_tries=args.max_tries
             )
             verdicts = {"mode": "step", "attempts": cert.attempts}
             certs = [_json(cert)]
-            lines.append(
-                f"exchanged {_json(cert.removed)} -> "
-                f"{_json(cert.inserted)} in {cert.attempts} attempt(s)"
-            )
+            lines.append(f"exchanged {_step_text(cert)}")
         else:
             path = exchange_path(
                 inst, setup.start, handle, seed=seed, max_tries=args.max_tries
@@ -197,14 +176,10 @@ def cmd_exchange(args) -> int:
             "rejected": _json(spent.rejected),
             "partial_steps": _json(spent.partial_path),
         }
-        report = _report("exchange", ctx.document, flags, verdicts, [], seed, started)
+        status = "exhausted"
         lines.append(f"exhausted after {spent.attempts} tries; rejected samples follow")
         lines.extend(f"  rejected: {_json(e)}" for e in spent.rejected)
-        _emit(report, args.json, lines)
-        return EXIT_EXHAUSTED
-    report = _report("exchange", ctx.document, flags, verdicts, certs, seed, started)
-    _emit(report, args.json, lines)
-    return EXIT_TRUE
+    return _Run("exchange", ctx.document, flags, verdicts, certs, seed, lines, status)
 
 
 def demo_document(prime: int) -> dict:
@@ -236,14 +211,13 @@ DEMO_CANDIDATES = (
 )
 
 
-def cmd_demo(args) -> int:
-    started = time.perf_counter()
+def cmd_demo(args) -> _Run:
     prime = args.prime if args.prime is not None else resolve_prime({})
-    doc = demo_document(prime)
-    ctx = build_context(doc)
+    ctx = build_context(demo_document(prime))
     seed = _seed_of(args)
     master = random.Random(seed)
     lines = [
+        f"seed: {seed}",
         f"The quadric hypersurface algebra F_{prime}[x,y,z,w]/(x*y - z*w) has",
         "dimension 3, so a minimal reduction of its maximal ideal needs three",
         "degree-one forms.  Candidate verdicts:",
@@ -279,7 +253,7 @@ def cmd_demo(args) -> int:
         seed=master.getrandbits(32),
         forced=forced,
     )
-    traps_rejected = [str(e) for e in trap_cert.rejected[: len(forced)]]
+    traps_rejected = _json(trap_cert.rejected[: len(forced)])
     all_ok = all_ok and len(traps_rejected) == len(forced)
     lines.extend(f"  {t}: rejected" for t in trap_names[: len(traps_rejected)])
     rate = check_generic_exchange_statistical(
@@ -297,10 +271,7 @@ def cmd_demo(args) -> int:
     lines.append(
         f"Random replacements succeed at rate {rate:.3f} over {args.trials} trials."
     )
-    lines.append(
-        f"One certificate: {_json(cert.removed)} -> "
-        f"{_json(cert.inserted)} in {cert.attempts} attempt(s)."
-    )
+    lines.append(f"One certificate: {_step_text(cert)}.")
     verdicts = {
         "candidates": verdict_rows,
         "traps_rejected": traps_rejected,
@@ -308,18 +279,10 @@ def cmd_demo(args) -> int:
         "trials": args.trials,
         "all_expected": all_ok,
     }
-    report = _report(
-        "demo",
-        ctx.document,
-        {"prime": prime, "trials": args.trials},
-        verdicts,
-        _json([trap_cert, cert]),
-        seed,
-        started,
-    )
-    lines.insert(0, f"seed: {seed}")
-    _emit(report, args.json, lines)
-    return EXIT_TRUE if all_ok else EXIT_FALSE
+    flags = {"prime": prime, "trials": args.trials}
+    certs = _json([trap_cert, cert])
+    status = "true" if all_ok else "false"
+    return _Run("demo", ctx.document, flags, verdicts, certs, seed, lines, status)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,21 +322,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        run = args.func(args)
     except ValueError as bad:
         # InstanceFileError and the library's own input validation both
         # surface as ValueError; either way the question was malformed.
         print(f"error: {bad}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        return _EXIT["input error"]
     except InconclusiveError as open_verdict:
         print(f"inconclusive: {open_verdict}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+        return _EXIT["inconclusive"]
     except RuntimeError as failed:
         # A sampler that kept drawing degenerate elements, or an exchange
         # path the oracle would not certify: the run, not the question, failed.
         print(f"error: {failed}", file=sys.stderr)
-        return EXIT_RUN_FAILURE
+        return _EXIT["run failure"]
+    report = {
+        "schema": REPORT_SCHEMA,
+        "task": run.task,
+        "inputs": {"document": run.document, "flags": run.flags},
+        "verdicts": run.verdicts,
+        "certificates": run.certificates,
+        "seed": run.seed,
+        "timing": {"seconds": round(time.perf_counter() - started, 6)},
+    }
+    print(json.dumps(report, indent=2) if args.json else "\n".join(run.lines))
+    return _EXIT[run.status]
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -83,10 +84,24 @@ class InstanceFileError(ValueError):
         self.location = location
 
 
+class _at(AbstractContextManager):
+    """``with _at(location):`` reports a library ValueError raised inside
+    as a document error at ``location``; a document error raised inside
+    keeps its own location."""
+
+    def __init__(self, location: str):
+        self.location = location
+
+    def __exit__(self, kind, bad, traceback):
+        if isinstance(bad, ValueError) and not isinstance(bad, InstanceFileError):
+            raise InstanceFileError(self.location, str(bad)) from bad
+
+
 def load_document(text: str) -> dict:
+    # Deep nesting raises RecursionError; an oversized integer, ValueError.
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as bad:
+    except (ValueError, RecursionError) as bad:
         raise InstanceFileError("$", f"not valid JSON ({bad})") from bad
     if not isinstance(doc, dict):
         raise InstanceFileError("$", "document must be a JSON object")
@@ -105,32 +120,28 @@ def resolve_prime(doc: dict, env: Mapping[str, str] | None = None) -> int:
         raise InstanceFileError("field", "must be an object")
     if "prime" in section:
         p = section["prime"]
+        location = "field.prime"
         if not _is_int(p):
-            raise InstanceFileError("field.prime", "must be an integer")
-        source = ""
+            raise InstanceFileError(location, "must be an integer")
     else:
         env = os.environ if env is None else env
         raw = env.get(ENV_PRIME)
         if raw is None:
             return DEFAULT_PRIME
-        source = f"{ENV_PRIME}={raw!r}: "
+        location = f"field.prime: {ENV_PRIME}={raw!r}"
         try:
             p = int(raw)
         except ValueError:
-            raise InstanceFileError("field.prime", f"{source}not an integer") from None
-    try:
+            raise InstanceFileError(location, "not an integer") from None
+    with _at(location):
         return PrimeField(p).p
-    except ValueError as bad:
-        raise InstanceFileError("field.prime", f"{source}{bad}") from None
 
 
 def _parse_poly(ring: PolyRing, text, location: str) -> Polynomial:
     if not isinstance(text, str):
         raise InstanceFileError(location, "polynomial must be a string")
-    try:
+    with _at(location):
         return ring.parse(text)
-    except ValueError as bad:
-        raise InstanceFileError(location, str(bad)) from bad
 
 
 def _name(spec, location: str, *fields) -> str:
@@ -184,14 +195,10 @@ def build_context(doc: dict, env: Mapping[str, str] | None = None) -> InstanceCo
         if not isinstance(deg, list) or not all(_is_int(x) for x in deg):
             raise InstanceFileError(f"{loc}.multidegree", "must be a list of integers")
         degrees.append(tuple(deg))
-    try:
+    with _at("ring.vars"):
         ring = polynomial_ring(prime, names)
-    except ValueError as bad:
-        raise InstanceFileError("ring.vars", str(bad)) from bad
-    try:
+    with _at("ring"):
         grading = graded_algebra(ring, degrees)
-    except ValueError as bad:
-        raise InstanceFileError("ring", str(bad)) from bad
     relations = _poly_list(ring, ring_section.get("relations", []), "ring.relations")
     for i, rel in enumerate(relations):
         if grading.element_degree(rel) is None:
@@ -210,10 +217,8 @@ def build_context(doc: dict, env: Mapping[str, str] | None = None) -> InstanceCo
         if name in ideals:
             raise InstanceFileError(f"{loc}.name", f"duplicate ideal {name!r}")
         gens = _poly_list(ring, spec["generators"], f"{loc}.generators")
-        try:
+        with _at(f"{loc}.generators"):
             ideals[name] = equigenerated_ideal(algebra, gens)
-        except ValueError as bad:
-            raise InstanceFileError(f"{loc}.generators", str(bad)) from bad
     return InstanceContext(doc, prime, algebra, ideals)
 
 
@@ -227,10 +232,8 @@ def resolve_ideal(ctx: InstanceContext, ref, location: str) -> EquigeneratedIdea
             ) from None
     if isinstance(ref, list):
         gens = _poly_list(ctx.ring, ref, location)
-        try:
+        with _at(location):
             return equigenerated_ideal(ctx.algebra, gens)
-        except ValueError as bad:
-            raise InstanceFileError(location, str(bad)) from bad
     raise InstanceFileError(location, "ideal reference must be a name or a list")
 
 
@@ -250,24 +253,21 @@ def _power_bound(section: dict, n_max: int | None, location: str) -> int:
     return bound
 
 
-def _matrix(ctx: InstanceContext, rows, location: str):
+def _matrix(ring: PolyRing, rows, location: str) -> tuple:
+    """A nonempty list of rows of polynomial strings: a check matrix, or
+    the per-component blocks of a column-kind handle."""
     if not isinstance(rows, list) or not rows:
         raise InstanceFileError(location, "must be a nonempty list of rows")
-    return tuple(
-        _poly_list(ctx.ring, row, f"{location}[{i}]") for i, row in enumerate(rows)
-    )
+    return tuple(_poly_list(ring, row, f"{location}[{i}]") for i, row in enumerate(rows))
 
 
 @dataclass(frozen=True)
 class CheckOutcome:
-    """Oracle verdict plus a serializable detail payload."""
+    """Oracle verdict plus its detail: the parsed inputs and, for the
+    reduction verdicts, the witness."""
 
     status: str  # "true" | "false" | "inconclusive"
     detail: dict
-
-    @property
-    def exit_code(self) -> int:
-        return {"true": 0, "false": 1, "inconclusive": 2}[self.status]
 
 
 def _bool_outcome(value: bool, detail: dict) -> CheckOutcome:
@@ -275,9 +275,8 @@ def _bool_outcome(value: bool, detail: dict) -> CheckOutcome:
 
 
 def _verdict_outcome(verdict, detail: dict) -> CheckOutcome:
-    detail = dict(detail)
     detail["verdict"] = verdict.describe()
-    detail["witness"] = [list(entry) for entry in verdict.witness]
+    detail["witness"] = verdict.witness
     if verdict.is_yes:
         detail["power"] = verdict.power
         return CheckOutcome("true", detail)
@@ -308,25 +307,18 @@ def run_check(ctx: InstanceContext, task: str, n_max: int | None = None) -> Chec
             raise InstanceFileError("check.candidate", "missing")
         return _poly_list(ctx.ring, section["candidate"], "check.candidate")
 
-    try:
-        if task == "nn":
+    with _at("check"):
+        if task in ("nn", "hsop"):
             cand = candidate()
-            return _bool_outcome(
-                is_noether_normalization(ctx.algebra, cand),
-                {"candidate": [str(f) for f in cand]},
-            )
-        if task == "hsop":
-            cand = candidate()
-            return _bool_outcome(
-                is_hsop(ctx.algebra, cand), {"candidate": [str(f) for f in cand]}
-            )
+            test = is_noether_normalization if task == "nn" else is_hsop
+            return _bool_outcome(test(ctx.algebra, cand), {"candidate": cand})
         if task in ("reduction", "minimal-reduction"):
             if "ideal" not in section:
                 raise InstanceFileError("check.ideal", "missing")
             I = resolve_ideal(ctx, section["ideal"], "check.ideal")
             cand = candidate()
             J = equigenerated_ideal(ctx.algebra, cand)
-            detail = {"candidate": [str(f) for f in cand]}
+            detail = {"candidate": cand}
             if task == "reduction":
                 return _verdict_outcome(is_reduction(J, I, n_max=bound), detail)
             try:
@@ -335,21 +327,13 @@ def run_check(ctx: InstanceContext, task: str, n_max: int | None = None) -> Chec
                 detail["verdict"] = str(open_verdict)
                 return CheckOutcome("inconclusive", detail)
         if task == "complete-reduction-ring":
-            rows = _matrix(ctx, section.get("matrix"), "check.matrix")
-            return _bool_outcome(
-                is_complete_reduction_ring(ctx.algebra, rows),
-                {"matrix": [[str(f) for f in row] for row in rows]},
-            )
+            rows = _matrix(ctx.ring, section.get("matrix"), "check.matrix")
+            return _bool_outcome(is_complete_reduction_ring(ctx.algebra, rows), {"matrix": rows})
         ideals = _ideal_list(ctx, section.get("ideals"), "check.ideals")
-        rows = _matrix(ctx, section.get("matrix"), "check.matrix")
+        rows = _matrix(ctx.ring, section.get("matrix"), "check.matrix")
         return _verdict_outcome(
-            is_complete_reduction_ideals(ideals, rows, n_max=bound),
-            {"matrix": [[str(f) for f in row] for row in rows]},
+            is_complete_reduction_ideals(ideals, rows, n_max=bound), {"matrix": rows}
         )
-    except InstanceFileError:
-        raise
-    except ValueError as bad:
-        raise InstanceFileError("check", str(bad)) from bad
 
 
 @dataclass(frozen=True)
@@ -360,8 +344,16 @@ class ExchangeSetup:
     kind: str
     start: tuple
 
-    def default_handle(self) -> str:
+    def default_handle(self, flag: str | None = None) -> str:
+        """The handle to sample from: the --from flag, else the one
+        handle, else the one named "target"."""
         names = tuple(self.instance.handles)
+        if flag:
+            if flag not in names:
+                raise InstanceFileError(
+                    "--from", f"unknown handle {flag!r}; defined: {sorted(names)}"
+                )
+            return flag
         if len(names) == 1:
             return names[0]
         if "target" in names:
@@ -395,6 +387,7 @@ def build_exchange(
     # a handle is a list of blocks of forms, else the forms themselves.
     columnar = kind in COLUMN_KINDS
     element = _poly_list if columnar else _parse_poly
+    whole = _matrix if columnar else _poly_list
     part = "blocks" if columnar else "forms"
     handles = {}
     for i, spec in enumerate(handle_specs):
@@ -402,17 +395,14 @@ def build_exchange(
         hname = _name(spec, loc)
         if hname in handles:
             raise InstanceFileError(f"{loc}.name", f"duplicate handle {hname!r}")
-        raw = spec.get(part)
-        if columnar and (not isinstance(raw, list) or not raw):
-            raise InstanceFileError(f"{loc}.blocks", "must be a nonempty list")
-        handles[hname] = _poly_list(ctx.ring, raw, f"{loc}.{part}", element)
+        handles[hname] = whole(ctx.ring, spec.get(part), f"{loc}.{part}")
     start = _poly_list(ctx.ring, start_raw, "exchange.start", element)
     traps = {
         tname: element(ctx.ring, raw, f"exchange.traps.{tname}")
         for tname, raw in traps_raw.items()
     }
 
-    try:
+    with _at("exchange"):
         if kind == "nn":
             inst = nn_instance(ctx.algebra, handles=handles, traps=traps)
         elif kind == "minred":
@@ -429,10 +419,6 @@ def build_exchange(
             inst = complete_reduction_instance(
                 ideals, variant=variant, handles=handles, traps=traps
             )
-    except InstanceFileError:
-        raise
-    except ValueError as bad:
-        raise InstanceFileError("exchange", str(bad)) from bad
 
     if not inst.is_basis(start):
         raise InstanceFileError("exchange.start", "start set fails the basis oracle")
@@ -458,7 +444,6 @@ def resolve_removed(setup: ExchangeSetup, ctx: InstanceContext, flag: str):
             )
         return setup.start[index]
     target = _parse_poly(ctx.ring, flag, "--remove")
-    for el in setup.start:
-        if el == target:
-            return el
+    if target in setup.start:
+        return target
     raise InstanceFileError("--remove", f"{flag!r} is not in the start basis")

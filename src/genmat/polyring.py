@@ -194,7 +194,10 @@ class PolyRing:
         return self.monomial((0,) * i + (1,) + (0,) * (self.nvars - i - 1))
 
     def gens(self) -> tuple["Polynomial", ...]:
-        return tuple(self.var(n) for n in self.names)
+        # Built once per ring; the dataclass fields alone define equality.
+        if "_gens" not in self.__dict__:
+            object.__setattr__(self, "_gens", tuple(self.var(n) for n in self.names))
+        return self._gens
 
     def monomial(self, exponents, coeff: int = 1) -> "Polynomial":
         e = tuple(map(int, exponents))

@@ -90,10 +90,10 @@ def test_presentation_validation():
 
 def test_standard_flag():
     S, _ = segre()
-    assert S.is_standard and S.components == 2
+    assert S.blocks is not None and S.components == 2
     R = polynomial_ring(101, "x y")
     weighted = GradedAlgebraPresentation(R, ((1,), (2,)))
-    assert not weighted.is_standard
+    assert weighted.blocks is None
 
 
 def test_blocks_list_each_components_variables():

@@ -42,6 +42,23 @@ def test_load_document_rejects_junk():
         load_document("[1, 2]")
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        # The decoder gives up on deep nesting with a RecursionError.
+        ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        # and on an integer past the digit limit with a plain ValueError.
+        ('{"field": {"prime": 1' + "0" * 5000 + "}}", "Exceeds the limit"),
+    ],
+    ids=["nested", "long-integer"],
+)
+def test_undecodable_documents_are_input_errors(monkeypatch, capsys, text, reason):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code = main(["check", "nn", "--json"])
+    err = capsys.readouterr().err
+    assert code == 3 and err.startswith(f"error: $: not valid JSON ({reason}"), err[:200]
+
+
 def test_resolve_prime_precedence():
     assert resolve_prime({"field": {"prime": 101}}, env={"GENMAT_PRIME": "7"}) == 101
     assert resolve_prime({}, env={"GENMAT_PRIME": "7"}) == 7

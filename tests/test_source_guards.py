@@ -154,3 +154,80 @@ def test_one_polynomial_sum_and_one_scanner():
     parser = next(fn for fn in tree.body if getattr(fn, "name", None) == "parse_polynomial")
     nested = [node.name for node in ast.walk(parser) if isinstance(node, ast.FunctionDef)]
     assert nested == ["parse_polynomial"], nested
+
+
+def _owner(tree, node) -> str:
+    """The name of the top-level definition that holds ``node``."""
+    return next(
+        top.name
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and node in ast.walk(top)
+    )
+
+
+def test_one_document_error_translation():
+    # _at is the one place a library ValueError becomes a document error,
+    # so a second translating try block cannot grow back unnoticed.  The
+    # JSON decoder's refusal is translated where the text is decoded.
+    tree = ast.parse((SRC / "instancefile.py").read_text())
+    caught = {
+        handler.name
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler) and handler.name
+    }
+    translations = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and ast.unparse(node.exc.func) == "InstanceFileError"
+        ):
+            continue
+        # A message built from a caught exception, or chained to one.
+        read = {n.id for arg in node.exc.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+        if read & caught or isinstance(node.cause, ast.Name):
+            translations.append(_owner(tree, node))
+    assert sorted(translations) == ["_at", "load_document"], translations
+    passes = [
+        handler.lineno
+        for handler in ast.walk(tree)
+        if isinstance(handler, ast.ExceptHandler)
+        and "InstanceFileError" in ast.unparse(handler.type)
+    ]
+    assert not passes, passes
+
+
+def test_one_report_writer():
+    # main builds the one report and reads the clock, and only cli.py
+    # knows exit codes, so a second report writer or exit table cannot
+    # grow back unnoticed.
+    tree = ast.parse((SRC / "cli.py").read_text())
+    reports = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value == "schema" for k in node.keys)
+    ]
+    clocks = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("perf_counter")
+    ]
+    owners = [_owner(tree, node) for node in reports + clocks]
+    assert len(reports) == 1 and owners == ["main"] * len(owners), owners
+    statuses = {"true", "false", "inconclusive"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        exits = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Name) and node.id.lower().startswith("exit"))
+            or (isinstance(node, ast.Attribute) and node.attr.lower().startswith("exit"))
+            or (isinstance(node, ast.FunctionDef) and node.name.lower().startswith("exit"))
+            or (
+                isinstance(node, ast.Dict)
+                and statuses & {getattr(k, "value", None) for k in node.keys}
+            )
+        ]
+        assert not exits, (path.name, exits)
