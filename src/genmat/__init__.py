@@ -24,7 +24,6 @@ from .groebner import (
     GroebnerBasis,
     IdealSpec,
     buchberger,
-    elimination_ideal,
     hilbert_numerator,
     is_zero_dimensional,
     kernel_of_map,

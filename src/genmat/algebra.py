@@ -48,6 +48,7 @@ from . import linalg
 from .groebner import (
     GroebnerBasis,
     IdealSpec,
+    _fresh_names,
     buchberger,
     is_zero_dimensional,
     kernel_of_map,
@@ -486,21 +487,12 @@ def _first_outside_ideal(K: EquigeneratedIdeal, forms) -> Polynomial | None:
     return _first_outside(S, left, K.generators, forms)
 
 
-def _fresh_names(taken, count: int, prefix: str) -> list[str]:
-    taken = set(taken)
-    for k in itertools.count(1):
-        names = [f"{prefix * k}{i + 1}" for i in range(count)]
-        if taken.isdisjoint(names):
-            return names
-
-
 def _subalgebra(targets, relations: IdealSpec, prefix: str, degrees=None):
     """Presentation of F_p[targets] modulo ``relations``, its relations
-    kernel_of_map's reduced basis: variable i, a fresh ``prefix`` name,
+    kernel_of_map's reduced basis: variable i, named from ``prefix``,
     maps to target i in degree degrees[i] (1 by default).  A form enters
     as ``linear_combination(coordinates, ring.gens())``."""
-    names = _fresh_names(targets[0].ring.names, len(targets), prefix)
-    ker = kernel_of_map(targets, relations=relations, names=names)
+    ker = kernel_of_map(targets, relations=relations, prefix=prefix)
     return GradedAlgebraPresentation(ker.ring, degrees or ((1,),) * len(targets), ker)
 
 

@@ -36,12 +36,12 @@ in descending order, which gives a fresh basis element its leading
 monomial for free.  ``Polynomial`` keeps tuple monomials, converted
 where polynomials enter and leave the engine.
 
-Everything downstream is a consequence of normal forms: elimination
-through a block order, kernels of algebra maps via T_i - f_i, and the
-Hilbert numerator of the leading monomials, which gives the Krull
-dimension and top degree.  Elimination and kernels keep the minimal
-elements free of the eliminated block and tail-reduce only those, so
-callers never run Buchberger on the result again.
+Everything downstream is a consequence of normal forms: kernels of
+algebra maps, and the Hilbert numerator of the leading monomials, which
+gives the Krull dimension and top degree.  ``kernel_of_map``, the one
+elimination, keeps the minimal elements free of the source variables,
+a minimal grevlex basis of the kernel (Elimination Theorem), and
+tail-reduces only those, so callers never run Buchberger on them again.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import itemgetter, le, mul
 from struct import Struct
 from typing import NamedTuple
@@ -201,7 +201,6 @@ class GroebnerBasis:
     every leading monomial, so ``leading_monomials`` reads the minimal
     records as they are; ``divisors``, the reduced basis's records, are
     tail-reduced from them on first use, and ``basis`` converts those.
-    Equality and hashing compare the reduced basis.
     """
 
     ring: PolyRing
@@ -219,17 +218,6 @@ class GroebnerBasis:
 
     def leading_monomials(self) -> tuple:
         return tuple(self.packing.monomial(d.lead) for d in self.minimal)
-
-    def _reduced(self) -> tuple:
-        return self.ring, self.order, self.divisors
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroebnerBasis):
-            return NotImplemented
-        return self is other or self._reduced() == other._reduced()
-
-    def __hash__(self) -> int:
-        return hash(self._reduced())
 
 
 def _spair(a: _Divisor, b: _Divisor, lcm: int, pk: _Packing) -> dict:
@@ -432,40 +420,14 @@ def _as_gb(ideal) -> GroebnerBasis:
     return ideal if isinstance(ideal, GroebnerBasis) else buchberger(ideal)
 
 
-def elimination_ideal(ideal: IdealSpec, keep, weights=None) -> GroebnerBasis:
-    """Reduced grevlex basis of (ideal) intersected with F_p[keep].
-
-    The result lives in the subring on the kept variables, in their
-    original ring order.  The elimination order breaks ties by grevlex
-    on the kept block, so the kept-variable part of its minimal basis
-    is a minimal grevlex basis of the intersection.  It ranks every
-    monomial with an eliminated variable above every one without, so an
-    element lies in the subring iff its leading monomial does.  Those
-    minimal records are moved over, not rebuilt, and only they are
-    tail-reduced, in the subring, when first read.  ``weights`` go to
-    Buchberger.
-    """
-    ring = ideal.ring
-    keep_set = set(keep)
-    unknown = keep_set - set(ring.names)
-    if unknown:
-        raise ValueError(f"unknown variables {sorted(unknown)}")
-    kept = [n for n in ring.names if n in keep_set]
-    dropped = [n for n in ring.names if n not in keep_set]
-    if not kept:
-        raise ValueError("must keep at least one variable")
-    if not dropped:
-        return buchberger(ideal, weights=weights)
-    # Reorder so the eliminated block comes first, then run a block order.
-    shuffled = PolyRing(ring.field, tuple(dropped + kept))
-    to_shuffled = [ring.index(n) for n in shuffled.names]
-    moved = tuple(reindex(g, shuffled, to_shuffled) for g in ideal.generators)
-    weights = weights and [weights[i] for i in to_shuffled]
-    gb = buchberger(IdealSpec(shuffled, moved), elimination_order(len(dropped)), weights)
-    small = PolyRing(ring.field, tuple(kept))
-    shift = _WIDTH * len(dropped)  # below it, the eliminated variables' fields
-    records = tuple(_drop_block(d, shift) for d in gb.minimal if not d.lm & (1 << shift) - 1)
-    return GroebnerBasis(small, GREVLEX, records, _Packing(small, GREVLEX))
+def _fresh_names(taken, n: int, prefix: str) -> list[str]:
+    """prefix1..prefix<n>, the prefix repeated the fewest times (T1..,
+    then TT1..) that keeps every name out of ``taken``."""
+    taken = set(taken)
+    for k in count(1):
+        names = [f"{prefix * k}{i + 1}" for i in range(n)]
+        if taken.isdisjoint(names):
+            return names
 
 
 def _drop_block(d: _Divisor, shift: int) -> _Divisor:
@@ -474,13 +436,18 @@ def _drop_block(d: _Divisor, shift: int) -> _Divisor:
     return _Divisor(d.lead >> shift, d.lm >> shift, tuple((k >> shift, c) for k, c in d.tail))
 
 
-def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> GroebnerBasis:
+def kernel_of_map(targets, relations: IdealSpec | None = None, prefix: str = "T") -> GroebnerBasis:
     """Presentation ideal of the subalgebra generated by ``targets``.
 
     Given f_1..f_s in R = F_p[x]/relations, returns the reduced grevlex
-    basis of the kernel of F_p[T_1..T_s] -> R, T_i -> f_i, computed by
-    eliminating the x variables from relations + (T_i - f_i).  ``names``
-    overrides the default T1..Ts variable names.
+    basis of the kernel of F_p[T_1..T_s] -> R, T_i -> f_i, the T_i named
+    by ``_fresh_names`` from ``prefix``: relations + (T_i - f_i) in
+    F_p[x, T], intersected with F_p[T].  The elimination order on the x
+    ranks every monomial with an x above every one without and breaks
+    ties by grevlex on the T, so the minimal elements with x-free leading
+    monomials are a minimal grevlex basis of the kernel (Elimination
+    Theorem).  Only they are moved over and tail-reduced, in F_p[T],
+    when first read.
     """
     targets = list(targets)
     if not targets:
@@ -491,26 +458,18 @@ def kernel_of_map(targets, relations: IdealSpec | None = None, names=None) -> Gr
             raise RingMismatchError("targets span several rings")
     if relations is not None and relations.ring != src:
         raise RingMismatchError("relations outside the source ring")
-    if names is None:
-        names = [f"T{i + 1}" for i in range(len(targets))]
-    names = list(names)
-    if len(names) != len(targets):
-        raise ValueError("need one name per target")
-    clash = set(names) & set(src.names)
-    if clash:
-        raise ValueError(f"target names collide with source variables: {sorted(clash)}")
+    names = _fresh_names(src.names, len(targets), prefix)
     big = PolyRing(src.field, src.names + tuple(names))
     to_big = list(range(src.nvars)) + [None] * len(names)
-    gens: list[Polynomial] = []
-    if relations is not None:
-        gens.extend(reindex(g, big, to_big) for g in relations.generators)
-    for i, f in enumerate(targets):
-        t = big.var(names[i])
-        gens.append(t - reindex(f, big, to_big))
-    # The source variables come first in ``big``, so elimination runs its
-    # block order on these generators, homogeneous under these weights.
+    gens = [reindex(g, big, to_big) for g in relations.generators] if relations is not None else []
+    gens += [t - reindex(f, big, to_big) for t, f in zip(big.gens()[src.nvars :], targets)]
+    # T_i weighs deg f_i, so every generator T_i - f_i is homogeneous.
     weights = [1] * src.nvars + [max(f.degree(), 1) for f in targets]
-    return elimination_ideal(IdealSpec(big, tuple(gens)), names, weights)
+    gb = buchberger(IdealSpec(big, tuple(gens)), elimination_order(src.nvars), weights)
+    small = PolyRing(src.field, tuple(names))
+    shift = _WIDTH * src.nvars  # below it, the source variables' fields
+    records = tuple(_drop_block(d, shift) for d in gb.minimal if not d.lm & (1 << shift) - 1)
+    return GroebnerBasis(small, GREVLEX, records, _Packing(small, GREVLEX))
 
 
 def _plus_shifted(a: list[int], b: list[int], shift: int) -> list[int]:

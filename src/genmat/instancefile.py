@@ -246,8 +246,11 @@ def _ideal_list(ctx: InstanceContext, refs, location: str) -> tuple[Equigenerate
 
 
 def _power_bound(section: dict, n_max: int | None, location: str) -> int:
-    """The reduction power bound: the flag if given, else the section's n_max."""
-    bound = n_max if n_max is not None else section.get("n_max", DEFAULT_POWER_BOUND)
+    """The reduction power bound: the --n-max flag if given, else the section's n_max."""
+    if n_max is not None:
+        bound, location = n_max, "--n-max"
+    else:
+        bound = section.get("n_max", DEFAULT_POWER_BOUND)
     if not _is_int(bound) or bound < 1:
         raise InstanceFileError(location, "must be a positive integer")
     return bound
@@ -348,7 +351,7 @@ class ExchangeSetup:
         """The handle to sample from: the --from flag, else the one
         handle, else the one named "target"."""
         names = tuple(self.instance.handles)
-        if flag:
+        if flag is not None:
             if flag not in names:
                 raise InstanceFileError(
                     "--from", f"unknown handle {flag!r}; defined: {sorted(names)}"

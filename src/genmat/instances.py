@@ -34,6 +34,7 @@ from .algebra import (
     GradedAlgebraPresentation,
     InconclusiveError,
     OutsideIdealError,
+    _unit,
     algebra_dimension,
     analytic_spread,
     diagonal_subring,
@@ -371,7 +372,7 @@ def complete_reduction_instance(
         raise ValueError("variant must be 'matrix' or 'vector'")
     if isinstance(source, GradedAlgebraPresentation):
         n = source.components
-        units = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+        units = tuple(_unit(n, i) for i in range(n))
         d = diagonal_subring(source).dimension()
         if handles is None:
             # Every block is nonempty: an empty one would make the diagonal's piece zero.

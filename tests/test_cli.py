@@ -354,6 +354,7 @@ def test_exchange_flag_errors(monkeypatch, capsys):
     assert main(["exchange", QUADRIC, "--trials", "10", "--seed", "1"]) == 3
     assert main(["exchange", QUADRIC, "--remove", "x", "--seed", "1"]) == 3
     assert main(["exchange", QUADRIC, "--from", "nope", "--seed", "1"]) == 3
+    assert main(["exchange", QUADRIC, "--from", "", "--seed", "1"]) == 3
     assert main(["exchange", SEGRE, "--seed", "1"]) == 3  # two handles, no --from
     assert main(["exchange", SEGRE, "--from", "ambient", "--remove", "x1",
                  "--seed", "1"]) == 3
@@ -399,7 +400,7 @@ def test_exchange_power_bound_validated(monkeypatch, capsys):
         assert main(["exchange", "--json", "--seed", "1"]) == 3
         assert "exchange.n_max: must be a positive integer" in capsys.readouterr().err
     assert main(["exchange", QUADRIC, "--n-max", "0", "--seed", "1"]) == 3
-    assert "exchange.n_max: must be a positive integer" in capsys.readouterr().err
+    assert "--n-max: must be a positive integer" in capsys.readouterr().err
 
 
 def _run_failure(monkeypatch, capsys, argv, doc=None):

@@ -78,6 +78,20 @@ def test_one_subalgebra_builder_calls_kernel_of_map():
     assert len(calls) == 1, calls
 
 
+def test_kernel_of_map_is_the_one_elimination():
+    # Every presentation is a kernel, so a second elimination path beside
+    # kernel_of_map cannot grow back unnoticed.
+    owners = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners += [
+            (path.name, _owner(tree, node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("elimination_order")
+        ]
+    assert owners == [("groebner.py", "kernel_of_map")], owners
+
+
 def test_one_form_check_reads_the_grading():
     # element_degree is the one check of what a form is, so a second
     # grading check cannot grow back beside it unnoticed.
