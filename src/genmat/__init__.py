@@ -37,7 +37,6 @@ from .algebra import (
     InconclusiveError,
     OutsideIdealError,
     ReductionVerdict,
-    algebra_dimension,
     analytic_spread,
     diagonal_subring,
     equigenerated_ideal,

@@ -280,22 +280,6 @@ def standard_graded_algebra(ring: PolyRing, relations=()) -> GradedAlgebraPresen
     return GradedAlgebraPresentation(ring, ((1,),) * ring.nvars, relations)
 
 
-def _same_algebra(a: GradedAlgebraPresentation, b: GradedAlgebraPresentation) -> bool:
-    return (
-        a is b
-        or (
-            a.ring == b.ring
-            and a.degrees == b.degrees
-            and a.relations.generators == b.relations.generators
-        )
-    )
-
-
-def algebra_dimension(algebra: GradedAlgebraPresentation) -> int:
-    """Krull dimension of the presented quotient."""
-    return algebra.dimension()
-
-
 def is_hsop(algebra: GradedAlgebraPresentation, elements) -> bool:
     """Is ``elements`` a homogeneous system of parameters?
 
@@ -326,10 +310,11 @@ def is_noether_normalization(algebra: GradedAlgebraPresentation, elements) -> bo
     return is_hsop(algebra, row)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquigeneratedIdeal:
     """Homogeneous ideal whose generators share one total degree,
-    ``degree``, set when the generators are validated."""
+    ``degree``, set when the generators are validated.  Ideals compare
+    by identity."""
 
     algebra: GradedAlgebraPresentation
     generators: tuple[Polynomial, ...]
@@ -360,46 +345,48 @@ class EquigeneratedIdeal:
             raise ValueError(f"{f} is not homogeneous")
         return f.is_zero or _first_outside_ideal(self, (f,)) is None
 
-    def __eq__(self, other):
-        if not isinstance(other, EquigeneratedIdeal):
-            return NotImplemented
-        return _same_algebra(self.algebra, other.algebra) and self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
-
 
 def equigenerated_ideal(algebra, generators) -> EquigeneratedIdeal:
     return EquigeneratedIdeal(algebra, tuple(generators))
 
 
-def _dedupe(polys) -> tuple[Polynomial, ...]:
-    seen = set()
-    out = []
-    for g in polys:
-        k = frozenset(g.terms.items())
-        if k not in seen and not g.is_zero:
-            seen.add(k)
-            out.append(g)
-    return tuple(out)
+def _ideal_tuple(ideals) -> tuple[EquigeneratedIdeal, ...]:
+    """``ideals`` as a nonempty tuple of EquigeneratedIdeals over one
+    algebra, equal presentations counting as one; ValueError otherwise."""
+    ideals = tuple(ideals)
+    if not ideals:
+        raise ValueError("need at least one ideal")
+    for I in ideals:
+        if not isinstance(I, EquigeneratedIdeal):
+            raise ValueError(f"expected an EquigeneratedIdeal, got {type(I).__name__}")
+    a = ideals[0].algebra
+    for b in (I.algebra for I in ideals[1:]):
+        if b is not a and (
+            b.ring != a.ring
+            or b.degrees != a.degrees
+            or b.relations.generators != a.relations.generators
+        ):
+            raise ValueError("ideals live in different algebras")
+    return ideals
 
 
 def _of_products(
     algebra: GradedAlgebraPresentation, products, degree: int
 ) -> EquigeneratedIdeal:
-    """The ideal generated by products of validated generators.  They are
-    nonzero and homogeneous of the summed ``degree`` by construction, so
-    they are not validated again."""
+    """The ideal generated by products of validated generators, repeats
+    dropped.  They are nonzero (R is a domain) and homogeneous of the
+    summed ``degree`` by construction, so they are not validated again.
+    No products give the zero ideal, the J of a zero-column matrix,
+    which the validating constructor refuses."""
     out = object.__new__(EquigeneratedIdeal)
     object.__setattr__(out, "algebra", algebra)
-    object.__setattr__(out, "generators", _dedupe(products))
+    object.__setattr__(out, "generators", tuple(dict.fromkeys(products)))
     object.__setattr__(out, "degree", degree)
     return out
 
 
 def ideal_product(a: EquigeneratedIdeal, b: EquigeneratedIdeal) -> EquigeneratedIdeal:
-    if not _same_algebra(a.algebra, b.algebra):
-        raise ValueError("ideal product across different algebras")
+    a, b = _ideal_tuple((a, b))
     products = (f * g for f in a.generators for g in b.generators)
     return _of_products(a.algebra, products, a.degree + b.degree)
 
@@ -444,6 +431,13 @@ class ReductionVerdict:
         if self.is_no:
             return "no"
         return f"inconclusive (power bound {self.n_max})"
+
+    def decided(self) -> bool:
+        """``is_yes`` of a verdict that must be decisive: an inconclusive
+        one raises InconclusiveError rather than passing for "no"."""
+        if self.is_inconclusive:
+            raise InconclusiveError(self)
+        return self.is_yes
 
 
 def _first_outside(S: GradedAlgebraPresentation, left, right, forms) -> Polynomial | None:
@@ -577,8 +571,7 @@ def is_reduction(
     automatic once J ⊆ I.  A failing certificate is a library bug and
     raises RuntimeError; it never reads as "no".
     """
-    if not _same_algebra(J.algebra, I.algebra):
-        raise ValueError("candidate and ideal live in different algebras")
+    J, I = _ideal_tuple((J, I))
     if n_max < 1:
         raise ValueError("power bound must be at least 1")
     n = fiber_reduction_test(J, I)
@@ -615,14 +608,10 @@ def is_minimal_reduction(
     an inconclusive reduction verdict raises InconclusiveError rather
     than passing for false.
     """
-    if not _same_algebra(J.algebra, I.algebra):
-        raise ValueError("candidate and ideal live in different algebras")
+    J, I = _ideal_tuple((J, I))
     if len(J.generators) != analytic_spread(I):
         return False
-    verdict = is_reduction(J, I, n_max=n_max)
-    if verdict.is_inconclusive:
-        raise InconclusiveError(verdict)
-    return verdict.is_yes
+    return is_reduction(J, I, n_max=n_max).decided()
 
 
 def diagonal_subring(algebra: GradedAlgebraPresentation) -> GradedAlgebraPresentation:
@@ -695,13 +684,8 @@ def is_complete_reduction_ideals(
     tested with is_reduction.  The column count must equal the
     product's analytic spread.
     """
-    ideals = tuple(ideals)
-    if not ideals:
-        raise ValueError("need at least one ideal")
+    ideals = _ideal_tuple(ideals)
     algebra = ideals[0].algebra
-    for I in ideals:
-        if not _same_algebra(I.algebra, algebra):
-            raise ValueError("ideals live in different algebras")
     mat = _forms_matrix(algebra, rows, [(I.degree,) for I in ideals], "ideal")
     for i, (row, I) in enumerate(zip(mat, ideals)):
         outside = _first_outside_ideal(I, row)
@@ -728,7 +712,7 @@ def multigraded_fiber_algebra(ideals) -> GradedAlgebraPresentation:
     N^n-grading faithful, so the presentation ideal is multihomogeneous
     with the variables of I_i's block in degree e_i.
     """
-    ideals = tuple(ideals)
+    ideals = _ideal_tuple(ideals)
     algebra = ideals[0].algebra
 
     def compute():
@@ -764,7 +748,7 @@ def lemma_correspondence_check(
     Returns True/False for agreement, or None when the ideal side is
     inconclusive and nothing can be compared.
     """
-    ideals = tuple(ideals)
+    ideals, rows = tuple(ideals), tuple(map(tuple, rows))
     ideal_verdict = is_complete_reduction_ideals(ideals, rows, n_max=n_max)
     if ideal_verdict.is_inconclusive:
         return None

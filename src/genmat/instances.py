@@ -32,10 +32,9 @@ from .algebra import (
     DEFAULT_POWER_BOUND,
     EquigeneratedIdeal,
     GradedAlgebraPresentation,
-    InconclusiveError,
     OutsideIdealError,
+    _ideal_tuple,
     _unit,
-    algebra_dimension,
     analytic_spread,
     diagonal_subring,
     equigenerated_ideal,
@@ -312,7 +311,7 @@ def nn_instance(
     return _graded_instance(
         algebra,
         ((1,),),
-        algebra_dimension(algebra),
+        algebra.dimension(),
         lambda rows: is_noether_normalization(algebra, rows[0]),
         dict(handles) if handles else {"ambient": algebra.ring.gens()},
         None,
@@ -388,24 +387,12 @@ def complete_reduction_instance(
             traps,
             "complete-reduction-ring",
         )
-    ideals = tuple(source)
-    if not ideals:
-        raise ValueError("need at least one ideal")
-    for I in ideals:
-        if not isinstance(I, EquigeneratedIdeal):
-            raise ValueError("ideal form needs EquigeneratedIdeal entries")
-
-    def verdict(rows) -> bool:
-        outcome = is_complete_reduction_ideals(ideals, rows)
-        if outcome.is_inconclusive:
-            raise InconclusiveError(outcome)
-        return outcome.is_yes
-
+    ideals = _ideal_tuple(source)
     return _graded_instance(
         ideals[0].algebra,
         tuple((I.degree,) for I in ideals),
         analytic_spread(reduce(ideal_product, ideals)),
-        verdict,
+        lambda rows: is_complete_reduction_ideals(ideals, rows).decided(),
         handles if handles is not None else {"generators": tuple(I.generators for I in ideals)},
         variant,
         traps,

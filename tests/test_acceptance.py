@@ -11,7 +11,6 @@ from functools import reduce
 from itertools import combinations
 
 from genmat.algebra import (
-    algebra_dimension,
     analytic_spread,
     diagonal_subring,
     equigenerated_ideal,
@@ -260,9 +259,9 @@ def test_criterion_6_dimensions_and_presentation_kernels():
     for n in range(1, 7):
         names = " ".join(f"t{i}" for i in range(1, n + 1))
         S = standard_graded_algebra(polynomial_ring(32003, names))
-        assert algebra_dimension(S) == n
+        assert S.dimension() == n
     Sq, _ = quadric()
-    assert algebra_dimension(Sq) == 3
+    assert Sq.dimension() == 3
 
     R = polynomial_ring(32003, "x y")
     x, y = R.gens()

@@ -11,7 +11,6 @@ from genmat.algebra import (
     EquigeneratedIdeal,
     GradedAlgebraPresentation,
     InconclusiveError,
-    algebra_dimension,
     analytic_spread,
     diagonal_subring,
     equigenerated_ideal,
@@ -31,6 +30,7 @@ from genmat.algebra import (
     standard_graded_algebra,
 )
 from genmat.groebner import IdealSpec, buchberger, hilbert_numerator
+from genmat.instances import complete_reduction_instance
 from genmat.polyring import (
     RingMismatchError,
     linear_combination,
@@ -137,9 +137,9 @@ def test_one_refusal_per_bad_form(entry):
 
 def test_dimension():
     S, _ = quadric()
-    assert algebra_dimension(S) == 3
+    assert S.dimension() == 3
     P, _ = plane()
-    assert algebra_dimension(P) == 2
+    assert P.dimension() == 2
 
 
 def test_standard_monomials():
@@ -259,7 +259,7 @@ def test_hsop_zero_dimensional_algebra():
     R = polynomial_ring(101, "x")
     x = R.var("x")
     S = standard_graded_algebra(R, (x**2,))
-    assert algebra_dimension(S) == 0
+    assert S.dimension() == 0
     assert is_hsop(S, ())
 
 
@@ -788,6 +788,69 @@ def test_multigraded_fiber_names_avoid_ring_variables():
     pres = multigraded_fiber_algebra((I, I))
     assert not set(pres.ring.names) & set(R.names)
     assert pres.degrees == ((1, 0), (1, 0), (0, 1), (0, 1))
+
+
+def test_correspondence_reads_the_matrix_once():
+    # Both sides judge one matrix, so rows given as one-pass iterators
+    # answer as the list form does.
+    R = polynomial_ring(32003, "a b")
+    a, b = R.gens()
+    I = equigenerated_ideal(standard_graded_algebra(R), (a, b))
+    rows = [[a + b, a - b], [a, b]]
+    assert lemma_correspondence_check((I, I), rows) is True
+    assert lemma_correspondence_check((I, I), (row for row in rows)) is True
+    assert lemma_correspondence_check((I, I), [iter(row) for row in rows]) is True
+
+
+def test_multigraded_fiber_refuses_empty_and_mixed_tuples():
+    R = polynomial_ring(32003, "a b")
+    a, b = R.gens()
+    I = equigenerated_ideal(standard_graded_algebra(R), (a, b))
+    Q = equigenerated_ideal(standard_graded_algebra(R, (a * a,)), (a, b))
+    with pytest.raises(ValueError, match="at least one ideal"):
+        multigraded_fiber_algebra(())
+    # Presenting the pair over R alone would drop the relation a^2.
+    with pytest.raises(ValueError, match="different algebras"):
+        multigraded_fiber_algebra((I, Q))
+    # An equal presentation built twice is one algebra.
+    twin = equigenerated_ideal(standard_graded_algebra(R), (a, b))
+    assert multigraded_fiber_algebra((I, twin)).dimension() == 3
+
+
+def _bad_ideal_tuples():
+    R = polynomial_ring(32003, "a b")
+    a, b = R.gens()
+    I = equigenerated_ideal(standard_graded_algebra(R), (a, b))
+    Q = equigenerated_ideal(standard_graded_algebra(R, (a * a,)), (a, b))
+    return {"empty": (), "polynomial-first": (a, I), "polynomial-second": (I, a), "two-algebras": (I, Q)}
+
+
+# Each entry point reads its ideals as one tuple; the pair functions
+# take exactly two, so they have no empty case.
+TUPLE_ENTRY_POINTS = {
+    "ideal_product": lambda t: ideal_product(*t),
+    "is_reduction": lambda t: is_reduction(*t),
+    "is_minimal_reduction": lambda t: is_minimal_reduction(*t),
+    "is_complete_reduction_ideals": lambda t: is_complete_reduction_ideals(t, [[]] * len(t)),
+    "multigraded_fiber_algebra": multigraded_fiber_algebra,
+    "lemma_correspondence_check": lambda t: lemma_correspondence_check(t, [[]] * len(t)),
+    "complete_reduction_instance": complete_reduction_instance,
+}
+PAIR_ENTRY_POINTS = {"ideal_product", "is_reduction", "is_minimal_reduction"}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry in TUPLE_ENTRY_POINTS
+        for bad in ("empty", "polynomial-first", "polynomial-second", "two-algebras")
+        if not (bad == "empty" and entry in PAIR_ENTRY_POINTS)
+    ],
+)
+def test_every_ideal_tuple_entry_point_refuses_bad_tuples(entry, bad):
+    with pytest.raises(ValueError):
+        TUPLE_ENTRY_POINTS[entry](_bad_ideal_tuples()[bad])
 
 
 def _maps_back(pres, targets, relations, pairs):

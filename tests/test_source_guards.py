@@ -245,3 +245,26 @@ def test_one_report_writer():
             )
         ]
         assert not exits, (path.name, exits)
+
+
+def test_one_ideal_tuple_rule():
+    # _ideal_tuple is the one check that ideals share an algebra,
+    # ReductionVerdict.decided the one inconclusive raise, and
+    # _of_products the one builder that skips validation, so none of
+    # them can grow a second copy unnoticed.
+    refusals, raises, unvalidated = 0, [], []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        refusals += text.count("different algebras")
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            call = ast.unparse(node)
+            if ast.unparse(node.func) == "InconclusiveError":
+                raises.append((path.name, _owner(tree, node)))
+            elif call == "object.__new__(EquigeneratedIdeal)":
+                unvalidated.append((path.name, _owner(tree, node)))
+    assert refusals == 1, refusals
+    assert raises == [("algebra.py", "ReductionVerdict")], raises
+    assert unvalidated == [("algebra.py", "_of_products")], unvalidated
