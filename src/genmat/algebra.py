@@ -33,8 +33,8 @@ dimension, and per graded piece the standard monomials with a row
 table, monomial -> coordinate row of its normal form, which every
 coordinate vector is summed from and which holds at most the monomials
 of that degree; the diagonal presentation; and, keyed by generator
-tuples, ideal powers and fiber presentations.  The cache is append-only
-derived data, so sharing across threads is safe.
+tuples, ideal powers, fiber presentations and degree-delta solvers.
+The cache is append-only derived data, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -353,6 +353,8 @@ def equigenerated_ideal(algebra, generators) -> EquigeneratedIdeal:
 def _ideal_tuple(ideals) -> tuple[EquigeneratedIdeal, ...]:
     """``ideals`` as a nonempty tuple of EquigeneratedIdeals over one
     algebra, equal presentations counting as one; ValueError otherwise."""
+    if isinstance(ideals, EquigeneratedIdeal):
+        raise ValueError("expected a tuple of ideals, got one EquigeneratedIdeal")
     ideals = tuple(ideals)
     if not ideals:
         raise ValueError("need at least one ideal")
@@ -468,17 +470,25 @@ def _first_outside(S: GradedAlgebraPresentation, left, right, forms) -> Polynomi
 
 
 def _first_outside_ideal(K: EquigeneratedIdeal, forms) -> Polynomial | None:
-    """The first of ``forms`` (all of one degree d) outside K, or None;
-    K_d is spanned by S_(d - delta) * K's generators (zero if d < delta)."""
+    """The first of ``forms`` (all of one degree d) outside K, or None; K's
+    solver reads K_delta, and S_(d - delta) * K's generators span K_d."""
     if not forms:
         return None
     S = K.algebra
     shift = S.element_degree(forms[0])[0] - K.degree
-    if shift < 0:
-        left = ()
-    else:
-        left = S.standard_monomials((shift,)) if shift else (S.ring.one(),)
+    if shift == 0:
+        solve = _piece_solver(K)
+        return next((f for f in forms if solve(S.coordinates(f, (K.degree,))) is None), None)
+    left = S.standard_monomials((shift,)) if shift > 0 else ()
     return _first_outside(S, left, K.generators, forms)
+
+
+def _piece_solver(I: EquigeneratedIdeal):
+    """``linalg.span_solver`` of I's generators in I's degree-delta piece,
+    built once per generator tuple."""
+    S = I.algebra
+    rows = (S.coordinates(g, (I.degree,)) for g in I.generators)
+    return S._memo(("span", I.generators), lambda: linalg.span_solver(rows, S.ring.field.p))
 
 
 def _subalgebra(targets, relations: IdealSpec, prefix: str, degrees=None):
@@ -503,12 +513,10 @@ def fiber_algebra(I: EquigeneratedIdeal) -> GradedAlgebraPresentation:
 def _generator_coords(I: EquigeneratedIdeal, forms) -> list[tuple[int, ...]]:
     """Coefficients of degree-delta forms over I's generators; the first
     form outside their span, I's degree-delta piece, raises OutsideIdealError."""
-    target = (I.degree,)
-    p = I.algebra.ring.field.p
-    rows = [I.algebra.coordinates(g, target) for g in I.generators]
+    solve = _piece_solver(I)
     out = []
     for idx, f in enumerate(forms):
-        coords = linalg.solve_coords(rows, I.algebra.coordinates(f, target), p)
+        coords = solve(I.algebra.coordinates(f, (I.degree,)))
         if coords is None:
             raise _outside(idx, f)
         out.append(coords)
@@ -748,7 +756,7 @@ def lemma_correspondence_check(
     Returns True/False for agreement, or None when the ideal side is
     inconclusive and nothing can be compared.
     """
-    ideals, rows = tuple(ideals), tuple(map(tuple, rows))
+    ideals, rows = _ideal_tuple(ideals), tuple(map(tuple, rows))
     ideal_verdict = is_complete_reduction_ideals(ideals, rows, n_max=n_max)
     if ideal_verdict.is_inconclusive:
         return None

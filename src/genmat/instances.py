@@ -12,13 +12,14 @@ Five constructors, all yielding GenericMatroidInstance:
 The four algebraic kinds come from one builder over blocks of forms,
 one graded piece per block: a column kind's element has one entry per
 block, and the element kinds (nn, minred) are the one-block case, whose
-elements are bare polynomials.  A handle spans its blocks, echelonized
-once when it is built, and samples uniform coefficient combinations.
+elements are bare polynomials.  A handle spans its blocks, solved once
+when it is built, and samples uniform coefficient combinations.
 Basis oracles check every candidate explicitly (the count equals the
 rank; each entry is a nonzero form of the ambient ring in its block's
 piece) and read a failure, or an entry the containment tests put
 outside its ideal, as "not a basis".  Anything else the algebra raises
 propagates: an inconclusive reduction verdict, and any library fault.
+Handles default only when None: an empty mapping is refused.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def finite_matroid(
         inside = set(subset)
         return sorted(set().union(*(b for b in family if b <= inside)), key=str)
 
-    specs = dict(handles) if handles else {"ground": ground}
+    specs = {"ground": ground} if handles is None else dict(handles)
     built = {
         hname: _finite_handle(hname, subset, ground_set, carrier_of)
         for hname, subset in specs.items()
@@ -159,7 +160,7 @@ def vector_matroid(
             return []
         return sorted(v for v in subset if any(v))
 
-    specs = dict(handles) if handles else {"ground": vecs}
+    specs = {"ground": vecs} if handles is None else dict(handles)
     built = {
         hname: _finite_handle(hname, (tuple(x % p for x in v) for v in subset), ground, carrier_of)
         for hname, subset in specs.items()
@@ -189,8 +190,8 @@ def _transpose(cols, n: int) -> tuple:
 def _graded_handle(pres, name, blocks, targets, variant, column) -> MatroidHandle:
     """Handle over blocks of forms; ``column`` vets a candidate first.
 
-    Each span is echelonized once, here, and a query reduces the
-    candidate's coordinates by it.  Matrix variant, and the element
+    Each span gets its ``linalg.span_solver`` once, here, and a query
+    solves for the candidate's coordinates.  Matrix variant, and the element
     kinds (``variant`` None, one block, bare forms): entries are drawn
     independently within their blocks and membership is blockwise.
     Vector variant: one coefficient vector shared by all blocks (which
@@ -203,7 +204,7 @@ def _graded_handle(pres, name, blocks, targets, variant, column) -> MatroidHandl
         if len({len(b) for b in blocks}) != 1:
             raise ValueError(f"handle {name!r}: vector variant needs equal block sizes")
         rows = [[sum(stack, ()) for stack in zip(*rows)]]
-    spans = [linalg.row_echelon(r, p) for r in rows]
+    solvers = [linalg.span_solver(r, p) for r in rows]
 
     def contains(element) -> bool:
         col = column(element)
@@ -212,10 +213,7 @@ def _graded_handle(pres, name, blocks, targets, variant, column) -> MatroidHandl
         coords = [pres.coordinates(f, t) for f, t in zip(col, targets)]
         if variant == "vector":
             coords = [sum(coords, ())]
-        return not any(
-            any(linalg.residue(echelon, pivots, c, p))
-            for (echelon, pivots), c in zip(spans, coords)
-        )
+        return all(solve(c) is not None for solve, c in zip(solvers, coords))
 
     def sample(rng: random.Random):
         if variant != "vector":
@@ -313,7 +311,7 @@ def nn_instance(
         ((1,),),
         algebra.dimension(),
         lambda rows: is_noether_normalization(algebra, rows[0]),
-        dict(handles) if handles else {"ambient": algebra.ring.gens()},
+        {"ambient": algebra.ring.gens()} if handles is None else handles,
         None,
         traps,
         "noether-normalization",
@@ -341,7 +339,7 @@ def minred_instance(
         lambda rows: is_minimal_reduction(
             equigenerated_ideal(S, rows[0]), ideal, n_max=n_max
         ),
-        dict(handles) if handles else {"generators": ideal.generators},
+        {"generators": ideal.generators} if handles is None else handles,
         None,
         traps,
         "minimal-reduction",
@@ -393,7 +391,7 @@ def complete_reduction_instance(
         tuple((I.degree,) for I in ideals),
         analytic_spread(reduce(ideal_product, ideals)),
         lambda rows: is_complete_reduction_ideals(ideals, rows).decided(),
-        handles if handles is not None else {"generators": tuple(I.generators for I in ideals)},
+        {"generators": tuple(I.generators for I in ideals)} if handles is None else handles,
         variant,
         traps,
         "complete-reduction-ideals",

@@ -5,8 +5,9 @@ tuples.  There is one elimination loop, ``row_echelon``: it inserts
 rows one at a time into a reduced echelon form, and stops pulling rows
 as soon as they span the whole space, so a caller that feeds it a lazy
 stream of rows (as containment in a graded piece does) pays only for
-the rows it reads.  ``rank``, ``independent``, ``solve_coords`` and
-``in_span`` are built on it.
+the rows it reads.  ``span_solver``, the one coordinate solver, takes
+a basis through it once and each target through ``residue``; ``rank``,
+``independent``, ``solve_coords`` and ``in_span`` are built on these.
 """
 
 from __future__ import annotations
@@ -82,29 +83,32 @@ def independent(rows, p: int) -> bool:
     return rank(rows, p) == len(rows)
 
 
-def solve_coords(basis_rows, target, p: int):
-    """Coefficients c with sum(c_i * basis_i) = target, or None.
-
-    The basis rows need not be independent; the solution returned, as
-    a tuple of ints in [0, p), is the one whose free unknowns are 0.
+def span_solver(rows, p: int):
+    """``solve(target)``: the c in [0, p) with sum(c_i * rows_i) = target
+    and free unknowns 0, or None off the span (ValueError for a target of
+    another length).  Row i is echelonized once with unit column m-1-i of
+    m, so a dependent row pivots on its own unit column and the residue of
+    (target, 0..0) is (0, -c reversed) exactly when target is in the span.
     """
-    basis_rows = [tuple(r) for r in basis_rows]
-    target = tuple(target)
-    ncols = len(target)
-    if any(len(r) != ncols for r in basis_rows):
-        raise ValueError("vector lengths disagree")
-    # Augmented system: columns are the basis vectors, then the target.
-    # Its reduced echelon form has a pivot in the target column exactly
-    # when the system is inconsistent.
-    m = len(basis_rows)
-    aug = [[row[i] for row in basis_rows] + [target[i]] for i in range(ncols)]
-    echelon, pivots = row_echelon(aug, p)
-    if m in pivots:
-        return None
-    coeffs = [0] * m
-    for row, col in zip(echelon, pivots):
-        coeffs[col] = row[m]
-    return tuple(coeffs)
+    rows = [tuple(r) for r in rows]
+    m = len(rows)
+    units = [(0,) * (m - 1 - i) + (1,) + (0,) * i for i in range(m)]
+    echelon, pivots = row_echelon([r + u for r, u in zip(rows, units)], p)
+    width = len(rows[0]) if rows else None
+
+    def solve(target):
+        n = len(target)
+        if width not in (None, n):
+            raise ValueError("vector lengths disagree")
+        r = residue(echelon, pivots, tuple(target) + (0,) * m, p)
+        return None if any(r[:n]) else tuple(-x % p for x in reversed(r[n:]))
+
+    return solve
+
+
+def solve_coords(basis_rows, target, p: int):
+    """``span_solver``'s answer for one target."""
+    return span_solver(basis_rows, p)(target)
 
 
 def in_span(basis_rows, target, p: int) -> bool:

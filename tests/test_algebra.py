@@ -11,6 +11,7 @@ from genmat.algebra import (
     EquigeneratedIdeal,
     GradedAlgebraPresentation,
     InconclusiveError,
+    OutsideIdealError,
     analytic_spread,
     diagonal_subring,
     equigenerated_ideal,
@@ -454,6 +455,58 @@ def test_fiber_test_reads_generator_rows_once(monkeypatch):
     assert len(calls) == 7
 
 
+def _coords_cases(p):
+    """Ideals over F_p with their rows, forms inside and one form outside:
+    dependent generators, a generator of normal form zero, and seeded
+    quadrics with a dependent last generator."""
+    rng = random.Random(4400 + p)
+    R = polynomial_ring(p, "a b c d")
+    a, b, c, d = R.gens()
+    S = standard_graded_algebra(R)
+    Q = standard_graded_algebra(R, (a * b,))
+    monomials = [f * g for f in (a, b, c) for g in (a, b, c, d)]
+    quads = [random_linear_combination(monomials, rng)[0] for _ in range(3)]
+    quads.append(2 * quads[0] - quads[2])
+    for pres, gens, outside in (
+        (S, (a, b, a + b, c), d),
+        (Q, (a * a, a * b, b * b), c * c),
+        (S, tuple(quads), d * d),
+    ):
+        I = equigenerated_ideal(pres, gens)
+        forms = [random_linear_combination(gens, rng)[0] for _ in range(5)]
+        yield I, [pres.coordinates(g, (I.degree,)) for g in gens], forms, outside, rng
+
+
+@pytest.mark.parametrize("p", [5, 101, 32003])
+def test_generator_coords_match_solve_coords(p):
+    for I, rows, forms, outside, rng in _coords_cases(p):
+        want = [linalg.solve_coords(rows, I.algebra.coordinates(f, (I.degree,)), p) for f in forms]
+        assert None not in want
+        assert algebra._generator_coords(I, forms) == want
+        k = rng.randrange(len(forms) + 1)
+        with pytest.raises(OutsideIdealError, match=f"generator {k} of"):
+            algebra._generator_coords(I, forms[:k] + [outside] + forms[k:])
+
+
+def test_degree_delta_piece_is_echelonized_once_per_ideal(monkeypatch):
+    calls = []
+    row_echelon = linalg.row_echelon
+
+    def counted(rows, p):
+        calls.append(p)
+        return row_echelon(rows, p)
+
+    monkeypatch.setattr(linalg, "row_echelon", counted)
+    S, (x, y, z, w) = quadric()
+    I = equigenerated_ideal(S, (x + y, z, w))
+    for _ in range(4):
+        assert algebra._generator_coords(I, (x + y - z, w)) == [(1, 32002, 0), (0, 0, 1)]
+        assert I.contains(z + 3 * w) and not I.contains(x)
+    # An ideal rebuilt on the same generators reads the same solver.
+    assert equigenerated_ideal(S, I.generators).contains(y + x)
+    assert len(calls) == 1
+
+
 def _counted_rows(monkeypatch):
     calls = []
     product_row = GradedAlgebraPresentation.product_row
@@ -822,18 +875,25 @@ def _bad_ideal_tuples():
     a, b = R.gens()
     I = equigenerated_ideal(standard_graded_algebra(R), (a, b))
     Q = equigenerated_ideal(standard_graded_algebra(R, (a * a,)), (a, b))
-    return {"empty": (), "polynomial-first": (a, I), "polynomial-second": (I, a), "two-algebras": (I, Q)}
+    return {
+        "empty": (),
+        "polynomial-first": (a, I),
+        "polynomial-second": (I, a),
+        "two-algebras": (I, Q),
+        "bare-ideal": I,
+    }
 
 
 # Each entry point reads its ideals as one tuple; the pair functions
-# take exactly two, so they have no empty case.
+# take exactly two, so they have no empty or bare-ideal case.  The
+# ideal check comes before the rows are read, so no rows are given.
 TUPLE_ENTRY_POINTS = {
     "ideal_product": lambda t: ideal_product(*t),
     "is_reduction": lambda t: is_reduction(*t),
     "is_minimal_reduction": lambda t: is_minimal_reduction(*t),
-    "is_complete_reduction_ideals": lambda t: is_complete_reduction_ideals(t, [[]] * len(t)),
+    "is_complete_reduction_ideals": lambda t: is_complete_reduction_ideals(t, ()),
     "multigraded_fiber_algebra": multigraded_fiber_algebra,
-    "lemma_correspondence_check": lambda t: lemma_correspondence_check(t, [[]] * len(t)),
+    "lemma_correspondence_check": lambda t: lemma_correspondence_check(t, ()),
     "complete_reduction_instance": complete_reduction_instance,
 }
 PAIR_ENTRY_POINTS = {"ideal_product", "is_reduction", "is_minimal_reduction"}
@@ -844,8 +904,8 @@ PAIR_ENTRY_POINTS = {"ideal_product", "is_reduction", "is_minimal_reduction"}
     [
         (entry, bad)
         for entry in TUPLE_ENTRY_POINTS
-        for bad in ("empty", "polynomial-first", "polynomial-second", "two-algebras")
-        if not (bad == "empty" and entry in PAIR_ENTRY_POINTS)
+        for bad in _bad_ideal_tuples()
+        if not (bad in ("empty", "bare-ideal") and entry in PAIR_ENTRY_POINTS)
     ],
 )
 def test_every_ideal_tuple_entry_point_refuses_bad_tuples(entry, bad):

@@ -26,6 +26,30 @@ def segre():
     return S, R.gens()
 
 
+def _empty_handles(constructor: str):
+    R = polynomial_ring(101, "a b c")
+    a, b, c = R.gens()
+    S = standard_graded_algebra(R)
+    I = equigenerated_ideal(S, (a, b, c))
+    return {
+        "finite_matroid": lambda: finite_matroid("ab", [("a", "b")], handles={}),
+        "vector_matroid": lambda: vector_matroid(5, [(1, 0), (0, 1)], handles={}),
+        "nn_instance": lambda: nn_instance(S, handles={}),
+        "minred_instance": lambda: minred_instance(I, handles={}),
+        "complete_reduction_instance": lambda: complete_reduction_instance((I,), handles={}),
+    }[constructor]
+
+
+@pytest.mark.parametrize(
+    "constructor",
+    ["finite_matroid", "vector_matroid", "nn_instance", "minred_instance", "complete_reduction_instance"],
+)
+def test_empty_handles_are_refused_by_every_constructor(constructor):
+    # None gives the default handles; a given mapping is used as given.
+    with pytest.raises(ValueError, match="at least one handle"):
+        _empty_handles(constructor)()
+
+
 def test_finite_matroid_validation():
     with pytest.raises(ValueError, match="duplicate ground"):
         finite_matroid("aab", [("a", "b")])

@@ -93,6 +93,13 @@ def test_solve_coords_rejects_ragged_lengths():
         linalg.solve_coords([(1, 0)], (1, 0, 0), p)
     with pytest.raises(ValueError, match="lengths"):
         linalg.in_span([(1, 0, 0)], (1, 0), p)
+    # A solver built once checks each target's width itself: a shorter
+    # or longer target must not be cut to the rows' width.
+    solve = linalg.span_solver([(1, 0, 2), (0, 1, 1)], p)
+    assert solve((1, 1, 3)) == (1, 1) and solve((0, 0, 1)) is None
+    for target in ((1, 1), (1, 1, 3, 0)):
+        with pytest.raises(ValueError, match="lengths"):
+            solve(target)
 
 
 def test_ragged_rows_rejected_in_either_order():

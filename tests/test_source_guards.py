@@ -268,3 +268,28 @@ def test_one_ideal_tuple_rule():
     assert refusals == 1, refusals
     assert raises == [("algebra.py", "ReductionVerdict")], raises
     assert unvalidated == [("algebra.py", "_of_products")], unvalidated
+
+
+def test_one_coordinate_solver():
+    # linalg.span_solver answers every coordinate and degree-delta
+    # membership question, so outside linalg only the streamed product
+    # span behind the power certificate may echelonize, and a second
+    # solver cannot grow back unnoticed.
+    solves, eliminations = [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func).split(".")[-1]
+            if name == "solve_coords":
+                solves.append((path.name, node.lineno))
+            elif name in ("row_echelon", "residue"):
+                eliminations.append((path.name, _owner(tree, node), name))
+    assert not solves, solves
+    assert sorted(eliminations) == [
+        ("algebra.py", "_first_outside", "residue"),
+        ("algebra.py", "_first_outside", "row_echelon"),
+    ], eliminations
