@@ -456,7 +456,8 @@ def test_fiber_test_reads_generator_rows_once(monkeypatch):
 
 
 def _coords_cases(p):
-    """Ideals over F_p with their rows, forms inside and one form outside:
+    """Ideals over F_p with their rows, forms inside, one form outside and
+    the index of a generator lying in the span of the earlier ones:
     dependent generators, a generator of normal form zero, and seeded
     quadrics with a dependent last generator."""
     rng = random.Random(4400 + p)
@@ -467,22 +468,28 @@ def _coords_cases(p):
     monomials = [f * g for f in (a, b, c) for g in (a, b, c, d)]
     quads = [random_linear_combination(monomials, rng)[0] for _ in range(3)]
     quads.append(2 * quads[0] - quads[2])
-    for pres, gens, outside in (
-        (S, (a, b, a + b, c), d),
-        (Q, (a * a, a * b, b * b), c * c),
-        (S, tuple(quads), d * d),
+    for pres, gens, outside, dependent in (
+        (S, (a, b, a + b, c), d, 2),
+        (Q, (a * a, a * b, b * b), c * c, 1),
+        (S, tuple(quads), d * d, 3),
     ):
         I = equigenerated_ideal(pres, gens)
         forms = [random_linear_combination(gens, rng)[0] for _ in range(5)]
-        yield I, [pres.coordinates(g, (I.degree,)) for g in gens], forms, outside, rng
+        rows = [pres.coordinates(g, (I.degree,)) for g in gens]
+        yield I, rows, forms, outside, dependent, rng
 
 
 @pytest.mark.parametrize("p", [5, 101, 32003])
-def test_generator_coords_match_solve_coords(p):
-    for I, rows, forms, outside, rng in _coords_cases(p):
-        want = [linalg.solve_coords(rows, I.algebra.coordinates(f, (I.degree,)), p) for f in forms]
-        assert None not in want
-        assert algebra._generator_coords(I, forms) == want
+def test_generator_coords_solve_each_form(p):
+    for I, rows, forms, outside, dependent, rng in _coords_cases(p):
+        got = algebra._generator_coords(I, forms)
+        assert got == [linalg.solve_coords(rows, I.algebra.coordinates(f, (I.degree,)), p) for f in forms]
+        # Checked apart from linalg: each answer combines the generators to
+        # its form modulo the relations, and the generator that depends on
+        # earlier ones gets 0, which with the others independent pins it.
+        for c, f in zip(got, forms):
+            assert ideal_membership(linear_combination(c, I.generators) - f, I.algebra.relations)
+            assert c[dependent] == 0
         k = rng.randrange(len(forms) + 1)
         with pytest.raises(OutsideIdealError, match=f"generator {k} of"):
             algebra._generator_coords(I, forms[:k] + [outside] + forms[k:])
@@ -886,16 +893,18 @@ def _bad_ideal_tuples():
 
 # Each entry point reads its ideals as one tuple; the pair functions
 # take exactly two, so they have no empty or bare-ideal case.  The
-# ideal check comes before the rows are read, so no rows are given.
+# matrix entry points get a zero-width matrix, which only the ideal
+# check refuses, and the refusal must be the ideal check's own.
 TUPLE_ENTRY_POINTS = {
     "ideal_product": lambda t: ideal_product(*t),
     "is_reduction": lambda t: is_reduction(*t),
     "is_minimal_reduction": lambda t: is_minimal_reduction(*t),
-    "is_complete_reduction_ideals": lambda t: is_complete_reduction_ideals(t, ()),
+    "is_complete_reduction_ideals": lambda t: is_complete_reduction_ideals(t, [[], []]),
     "multigraded_fiber_algebra": multigraded_fiber_algebra,
-    "lemma_correspondence_check": lambda t: lemma_correspondence_check(t, ()),
+    "lemma_correspondence_check": lambda t: lemma_correspondence_check(t, [[], []]),
     "complete_reduction_instance": complete_reduction_instance,
 }
+IDEAL_TUPLE_REFUSALS = "tuple of ideals|at least one ideal|expected an EquigeneratedIdeal|different algebras"
 PAIR_ENTRY_POINTS = {"ideal_product", "is_reduction", "is_minimal_reduction"}
 
 
@@ -909,7 +918,7 @@ PAIR_ENTRY_POINTS = {"ideal_product", "is_reduction", "is_minimal_reduction"}
     ],
 )
 def test_every_ideal_tuple_entry_point_refuses_bad_tuples(entry, bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=IDEAL_TUPLE_REFUSALS):
         TUPLE_ENTRY_POINTS[entry](_bad_ideal_tuples()[bad])
 
 
