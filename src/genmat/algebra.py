@@ -30,11 +30,13 @@ Presentations memoize only data fixed by themselves and their fixed
 ideals, never per-candidate data: the Groebner basis (one built on a
 kernel's reduced grevlex basis takes that basis as its own), the
 dimension, and per graded piece the standard monomials with a row
-table, monomial -> coordinate row of its normal form, which every
-coordinate vector is summed from and which holds at most the monomials
-of that degree; the diagonal presentation; and, keyed by generator
-tuples, ideal powers, fiber presentations and degree-delta solvers.
-The cache is append-only derived data, so sharing across threads is safe.
+table, monomial -> coordinate row of its normal form packed as
+``linalg.pack`` packs a row of the piece's width (one int, one slot of
+``linalg.slot_bits`` bits per entry), which every coordinate vector is
+summed from and which holds at most the monomials of that degree; the
+diagonal presentation; and, keyed by generator tuples, ideal powers,
+fiber presentations and degree-delta solvers.  The cache is
+append-only derived data, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -175,20 +177,22 @@ class GradedAlgebraPresentation:
         """
         return self._standard_piece(target)[0]
 
-    def _standard_piece(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict]:
-        """The ``target`` piece's monomial basis and its row table.
+    def _standard_piece(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict, int]:
+        """The ``target`` piece's monomial basis, its row table and the
+        slot width of its packed rows.
 
-        The table maps a monomial of degree ``target`` to the sparse
-        coordinate row, ((index, coefficient), ...), of its normal form
-        in the piece.  It starts with the basis monomials, whose rows are
-        unit rows, and ``_fill_row`` adds every other monomial of the piece
+        The table maps a monomial of degree ``target`` to the coordinate
+        row of its normal form in the piece, packed as
+        ``linalg.pack`` packs a row of the piece's width, entries in
+        [0, p).  It starts with the basis monomials, whose rows are unit
+        rows, and ``_fill_row`` adds every other monomial of the piece
         the first time it meets one, so it never outgrows the monomials
         of that degree.
         """
-        target = tuple(int(x) for x in target)
+        target = tuple(map(int, target))
         return self._memo(("std", target), lambda: self._standard_monomials(target))
 
-    def _standard_monomials(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict]:
+    def _standard_monomials(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict, int]:
         if self.blocks is None:
             raise ValueError("monomial bases need a standard multigrading")
         if len(target) != self.components:
@@ -197,8 +201,9 @@ class GradedAlgebraPresentation:
             list(itertools.combinations_with_replacement(block, t))
             for block, t in zip(self.blocks, target)
         ]
+        p = self.ring.field.p
         if not all(choices_per_component):
-            return (), {}
+            return (), {}, linalg.slot_bits(p, 0)
         lms = self.groebner().leading_monomials()
         nv = self.ring.nvars
         out = []
@@ -211,8 +216,9 @@ class GradedAlgebraPresentation:
             if any(mon_divides(lm, mon) for lm in lms):
                 continue
             out.append(mon)
-        table = {m: ((i, 1),) for i, m in enumerate(out)}
-        return tuple(self.ring.monomial(m) for m in out), table
+        bits = linalg.slot_bits(p, len(out))
+        table = {m: 1 << i * bits for i, m in enumerate(out)}
+        return tuple(self.ring.monomial(m) for m in out), table, bits
 
     def coordinates(self, f: Polynomial, target: MultiDegree) -> tuple[int, ...]:
         """Coordinate vector of f's normal form in the ``target`` piece."""
@@ -220,41 +226,62 @@ class GradedAlgebraPresentation:
 
     def product_row(self, factors, target: MultiDegree) -> tuple[int, ...]:
         """Coordinate vector in the ``target`` piece of the normal form
-        of the product of ``factors``.
+        of the product of ``factors``: its ``packed_rows`` row unpacked."""
+        target = tuple(map(int, target))
+        piece = self._standard_piece(target)
+        row = self._packed_row(factors, target, piece)
+        return tuple(linalg.unpack(row, len(piece[0]), self.ring.field.p, piece[2]))
+
+    def packed_rows(self, products, target: MultiDegree):
+        """For each tuple of factors in ``products``, read lazily, the
+        ``product_row`` of their product packed as ``linalg.row_echelon``
+        reads it, in slots of the piece's ``linalg.slot_bits``."""
+        target = tuple(map(int, target))
+        piece = self._standard_piece(target)
+        return (self._packed_row(factors, target, piece) for factors in products)
+
+    def _packed_row(self, factors, target: MultiDegree, piece) -> int:
+        """The packed row of the product of ``factors`` in ``piece``.
 
         The normal form is linear, so the row is the sum of c * row(m)
-        over the terms c*m of the product, each row(m) read from the
-        piece's row table; the product itself is never built.  Terms
-        off the piece must sum to an element of normal form zero
-        (ValueError otherwise).
+        over the terms c*m of the product, each row(m) read packed from
+        the piece's row table; the product itself is never built.  With
+        c reduced, each term adds less than p^2 to a slot, so the terms
+        are summed in runs of as many as a slot holds, the sum reduced
+        modulo p before each further run.  Terms off the piece must sum
+        to an element of normal form zero (ValueError otherwise).
         """
-        ring = self.ring
+        ring, p = self.ring, self.ring.field.p
         for f in factors:
             if f.ring is not ring and f.ring != ring:
                 raise RingMismatchError("element outside the ambient ring")
-        target = tuple(map(int, target))
-        basis, table = self._standard_piece(target)
         terms = factors[0].terms.items()
         for g in factors[1:]:
             terms = [
-                (tuple(map(operator.add, m, n)), c * d)
+                (tuple(map(operator.add, m, n)), c * d % p)
                 for m, c in terms
                 for n, d in g.terms.items()
             ]
-        p = ring.field.p
-        acc = [0] * len(basis)
+        basis, table, bits = piece
+        rows: list[int] = []
         off: dict = {}
         for mon, c in terms:
             row = table.get(mon)
             if row is None and (row := self._fill_row(table, mon, target)) is None:
                 off[mon] = off.get(mon, 0) + c
-                continue
-            for i, v in row:
-                acc[i] += c * v
+            else:
+                rows.append(c * row)
         if off and not self.normal_form(Polynomial(ring, off)).is_zero:
             product = reduce(operator.mul, factors)
             raise ValueError(f"{product} does not lie in the degree-{target} piece")
-        return tuple([x % p for x in acc])
+        run = (1 << bits) // (p * p)
+        if len(rows) <= run:
+            return sum(rows)
+        acc = 0
+        for i in range(0, len(rows), run):
+            acc = linalg.pack(linalg.unpack(acc, len(basis), p, bits), p, bits)
+            acc += sum(rows[i : i + run])
+        return acc
 
     def _fill_row(self, table: dict, mon, target: MultiDegree):
         """Add monomial ``mon``'s row to the ``target`` piece's table and
@@ -262,9 +289,9 @@ class GradedAlgebraPresentation:
         f = self.ring.monomial(mon)
         if self.element_degree(f) != target:
             return None
-        # The remainder's monomials are standard, with rows ((index, 1),).
+        # The remainder's monomials are standard, with unit rows.
         nf = self.normal_form(f)
-        row = table[mon] = tuple((table[m][0][0], c) for m, c in nf.terms.items())
+        row = table[mon] = sum(c * table[m] for m, c in nf.terms.items())
         return row
 
     def dimension(self) -> int:
@@ -442,29 +469,36 @@ class ReductionVerdict:
         return self.is_yes
 
 
-def _first_outside(S: GradedAlgebraPresentation, left, right, forms) -> Polynomial | None:
+def _first_outside(
+    S: GradedAlgebraPresentation, left, right, forms, target: MultiDegree | None = None
+) -> Polynomial | None:
     """The first of ``forms`` (all of one degree d) outside the span of
     the products a*b for a in ``left``, b in ``right``, or None.
 
-    ``linalg.row_echelon`` pulls the products' rows from
-    ``S.product_row``, a-major, one at a time, and stops once they span
-    the whole piece S_d; then every form lies in the span and no form's
-    row is built, though each is still checked to lie in S_d
-    (ValueError otherwise).  Else each form's row is reduced by the
-    echelon form.  No product is built either way.
+    ``target`` is d when the forms are known to lie in S_d; otherwise d
+    is the first form's degree, and each form is checked to lie in S_d
+    (ValueError otherwise).  ``linalg.row_echelon`` pulls the products'
+    packed rows from ``S.packed_rows``, a-major, one at a time, and
+    stops once they span the whole piece S_d; then every form lies in
+    the span, and no echelon row is unpacked and no form's row is
+    built but for that check.  Else each form's packed row is reduced
+    by the echelon form.  No product is built either way.
     """
-    degrees = [S.element_degree(f) for f in forms]
-    p, target = S.ring.field.p, degrees[0]
-    rows = (S.product_row((a, b), target) for a in left for b in right)
-    echelon, pivots = linalg.row_echelon(rows, p)
-    if len(pivots) == len(S.standard_monomials(target)):
-        for f, d in zip(forms, degrees):
-            if d != target:
-                S.coordinates(f, target)  # ValueError unless f's normal form lies in S_d
+    unsure = ()
+    if target is None:
+        degrees = [S.element_degree(f) for f in forms]
+        target = degrees[0]
+        unsure = [f for f, d in zip(forms, degrees) if d != target]
+    p, width = S.ring.field.p, len(S.standard_monomials(target))
+    rows = S.packed_rows(((a, b) for a in left for b in right), target)
+    echelon, pivots = linalg.row_echelon(rows, p, width)
+    if len(pivots) == width:
+        # ValueError unless each such form's normal form lies in S_d.
+        list(S.packed_rows([(f,) for f in unsure], target))
         return None
-    rows = [S.coordinates(f, target) for f in forms]
+    rows = list(S.packed_rows([(f,) for f in forms], target))
     for f, row in zip(forms, rows):
-        if any(linalg.residue(echelon, pivots, row, p)):
+        if any(linalg.residue(echelon, pivots, row, p, width)):
             return f
     return None
 
@@ -589,8 +623,9 @@ def is_reduction(
         return ReductionVerdict("inconclusive", n_max=n_max, witness=(("fiber", True),))
     # A J above degree delta puts J * I^n above (n+1)*delta: no rows there.
     left = J.generators if J.degree == I.degree else ()
+    power = ideal_power(I, n + 1)
     failing = _first_outside(
-        I.algebra, left, ideal_power(I, n).generators, ideal_power(I, n + 1).generators
+        I.algebra, left, ideal_power(I, n).generators, power.generators, (power.degree,)
     )
     if failing is not None:
         raise RuntimeError(

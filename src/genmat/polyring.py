@@ -49,11 +49,19 @@ class RingMismatchError(ValueError):
     """Operands live in different ambient rings."""
 
 
+# Miller-Rabin with the primes up to 41 as witnesses is exact below this
+# bound (Sorenson and Webster 2015); 2^81 < bound < 2^82.
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin; the witness set covers well past 2^64.
+    """Deterministic Miller-Rabin; ValueError at or above PRIME_BOUND,
+    where the witnesses no longer decide."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"field modulus must be below {PRIME_BOUND}, got {n}")
     if n < 2:
         return False
-    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     for q in witnesses:
         if n % q == 0:
             return n == q

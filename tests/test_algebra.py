@@ -210,6 +210,21 @@ def test_coordinates_match_the_normal_form_reference(make, degrees):
             assert S.coordinates(a * b, target) == want
 
 
+def test_product_rows_sum_more_terms_than_a_slot_holds():
+    # In F_2[x, y]/(x + y) every piece has width 1 and 8-bit slots; the
+    # square of the sum of the monomials of degree k has (k + 1)^2 terms,
+    # each with row (1,), so from k = 15 on their sum overflows a slot.
+    R = polynomial_ring(2, "x y")
+    x, y = R.gens()
+    S = standard_graded_algebra(R, [x + y])
+    for k in (7, 8, 15, 20):
+        a = sum((x**i * y ** (k - i) for i in range(k + 1)), R.zero())
+        assert S._standard_piece((2 * k,))[2] == 8
+        want = reference_coordinates(S, naive_mul(a, a), (2 * k,))
+        assert want == ((k + 1) ** 2 % 2,)
+        assert S.product_row((a, a), (2 * k,)) == want
+
+
 def test_coordinates_test_the_off_piece_part_as_a_whole():
     # x*y - z*w lies off S_1 with normal form 0, though neither of its
     # monomials does; x*y alone does not reduce to 0.
@@ -515,14 +530,20 @@ def test_degree_delta_piece_is_echelonized_once_per_ideal(monkeypatch):
 
 
 def _counted_rows(monkeypatch):
+    # The certificate reads packed rows; product_row is their tuple face.
+    # Each product is counted as its row is pulled.
     calls = []
-    product_row = GradedAlgebraPresentation.product_row
+    packed_rows = GradedAlgebraPresentation.packed_rows
 
-    def counted(self, factors, target):
-        calls.append(tuple(factors))
-        return product_row(self, factors, target)
+    def counted(self, products, target):
+        def pulled():
+            for factors in products:
+                calls.append(tuple(factors))
+                yield factors
 
-    monkeypatch.setattr(GradedAlgebraPresentation, "product_row", counted)
+        return packed_rows(self, pulled(), target)
+
+    monkeypatch.setattr(GradedAlgebraPresentation, "packed_rows", counted)
     return calls
 
 
@@ -1132,13 +1153,16 @@ def test_presentation_memo_stays_bounded_over_fresh_candidates():
     size = len(S._cache)
 
     def row_tables():
-        # Each piece's row table holds at most the monomials of its degree.
+        # Each piece's row table holds at most the monomials of its degree,
+        # each row packed in the piece's slots.
         out = {}
         for key, value in S._cache.items():
             if key[0] == "std":
                 d = key[1][0]
-                assert len(value[1]) <= comb(d + S.ring.nvars - 1, d)
-                out[d] = len(value[1])
+                basis, table, bits = value
+                assert len(table) <= comb(d + S.ring.nvars - 1, d)
+                assert all(0 <= row < 1 << bits * len(basis) for row in table.values())
+                out[d] = len(table)
         return out
 
     tables = row_tables()

@@ -20,5 +20,6 @@ def test_bench_smoke_is_correct():
     )
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
     result = json.loads(run.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True
+    # The PROBLEM lines that say why a run is not correct go to stderr.
+    assert result["correct"] is True, run.stderr[-2000:]
     assert result["attempted"] > 0 and result["failed"] == 0

@@ -74,6 +74,31 @@ def test_resolve_prime_precedence():
         resolve_prime({}, env={"GENMAT_PRIME": "4"})
 
 
+@pytest.mark.parametrize(
+    "prime, reason",
+    [
+        (318665857834031151167461, "must be prime"),
+        (3317044064679887385961981, "must be below 3317044064679887385961981"),
+    ],
+    ids=["strong-pseudoprime-to-37", "witness-bound"],
+)
+def test_unproven_primes_are_input_errors(monkeypatch, capsys, prime, reason):
+    doc = quadric_doc()
+    doc["field"] = {"prime": prime}
+    code, err = _run_failure(monkeypatch, capsys, ["check", "reduction", "--json"], doc)
+    assert code == 3 and err.startswith("error: field.prime: ") and reason in err
+    with pytest.raises(InstanceFileError, match="field.prime"):
+        resolve_prime({}, env={"GENMAT_PRIME": str(prime)})
+
+
+def test_large_primes_below_the_bound_run(monkeypatch, capsys):
+    for prime in (2**61 - 1, 2**64 + 13):
+        doc = quadric_doc()
+        doc["field"] = {"prime": prime}
+        code, report = run_json(monkeypatch, capsys, ["check", "reduction", "--json"], doc)
+        assert code == 0 and report["verdicts"]["status"] == "true"
+
+
 def test_build_context_locations():
     with pytest.raises(InstanceFileError, match="ring"):
         build_context({}, env={})

@@ -216,3 +216,157 @@ def test_solve_coords_match_golden_digest():
         digest.update(f"{out}\n".encode())
     assert 2000 < unsolvable < 8000
     assert digest.hexdigest() == SOLVE_COORDS_SHA256
+
+
+# ------------------------------------------------ packed rows, exactness
+#
+# The reference below is plain Gauss-Jordan on lists reduced modulo p
+# after every operation; it shares no code with genmat.linalg.  The
+# packed loop must agree with it term for term, including at the
+# largest primes the field accepts, where a slot is 256 bits.
+
+PACKED_PRIMES = (2, 3, 5, 101, 32003, 2**31 - 1, 2**61 - 1, 2**64 + 13)
+PACKED_WIDTHS = tuple(range(10)) + (16, 17, 32, 33, 60)
+
+
+def _reference_echelon(rows, p):
+    """Reduced row echelon form of the span of ``rows``: (rows, pivots)."""
+    work = [[x % p for x in r] for r in rows]
+    ncols = len(work[0]) if work else 0
+    out, pivots = [], []
+    for col in range(ncols):
+        at = next((i for i, r in enumerate(work) if r[col]), None)
+        if at is None:
+            continue
+        row = work.pop(at)
+        inv = pow(row[col], p - 2, p)
+        row = [x * inv % p for x in row]
+        out = [[(x - r[col] * y) % p for x, y in zip(r, row)] for r in out]
+        work = [[(x - r[col] * y) % p for x, y in zip(r, row)] for r in work]
+        out.append(row)
+        pivots.append(col)
+    return [tuple(r) for r in out], pivots
+
+
+def _reference_residue(echelon, pivots, row, p):
+    out = [x % p for x in row]
+    for e, col in zip(echelon, pivots):
+        c = out[col]
+        out = [(x - c * y) % p for x, y in zip(out, e)]
+    return out
+
+
+def _reference_solve(rows, target, p):
+    """Coefficients over the rows independent of the rows before them,
+    the others 0, or None off the span."""
+    basis, picked = [], []
+    for i, r in enumerate(rows):
+        if len(_reference_echelon(basis + [r], p)[1]) > len(basis):
+            basis.append(r)
+            picked.append(i)
+    n, k = len(target), len(basis)
+    # Solve sum_j c_j basis_j = target: the columns of the system are the
+    # basis rows, with the target appended.
+    system = [[basis[j][col] for j in range(k)] + [target[col]] for col in range(n)]
+    echelon, pivots = _reference_echelon(system, p)
+    if k in pivots:
+        return None
+    coeffs = [0] * len(rows)
+    for e, col in zip(echelon, pivots):
+        coeffs[picked[col]] = e[k]
+    return tuple(coeffs)
+
+
+def _systems(p, width, rng):
+    """Named row lists of one width: random entries in [-p^2, p^2], a
+    rank-deficient list, and full-rank lists of entries p - 1."""
+    size = width + 3
+    big = [[rng.randint(-p * p, p * p) for _ in range(width)] for _ in range(size)]
+    sparse = [[rng.choice((0, 0, 0, rng.randint(-p * p, p * p))) for _ in range(width)]
+              for _ in range(size)]
+    base = big[: width // 2 + 1]
+    combos = [[rng.randrange(p) for _ in base] for _ in range(size - len(base))]
+    deficient = base + [
+        [sum(c * r[j] for c, r in zip(cs, base)) for j in range(width)] for cs in combos
+    ]
+    top = [[p - 1 if j >= i else 0 for j in range(width)] for i in range(width)]
+    # -J + (d + 1) I, all entries p - 1 off the diagonal: full rank when
+    # d + 1 and d + 1 - width are units.
+    d = next((d for d in range(p) if (d + 1) % p and (d + 1 - width) % p), None)
+    full = [[d if i == j else p - 1 for j in range(width)] for i in range(width)]
+    systems = {"big": big, "sparse": sparse, "deficient": deficient, "upper-(p-1)": top}
+    if d is not None:
+        systems["all-(p-1)"] = full
+    return {name: [tuple(r) for r in rows] for name, rows in systems.items()}
+
+
+def _padded(row, p, bits, rng):
+    """``row`` packed with every slot raised by a multiple of p to near
+    2^bits, the most a packed input slot may hold."""
+    top = ((1 << bits) - p) // p
+    return sum((x % p + p * rng.randint(top // 2, top)) << j * bits for j, x in enumerate(row))
+
+
+@pytest.mark.parametrize("p", PACKED_PRIMES)
+def test_packed_loop_matches_the_reference_term_for_term(p):
+    rng = random.Random(p % 1_000_003)
+    for width in PACKED_WIDTHS:
+        bits = linalg.slot_bits(p, width)
+        for name, rows in _systems(p, width, rng).items():
+            want, want_pivots = _reference_echelon(rows, p)
+            got = linalg.row_echelon(rows, p)
+            assert got == (want, want_pivots), (p, width, name)
+            assert linalg.rank(rows, p) == len(want_pivots)
+            # The same rows packed, slots padded, through a lazy stream.
+            pulled = []
+
+            def stream():
+                for r in rows:
+                    pulled.append(r)
+                    yield _padded(r, p, bits, rng)
+
+            echelon, pivots = linalg.row_echelon(stream(), p, width)
+            assert pivots == want_pivots, (p, width, name)
+            assert [tuple(linalg.unpack(e, width, p, bits)) for e in echelon] == want
+            # Reading stops at the row that brings the rank to the width
+            # (for width 0, at the first row); the pivots above show it
+            # was reached.
+            if width == 0:
+                assert len(pulled) == min(1, len(rows))
+            elif len(want_pivots) == width:
+                assert len(_reference_echelon(pulled[:-1], p)[1]) < width
+            else:
+                assert len(pulled) == len(rows)
+            for target in rows[:3] + [tuple(rng.randint(-p * p, p * p) for _ in range(width))]:
+                expect = _reference_residue(want, want_pivots, target, p)
+                assert linalg.residue(want, want_pivots, target, p) == expect
+                packed = _padded(target, p, bits, rng)
+                assert linalg.residue(echelon, pivots, packed, p, width) == expect
+            if rows and width <= 17:
+                basis = rows[: width // 2 + 1]
+                solve = linalg.span_solver(basis, p)
+                for target in rows[-2:] + [tuple(x * 3 - y for x, y in zip(basis[0], rows[-1]))]:
+                    assert solve(target) == _reference_solve(basis, target, p), (p, width, name)
+
+
+def test_packed_rows_round_trip_at_the_slot_limit():
+    for p in PACKED_PRIMES:
+        for width in (0, 1, 7, 60):
+            bits = linalg.slot_bits(p, width)
+            row = [p - 1] * width
+            assert linalg.unpack(linalg.pack(row, p, bits), width, p, bits) == row
+            top = sum(((1 << bits) - 1) << j * bits for j in range(width))
+            assert linalg.unpack(top, width, p, bits) == [((1 << bits) - 1) % p] * width
+
+
+def test_slot_width_holds_the_growth_of_one_elimination():
+    # A kept row's slot stays below p + (w-1)(p-1)^2 <= w p^2, and a
+    # residue adds at most w kept rows, each times at most p - 1, so every
+    # slot stays below w^2 p^3 (p^3 for w = 0); the width is a whole
+    # array item or a multiple of 64 bits.  Some of these (p, w) sit on
+    # a rounding step, so a rule one bit short fails here.
+    for p in PACKED_PRIMES:
+        for w in range(61):
+            bits = linalg.slot_bits(p, w)
+            assert 1 << bits > max(w, 1) ** 2 * p**3, (p, w)
+            assert bits in (8, 16, 32) or bits % 64 == 0, (p, w)

@@ -31,6 +31,30 @@ def test_prime_field_rejects_composites():
             PrimeField(bad)
 
 
+# 399165290221 * 798330580441: a strong pseudoprime to every prime base
+# up to 37, so only witness 41 exposes it.
+PSEUDOPRIME_37 = 318665857834031151167461
+
+
+def test_prime_field_refuses_pseudoprimes_and_the_witness_bound():
+    from genmat.instances import vector_matroid
+    from genmat.polyring import PRIME_BOUND
+
+    assert PSEUDOPRIME_37 == 399165290221 * 798330580441
+    for bad in (PSEUDOPRIME_37, PRIME_BOUND, PRIME_BOUND + 2, 2**89 - 1):
+        with pytest.raises(ValueError):
+            PrimeField(bad)
+        with pytest.raises(ValueError):
+            polynomial_ring(bad, "x y")
+        with pytest.raises(ValueError):
+            vector_matroid(bad, [(1, 0), (0, 1)])
+    with pytest.raises(ValueError, match=f"below {PRIME_BOUND}"):
+        PrimeField(2**89 - 1)  # a Mersenne prime, but past the bound
+    for good in (2**61 - 1, 2**64 + 13):
+        assert PrimeField(good).p == good
+        assert vector_matroid(good, [(1, 0), (0, 1)]).rank == 2
+
+
 def test_prime_field_ops():
     F = PrimeField(32003)
     rng = random.Random(11)
