@@ -1,30 +1,37 @@
 """Groebner bases over F_p and the decision procedures built on them.
 
-Buchberger's algorithm with the normal selection strategy applied to
-pairs and input alike (Giovini, Mora, Niesi, Robbiano and Traverso
-1991; Becker-Weispfenning ch. 5): generators wait in the pair queue by
-the weighted degree of their leading monomial, ahead of the pairs of
-that degree, and join as remainders against the elements built so
-far, so linear forms reduce the relations before they join.  Weights
-default to 1; ``kernel_of_map`` gives T_i the degree of f_i.  The
-Gebauer-Moeller pair update runs once per element that joins: it
+The generators whose terms are all single variables settle before any
+pair: ``linalg.row_echelon`` brings them to reduced echelon form once,
+each pivot the leading variable of its row, and these elements are
+final.  Every other generator is then reduced by them, which replaces
+each pivot variable by its image, and only what is left enters
+Buchberger's loop.  Nothing in the loop involves a pivot, so the
+settled elements never pair or divide there.  The loop is Buchberger's
+algorithm with the normal selection strategy applied to pairs and input
+alike (Giovini, Mora, Niesi, Robbiano and Traverso 1991;
+Becker-Weispfenning ch. 5): generators wait in the pair queue by the
+weighted degree of their leading monomial, ahead of the pairs of that
+degree, and join as remainders against the elements built so far.
+Weights default to 1; ``kernel_of_map`` gives T_i the degree of f_i.
+The Gebauer-Moeller pair update runs once per element that joins: it
 prunes the queued pairs (criterion B_k), keeps one new pair per
 minimal lcm and queues none with coprime leading monomials (criteria M
 and F and the product criterion), and retires the elements whose
 leading monomials it divides.  Every element joins as a full
-remainder, so what stays active is the minimal basis.  Output is the
-reduced basis (monic, no term of any element divisible by another
-leading monomial), which is unique per ideal and order, so results are
-canonical.
+remainder, so what stays active, with the settled elements, is the
+minimal basis; when 1 joins, it alone is.  Output is the reduced basis
+(monic, no term of any element divisible by another leading monomial),
+which is unique per ideal and order, so results are canonical.
 
 The engine does only the work its caller reads.  The loop is one
-generator that yields each element as it joins: ``buchberger`` reads it
-to the end, and ``is_zero_dimensional`` stops reading once the leading
-monomials joined so far hold 1 or a pure power of every variable, which
-already decides the question.  A ``GroebnerBasis`` holds the minimal
-basis and tail-reduces it the first time its elements are read; the
-Hilbert numerator, dimension and top degree read leading monomials
-only, which the minimal basis already has.
+generator that yields the settled elements and then each element as it
+joins: ``buchberger`` reads it to the end, and ``is_zero_dimensional``
+stops reading once the leading monomials yielded so far hold 1 or a
+pure power of every variable, which already decides the question.  A
+``GroebnerBasis`` holds the minimal basis and tail-reduces it the first
+time its elements are read; the Hilbert numerator, dimension and top
+degree read leading monomials only, which the minimal basis already
+has.
 
 Inside the engine a monomial is one int (Monagan and Pearce 2007,
 packed exponent vectors) and its order key is linear in it (see
@@ -49,11 +56,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, count
+from itertools import accumulate, compress, count, repeat
 from operator import itemgetter, le, mul
 from struct import Struct
 from typing import NamedTuple
 
+from .linalg import row_echelon
 from .polyring import (
     GREVLEX,
     Monomial,
@@ -81,7 +89,7 @@ class IdealSpec:
         for g in self.generators:
             if not isinstance(g, Polynomial):
                 raise ValueError("generators must be polynomials")
-            if g.ring != self.ring:
+            if g.ring is not self.ring and g.ring != self.ring:
                 raise RingMismatchError("generator outside the ambient ring")
             if not g.is_zero:
                 kept.append(g)
@@ -128,14 +136,11 @@ class _Packing:
     def __init__(self, ring: PolyRing, order: MonomialOrder, weights=None) -> None:
         n = ring.nvars
         self.ring, self.p = ring, ring.field.p
-        self.full = (1 << _WIDTH * n) - 1
-        self.guard = sum(_LIMIT << _WIDTH * i for i in range(n))
-        self.coeffs = _unit_keys(n, order)
-        self.fields, self.size = Struct(f"<{n}H").unpack, 2 * n
+        self.full, self.guard, self.fields, self.size, self.top = _layout(n)
+        self.coeffs, self.is_variable = _unit_keys(n, order)
         weights = (1,) * n if weights is None else tuple(weights)
         if len(weights) != n or min(weights) < 1:
             raise ValueError("need one positive weight per variable")
-        self.top = _WIDTH * (n - 1)
         self.weights = sum(w << self.top - _WIDTH * i for i, w in enumerate(weights))
 
     def key(self, m: int) -> int:
@@ -145,12 +150,11 @@ class _Packing:
         return m * self.weights >> self.top & 0xFFFF
 
     def pack(self, f: Polynomial) -> dict:
-        coeffs, out = self.coeffs, {}
-        for m, c in f.terms.items():
-            if max(m) >= _LIMIT:
-                raise ValueError(f"exponent {max(m)} exceeds the limit {_LIMIT - 1}")
-            out[sum(map(mul, coeffs, m))] = c
-        return out
+        top = max(map(max, f.terms), default=0)
+        if top >= _LIMIT:
+            raise ValueError(f"exponent {top} exceeds the limit {_LIMIT - 1}")
+        coeffs = self.coeffs
+        return {sum(map(mul, coeffs, m)): c for m, c in f.terms.items()}
 
     def monomial(self, key: int) -> Monomial:
         return self.fields((key & self.full).to_bytes(self.size, "little"))
@@ -162,9 +166,19 @@ class _Packing:
 
 
 @lru_cache(maxsize=None)
-def _unit_keys(n: int, order: MonomialOrder) -> tuple[int, ...]:
-    """The key of each variable of an n-variable ring (see _Packing),
-    derived once per ring size and order."""
+def _layout(n: int):
+    """(full, guard, fields, size, top) of an n-variable packing: the
+    mask of all fields and of their guard bits, a reader of the fields,
+    their byte count, and the shift of the last variable's field."""
+    full = (1 << _WIDTH * n) - 1
+    guard = sum(_LIMIT << _WIDTH * i for i in range(n))
+    return full, guard, Struct(f"<{n}H").unpack, 2 * n, _WIDTH * (n - 1)
+
+
+@lru_cache(maxsize=None)
+def _unit_keys(n: int, order: MonomialOrder):
+    """The key of each variable of an n-variable ring (see _Packing) and
+    a test for them, derived once per ring size and order."""
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     digits = list(zip(*map(order.desc_key, units)))  # digit d on each unit vector
     ties = units[::-1]  # the fields compare from the last variable down
@@ -172,7 +186,8 @@ def _unit_keys(n: int, order: MonomialOrder) -> tuple[int, ...]:
     base, keys = _WIDTH + n.bit_length(), [0] * n
     for digit in digits[:cut]:
         keys = [(k << base) + e for k, e in zip(keys, digit)]
-    return tuple((k << _WIDTH * n) + (1 << _WIDTH * i) for i, k in enumerate(keys))
+    keys = tuple((k << _WIDTH * n) + (1 << _WIDTH * i) for i, k in enumerate(keys))
+    return keys, frozenset(keys).__contains__
 
 
 def _monic(terms: dict, p: int) -> dict:
@@ -180,7 +195,7 @@ def _monic(terms: dict, p: int) -> dict:
     c = next(iter(terms.values()))
     if c == 1:
         return terms
-    inv = pow(c, p - 2, p)
+    inv = pow(c, -1, p)
     return {k: a * inv % p for k, a in terms.items()}
 
 
@@ -355,23 +370,54 @@ def _update(
     return active
 
 
-def _completion(ideal: IdealSpec, pk: _Packing):
-    """Buchberger's loop on ``ideal``: yields each element's record as it
-    joins, and returns the minimal basis, largest leading monomial
-    first, when the queue runs dry.
+def _settle(linear: list[dict], pk: _Packing) -> list[_Divisor]:
+    """Records of the reduced echelon form of the span of the linear
+    forms ``linear`` (packed, every term a single variable), largest
+    leading monomial first.  Every order ranks the ring's variables in
+    their order, the first largest, so with one column per variable in
+    that order each row's pivot is its leading variable."""
+    keys = pk.coeffs
+    rows, _ = row_echelon([tuple(map(g.get, keys, repeat(0))) for g in linear], pk.p)
+    records = []
+    for row in rows:
+        lead, *tail = compress(zip(keys, row), row)
+        records.append(_Divisor(lead[0], lead[0] & pk.full, tuple(tail)))
+    return records
 
-    Generators and pairs wait in one queue by the weighted degree of a
-    generator's leading monomial or a pair's lcm; within a degree the
-    generators come first, largest leading monomial first.  Each popped
-    one is reduced by the elements built so far, and a nonzero remainder
-    joins through the Gebauer-Moeller update.  The final active set is
-    the minimal basis.
+
+def _completion(ideal: IdealSpec, pk: _Packing):
+    """Buchberger's loop on ``ideal``: yields each element's record, the
+    settled ones first and then each one as it joins, and returns the
+    minimal basis, largest leading monomial first, when the queue runs
+    dry.
+
+    The generators whose terms are all single variables settle first:
+    their reduced echelon form, pivots on leading variables, is yielded
+    at once and stays out of the loop, and every other generator enters
+    it with the pivot variables substituted out.  What enters is then
+    free of the pivots, and so is everything the loop builds, so every
+    pair with a settled element is coprime, and the settled elements and
+    the loop's minimal basis together are a minimal basis, unless the
+    loop reaches 1.  Generators and pairs wait in one queue by the
+    weighted degree of a generator's leading monomial or a pair's lcm;
+    within a degree the generators come first, largest leading monomial
+    first.  Each popped one is reduced by the elements built so far, and
+    a nonzero remainder joins through the Gebauer-Moeller update.
     """
-    # The deduplicated monic generators, largest leading monomial first.
-    queued: dict = {}
+    linear, others = [], []
     for g in ideal.generators:
-        terms = _monic(dict(sorted(pk.pack(g).items())), pk.p)
-        queued.setdefault(frozenset(terms.items()), (next(iter(terms)), terms))
+        g = pk.pack(g)
+        (linear if all(map(pk.is_variable, g)) else others).append(g)
+    settled = _settle(linear, pk)
+    yield from settled
+    # The deduplicated monic generators, pivots substituted out, largest
+    # leading monomial first.
+    queued: dict = {}
+    for g in others:
+        terms = normal_form(g, settled, packing=pk) if settled else dict(sorted(g.items()))
+        if terms:
+            terms = _monic(terms, pk.p)
+            queued.setdefault(frozenset(terms.items()), (next(iter(terms)), terms))
     generators = sorted(queued.values(), key=itemgetter(0))
     # Generator j waits as the pair (-1, j), ahead of its degree's pairs.
     heap = [(pk.degree(lead & pk.full), (-1, j)) for j, (lead, _) in enumerate(generators)]
@@ -394,7 +440,10 @@ def _completion(ideal: IdealSpec, pk: _Packing):
         divisors.append(_divisor(r, pk))
         active = _update(divisors, active, live, heap, len(divisors) - 1, pk)
         yield divisors[-1]
-    return tuple(sorted(divisors[k] for k in active))  # ascending leading keys
+    minimal = [divisors[k] for k in active]
+    if all(d.lm for d in minimal):  # else it is [1], and the rest is redundant
+        minimal += settled
+    return tuple(sorted(minimal))  # ascending leading keys
 
 
 def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX, weights=None) -> GroebnerBasis:
@@ -551,11 +600,12 @@ def is_zero_dimensional(ideal) -> bool:
     power among the leading terms; the unit ideal (dimension -1) returns
     True, since the zero ring is vacuously finite-dimensional.  An
     IdealSpec is decided while its grevlex basis is built: every element
-    joined so far lies in the ideal, so the answer is yes as soon as
+    yielded so far lies in the ideal, so the answer is yes as soon as
     their leading monomials hold 1 or a pure power of every variable
     (the Finiteness Theorem, Cox, Little and O'Shea 5.3), and the loop
-    stops there.  Otherwise it runs to its end, and every leading
-    monomial of the basis has joined.
+    stops there.  The settled linear elements come first, pure powers of
+    their pivots.  Otherwise it runs to its end, and every leading
+    monomial of the basis has been yielded.
     """
     if isinstance(ideal, GroebnerBasis):
         records = ideal.minimal

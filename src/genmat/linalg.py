@@ -152,9 +152,10 @@ def row_echelon(rows, p: int, width: int | None = None):
         if len(kept) == width:
             break
     pivots = sorted(kept)
+    rows = [echelon[kept[j]] for j in pivots]
     if packed:
-        return [echelon[kept[j]] for j in pivots], pivots
-    return [tuple(unpack(echelon[kept[j]], width, p, bits)) for j in pivots], pivots
+        return rows, pivots
+    return [tuple([x % p for x in slots(e)]) for e in rows], pivots
 
 
 def residue(echelon, pivots, row, p: int, width: int | None = None) -> list[int]:

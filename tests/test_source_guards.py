@@ -273,8 +273,9 @@ def test_one_ideal_tuple_rule():
 def test_one_coordinate_solver():
     # linalg.span_solver answers every coordinate and degree-delta
     # membership question, so outside linalg only the streamed product
-    # span behind the power certificate may echelonize, and a second
-    # solver cannot grow back unnoticed.
+    # span behind the power certificate and the Groebner engine's
+    # linear generators may echelonize, and a second solver cannot grow
+    # back unnoticed.
     solves, eliminations = [], []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "linalg.py":
@@ -292,4 +293,5 @@ def test_one_coordinate_solver():
     assert sorted(eliminations) == [
         ("algebra.py", "_first_outside", "residue"),
         ("algebra.py", "_first_outside", "row_echelon"),
+        ("groebner.py", "_settle", "row_echelon"),
     ], eliminations
