@@ -148,11 +148,11 @@ class GradedAlgebraPresentation:
     def quotient_groebner(self, extra=()) -> GroebnerBasis:
         """Reduced basis of relations + extra, recomputed on every call.
 
-        Buchberger queues generators by degree, so linear forms in
-        ``extra`` join first and reduce each relation as it arrives.  The
-        basis is tail-reduced only when its elements are read: a caller
-        that wants its Hilbert series or top degree reads leading
-        monomials alone.
+        Linear forms in ``extra`` settle in one echelon before
+        Buchberger's pair loop, and each relation enters it reduced by
+        them.  The basis is tail-reduced only when its elements are
+        read: a caller that wants its Hilbert series or top degree reads
+        leading monomials alone.
         """
         return buchberger(
             IdealSpec(self.ring, self.relations.generators + tuple(extra)), GREVLEX

@@ -408,7 +408,7 @@ def _completion(ideal: IdealSpec, pk: _Packing):
     for g in ideal.generators:
         g = pk.pack(g)
         (linear if all(map(pk.is_variable, g)) else others).append(g)
-    settled = _settle(linear, pk)
+    settled = _settle(linear, pk) if linear else []
     yield from settled
     # The deduplicated monic generators, pivots substituted out, largest
     # leading monomial first.
