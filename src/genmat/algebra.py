@@ -30,13 +30,12 @@ Presentations memoize only data fixed by themselves and their fixed
 ideals, never per-candidate data: the Groebner basis (one built on a
 kernel's reduced grevlex basis takes that basis as its own), the
 dimension, and per graded piece the standard monomials with a row
-table, monomial -> coordinate row of its normal form packed as
-``linalg.pack`` packs a row of the piece's width (one int, one slot of
-``linalg.slot_bits`` bits per entry), which every coordinate vector is
-summed from and which holds at most the monomials of that degree; the
-diagonal presentation; and, keyed by generator tuples, ideal powers,
-fiber presentations and degree-delta solvers.  The cache is
-append-only derived data, so sharing across threads is safe.
+table, monomial -> ``linalg``-packed coordinate row of its normal form,
+which every coordinate vector is summed from and which holds at most
+the monomials of that degree; the diagonal presentation; and, keyed by
+generator tuples, ideal powers, fiber presentations and degree-delta
+solvers.  The cache is append-only derived data, so sharing across
+threads is safe.
 """
 
 from __future__ import annotations
@@ -177,14 +176,10 @@ class GradedAlgebraPresentation:
         """
         return self._standard_piece(target)[0]
 
-    def _standard_piece(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict, int]:
-        """The ``target`` piece's monomial basis, its row table and the
-        slot width of its packed rows.
-
-        The table maps a monomial of degree ``target`` to the coordinate
-        row of its normal form in the piece, packed as
-        ``linalg.pack`` packs a row of the piece's width, entries in
-        [0, p).  It starts with the basis monomials, whose rows are unit
+    def _standard_piece(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict]:
+        """The ``target`` piece's monomial basis and its row table: a
+        monomial of degree ``target`` -> the packed coordinate row of its
+        normal form in the piece.  The table starts with the basis's unit
         rows, and ``_fill_row`` adds every other monomial of the piece
         the first time it meets one, so it never outgrows the monomials
         of that degree.
@@ -192,7 +187,7 @@ class GradedAlgebraPresentation:
         target = tuple(map(int, target))
         return self._memo(("std", target), lambda: self._standard_monomials(target))
 
-    def _standard_monomials(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict, int]:
+    def _standard_monomials(self, target: MultiDegree) -> tuple[tuple[Polynomial, ...], dict]:
         if self.blocks is None:
             raise ValueError("monomial bases need a standard multigrading")
         if len(target) != self.components:
@@ -201,9 +196,8 @@ class GradedAlgebraPresentation:
             list(itertools.combinations_with_replacement(block, t))
             for block, t in zip(self.blocks, target)
         ]
-        p = self.ring.field.p
         if not all(choices_per_component):
-            return (), {}, linalg.slot_bits(p, 0)
+            return (), {}
         lms = self.groebner().leading_monomials()
         nv = self.ring.nvars
         out = []
@@ -216,9 +210,8 @@ class GradedAlgebraPresentation:
             if any(mon_divides(lm, mon) for lm in lms):
                 continue
             out.append(mon)
-        bits = linalg.slot_bits(p, len(out))
-        table = {m: 1 << i * bits for i, m in enumerate(out)}
-        return tuple(self.ring.monomial(m) for m in out), table, bits
+        table = dict(zip(out, linalg.unit_rows(self.ring.field.p, len(out))))
+        return tuple(self.ring.monomial(m) for m in out), table
 
     def coordinates(self, f: Polynomial, target: MultiDegree) -> tuple[int, ...]:
         """Coordinate vector of f's normal form in the ``target`` piece."""
@@ -230,12 +223,12 @@ class GradedAlgebraPresentation:
         target = tuple(map(int, target))
         piece = self._standard_piece(target)
         row = self._packed_row(factors, target, piece)
-        return tuple(linalg.unpack(row, len(piece[0]), self.ring.field.p, piece[2]))
+        return tuple(linalg.unpack(row, len(piece[0]), self.ring.field.p))
 
     def packed_rows(self, products, target: MultiDegree):
         """For each tuple of factors in ``products``, read lazily, the
         ``product_row`` of their product packed as ``linalg.row_echelon``
-        reads it, in slots of the piece's ``linalg.slot_bits``."""
+        reads it."""
         target = tuple(map(int, target))
         piece = self._standard_piece(target)
         return (self._packed_row(factors, target, piece) for factors in products)
@@ -245,11 +238,9 @@ class GradedAlgebraPresentation:
 
         The normal form is linear, so the row is the sum of c * row(m)
         over the terms c*m of the product, each row(m) read packed from
-        the piece's row table; the product itself is never built.  With
-        c reduced, each term adds less than p^2 to a slot, so the terms
-        are summed in runs of as many as a slot holds, the sum reduced
-        modulo p before each further run.  Terms off the piece must sum
-        to an element of normal form zero (ValueError otherwise).
+        the piece's row table and summed by ``linalg.row_sum``; the
+        product itself is never built.  Terms off the piece must sum to
+        an element of normal form zero (ValueError otherwise).
         """
         ring, p = self.ring, self.ring.field.p
         for f in factors:
@@ -262,36 +253,30 @@ class GradedAlgebraPresentation:
                 for m, c in terms
                 for n, d in g.terms.items()
             ]
-        basis, table, bits = piece
+        basis, table = piece
         rows: list[int] = []
         off: dict = {}
         for mon, c in terms:
             row = table.get(mon)
-            if row is None and (row := self._fill_row(table, mon, target)) is None:
+            if row is None and (row := self._fill_row(piece, mon, target)) is None:
                 off[mon] = off.get(mon, 0) + c
             else:
                 rows.append(c * row)
         if off and not self.normal_form(Polynomial(ring, off)).is_zero:
             product = reduce(operator.mul, factors)
             raise ValueError(f"{product} does not lie in the degree-{target} piece")
-        run = (1 << bits) // (p * p)
-        if len(rows) <= run:
-            return sum(rows)
-        acc = 0
-        for i in range(0, len(rows), run):
-            acc = linalg.pack(linalg.unpack(acc, len(basis), p, bits), p, bits)
-            acc += sum(rows[i : i + run])
-        return acc
+        return linalg.row_sum(rows, p, len(basis))
 
-    def _fill_row(self, table: dict, mon, target: MultiDegree):
+    def _fill_row(self, piece, mon, target: MultiDegree):
         """Add monomial ``mon``'s row to the ``target`` piece's table and
         return it; None, and no entry, when ``mon`` lies off the piece."""
         f = self.ring.monomial(mon)
         if self.element_degree(f) != target:
             return None
         # The remainder's monomials are standard, with unit rows.
-        nf = self.normal_form(f)
-        row = table[mon] = sum(c * table[m] for m, c in nf.terms.items())
+        basis, table = piece
+        rows = [c * table[m] for m, c in self.normal_form(f).terms.items()]
+        row = table[mon] = linalg.row_sum(rows, self.ring.field.p, len(basis))
         return row
 
     def dimension(self) -> int:

@@ -1,23 +1,24 @@
 """Exact linear algebra over F_p.
 
 Vectors are tuples of ints (read modulo p); matrices are lists of row
-tuples.  Inside, a row of ``width`` entries is packed into one Python
-int: entry j sits in slot j, bits [j*b, (j+1)*b) with b =
-``slot_bits(p, width)``, so a row operation is one big-int
-multiply-add.  A slot holds a nonnegative value below 2^b that is only
-congruent to its entry; it is reduced modulo p when something reads it
-(``unpack``).  The slot width is derived once per (p, width) from the
-largest value one elimination can build in a slot, so no slot ever
-carries into the next.
+tuples.  Inside, a row of ``width`` entries is one Python int, and only
+this module knows its layout: entry j sits in slot j, bits [j*b,
+(j+1)*b) with b = ``slot_bits(p, width)``, wide enough that no slot
+carries into the next.  A slot holds a nonnegative value below 2^b
+only congruent to its entry, so a row operation is one big-int
+multiply-add and a slot is reduced modulo p when something reads it.
+Other modules build and read rows only through ``unpack``,
+``unit_rows`` and ``row_sum``, which keeps a sum of scaled rows under
+the bound.
 
 There is one elimination loop, ``row_echelon``: it inserts rows one at
 a time into a reduced echelon form, and stops pulling rows as soon as
 they span the whole space, so a caller that feeds it a lazy stream of
-rows (as containment in a graded piece does, packed) pays only for the
-rows it reads.  ``span_solver``, the one coordinate solver, takes a
-basis through it once and each target through the same reduction as
-``residue``; ``rank``, ``independent``, ``solve_coords`` and
-``in_span`` are built on these.
+rows pays only for the rows it reads.  ``residue`` reduces a packed row
+by its packed result.  ``span_solver``, the one coordinate solver,
+streams a basis through it packed and each target through the same
+reduction; ``rank``, ``independent``, ``solve_coords`` and ``in_span``
+are built on these.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from itertools import compress
 from struct import Struct
 
 
-@lru_cache(maxsize=256)
 def slot_bits(p: int, width: int) -> int:
     """Slot width b of a packed row of ``width`` entries over F_p.
 
@@ -44,21 +44,43 @@ def slot_bits(p: int, width: int) -> int:
     return next((b for b in (8, 16, 32) if need <= b), -(-need // 64) * 64)
 
 
-def pack(row, p: int, bits: int) -> int:
-    """``row``'s entries, reduced modulo p, packed into slots of ``bits``."""
-    return _codec(len(row), bits)[1]([x % p for x in row])
+def pack(row, p: int) -> int:
+    """``row``'s entries, reduced modulo p, packed."""
+    return _codec(p, len(row))[2]([x % p for x in row])
 
 
-def unpack(packed: int, width: int, p: int, bits: int) -> list[int]:
+def unpack(packed: int, width: int, p: int) -> list[int]:
     """The ``width`` entries of a packed row, reduced to [0, p)."""
-    return [x % p for x in _codec(width, bits)[0](packed)]
+    return [x % p for x in _codec(p, width)[1](packed)]
+
+
+def unit_rows(p: int, width: int) -> list[int]:
+    """The ``width`` packed unit rows, row j with entry 1 in column j."""
+    bits = _codec(p, width)[0]
+    return [1 << j * bits for j in range(width)]
+
+
+def row_sum(rows: list[int], p: int, width: int) -> int:
+    """The sum of the packed ``rows``, each of slots below p^2 (a row in
+    [0, p) times a scalar in [0, p)).  A reduced row plus w^2 * p of them
+    stays below the w^2 * p^3 that ``slot_bits`` bounds (w = width, or 1
+    for 0), so past that many the sum is reduced before each run."""
+    run = (width * width or 1) * p
+    if len(rows) <= run:
+        return sum(rows)
+    acc = 0
+    for i in range(0, len(rows), run):
+        acc = pack(unpack(acc, width, p), p) + sum(rows[i : i + run])
+    return acc
 
 
 @lru_cache(maxsize=256)
-def _codec(width: int, bits: int):
-    """(slots, join): the raw slot values of a packed row of ``width``
-    slots of ``bits`` (OverflowError past the last), and slot values
-    packed.  Slots of 8, 16, 32 or 64 bits convert a row at a time."""
+def _codec(p: int, width: int):
+    """(bits, slots, join) of a packed row of ``width`` entries over
+    F_p: its slot width, the raw slot values of a packed row
+    (OverflowError past the last), and slot values packed.  Slots of 8,
+    16, 32 or 64 bits convert a row in one struct call."""
+    bits = slot_bits(p, width)
     size = bits // 8
     nbytes = width * size
     code = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(size)
@@ -80,7 +102,7 @@ def _codec(width: int, bits: int):
         def join(values) -> int:
             return int.from_bytes(row.pack(*values), "little")
 
-    return slots, join
+    return bits, slots, join
 
 
 def _residue(entries, rows, kept: dict, p: int, slots) -> list[int]:
@@ -118,8 +140,7 @@ def row_echelon(rows, p: int, width: int | None = None):
     Rows are tuples, and come back as tuples with entries in [0, p);
     rows of different lengths raise ValueError: all of a list or tuple
     up front, a lazy stream's as they are read.  With ``width`` given,
-    rows are packed as for ``slot_bits(p, width)``, and come back
-    packed, their slots unreduced.
+    rows are packed, and come back packed, their slots unreduced.
     """
     packed = width is not None
     if not packed and isinstance(rows, (list, tuple)) and len({len(r) for r in rows}) > 1:
@@ -127,21 +148,20 @@ def row_echelon(rows, p: int, width: int | None = None):
     echelon: list[int] = []
     kept: dict[int, int] = {}
     if packed:
-        bits = slot_bits(p, width)
-        slots, join = _codec(width, bits)
+        bits, slots, join = _codec(p, width)
     for row in rows:
         if packed:
             row = slots(row)
         elif width is None:
-            width, bits = len(row), slot_bits(p, len(row))
-            slots, join = _codec(width, bits)
+            width = len(row)
+            bits, slots, join = _codec(p, width)
         elif len(row) != width:
             raise ValueError("vector lengths disagree")
         r = _residue(row, echelon, kept, p, slots)
         col = next(compress(range(width), r), None)
         if col is not None and len(kept) == width - 1:
             # Full rank: the reduced echelon form is the identity.
-            echelon, kept = [1 << j * bits for j in range(width)], {j: j for j in range(width)}
+            echelon, kept = unit_rows(p, width), {j: j for j in range(width)}
         elif col is not None:
             inv = pow(r[col], -1, p)
             new = join([x * inv % p for x in r])
@@ -158,21 +178,12 @@ def row_echelon(rows, p: int, width: int | None = None):
     return [tuple([x % p for x in slots(e)]) for e in rows], pivots
 
 
-def residue(echelon, pivots, row, p: int, width: int | None = None) -> list[int]:
-    """``row`` reduced by the rows and pivots ``row_echelon`` returned.
-
-    The result, with entries in [0, p), is zero exactly when ``row``
-    lies in their span.  With ``width`` given, the rows and ``row`` are
-    packed as for ``row_echelon``.
-    """
-    packed = width is not None
-    if not packed:
-        width = len(row)
-        echelon = [pack(e, p, slot_bits(p, width)) for e in echelon]
-    slots = _codec(width, slot_bits(p, width))[0]
-    if packed:
-        row = slots(row)
-    return _residue(row, echelon, {j: i for i, j in enumerate(pivots)}, p, slots)
+def residue(echelon, pivots, row: int, p: int, width: int) -> list[int]:
+    """The packed ``row`` reduced by the packed rows and pivots
+    ``row_echelon`` returned for ``width``: entries in [0, p), all zero
+    exactly when ``row`` lies in their span."""
+    slots = _codec(p, width)[1]
+    return _residue(slots(row), echelon, {j: i for i, j in enumerate(pivots)}, p, slots)
 
 
 def rank(rows, p: int) -> int:
@@ -191,18 +202,19 @@ def span_solver(rows, p: int):
     another length).  Row i is echelonized once with unit column m-1-i of
     m, so a dependent row pivots on its own unit column and the residue of
     (target, 0..0) is (0, -c reversed) exactly when target is in the span.
-    The echelon rows are packed once, here.
+    The rows stream into ``row_echelon`` packed, and its echelon stays so.
     """
     rows = [tuple(r) for r in rows]
     if not rows:
         return lambda target: None if any(x % p for x in target) else ()
     m, n = len(rows), len(rows[0])
-    units = [(0,) * (m - 1 - i) + (1,) + (0,) * i for i in range(m)]
-    echelon, pivots = row_echelon([r + u for r, u in zip(rows, units)], p)
-    bits = slot_bits(p, n + m)
-    echelon = [pack(e, p, bits) for e in echelon]
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError("vector lengths disagree")
+    # Streamed: bench/tracing.py reads a listed first argument as tuple rows.
+    rows = (pack(r + (0,) * (m - 1 - i) + (1,) + (0,) * i, p) for i, r in enumerate(rows))
+    echelon, pivots = row_echelon(rows, p, n + m)
     kept = {j: i for i, j in enumerate(pivots)}
-    slots, zeros = _codec(n + m, bits)[0], (0,) * m
+    slots, zeros = _codec(p, n + m)[1], (0,) * m
 
     def solve(target):
         if len(target) != n:

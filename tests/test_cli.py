@@ -318,6 +318,32 @@ def test_check_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def _cube_doc():
+    # (x^3, y^3) reduces (x^3, y^3, x*y^2) only at power 2, so a power
+    # bound of 1 leaves every verdict on it open.
+    return {
+        "ring": {"vars": [{"name": "x"}, {"name": "y"}]},
+        "ideals": [{"name": "m", "generators": ["x^3", "y^3", "x*y^2"]}],
+        "check": {"ideal": "m", "candidate": ["x^3", "y^3"], "n_max": 1},
+        "exchange": {
+            "kind": "minred",
+            "ideal": "m",
+            "start": ["x^3", "y^3"],
+            "n_max": 1,
+            "handles": [{"name": "m", "forms": ["x^3", "y^3", "x*y^2"]}],
+        },
+    }
+
+
+def test_check_minimal_reduction_inconclusive_exit(monkeypatch, capsys):
+    code, report = run_json(
+        monkeypatch, capsys, ["check", "minimal-reduction", "--json"], _cube_doc()
+    )
+    assert code == 2 and report["verdicts"]["status"] == "inconclusive"
+    detail = report["verdicts"]["detail"]
+    assert detail["verdict"] == "reduction test inconclusive after power bound 1"
+
+
 # -------------------------------------------------------------- exchange
 
 
@@ -371,6 +397,49 @@ def test_exchange_exhausted_exit(monkeypatch, capsys):
     assert code == 4
     assert report["verdicts"]["mode"] == "exhausted"
     assert len(report["verdicts"]["rejected"]) == 5
+
+
+def test_exchange_on_an_open_start_exits_inconclusive(monkeypatch, capsys):
+    # The start check itself cannot be decided within the power bound.
+    argv = ["exchange", "--json", "--remove", "x^3", "--seed", "1"]
+    code, err = _run_failure(monkeypatch, capsys, argv, _cube_doc())
+    assert (code, err) == (2, "inconclusive: reduction test inconclusive after power bound 1")
+
+
+def _nn_doc():
+    doc = quadric_doc()
+    del doc["exchange"]["ideal"]
+    doc["exchange"]["kind"] = "nn"
+    return doc
+
+
+def _ideal_tuple_exchange_doc():
+    doc = _ideal_tuple_doc()
+    doc["exchange"] = {
+        "kind": "complete-reduction-ideals",
+        "ideals": ["I", "I"],
+        "start": [["a", "a"], ["b", "b"]],
+        "handles": [{"name": "ambient", "blocks": [["a", "b"], ["a", "b"]]}],
+    }
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make, removed, instance",
+    [
+        (_nn_doc, "x + y", "noether-normalization"),
+        (_ideal_tuple_exchange_doc, "0", "complete-reduction-ideals"),
+    ],
+    ids=["nn", "complete-reduction-ideals"],
+)
+def test_exchange_step_on_the_other_kinds(monkeypatch, capsys, make, removed, instance):
+    argv = ["exchange", "--json", "--remove", removed, "--seed", "1"]
+    code, report = run_json(monkeypatch, capsys, argv, make())
+    assert code == 0 and report["verdicts"]["mode"] == "step"
+    cert = report["certificates"][0]
+    assert cert["instance"] == instance
+    assert cert["basis_after"][1:] == cert["basis_before"][1:]
+    assert cert["basis_after"][0] == cert["inserted"] != cert["basis_before"][0]
 
 
 def test_exchange_flag_errors(monkeypatch, capsys):

@@ -240,6 +240,19 @@ def test_minred_instance_inconclusive_is_loud():
     assert settled.is_basis((x**4, y**4))
 
 
+def test_an_entry_outside_its_ideal_is_a_rejection():
+    # The containment tests raise OutsideIdealError; the oracle reads it
+    # as "not a basis", for bare forms and for columns alike.
+    R = polynomial_ring(32003, "x y z")
+    x, y, z = R.gens()
+    I = equigenerated_ideal(standard_graded_algebra(R), (x**2, x * y, y**2))
+    assert minred_instance(I).is_basis((x**2, y**2))
+    assert not minred_instance(I).is_basis((x**2, z**2))
+    inst = complete_reduction_instance((I, I))
+    assert inst.is_basis(((x**2, x**2), (y**2, y**2)))
+    assert not inst.is_basis(((x**2, z**2), (y**2, y**2)))
+
+
 def test_complete_reduction_ring_instance():
     S, (x1, x2, y1, y2) = segre()
     for variant in ("matrix", "vector"):

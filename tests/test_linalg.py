@@ -144,9 +144,10 @@ def test_rank_and_residue_match_span_enumeration(p):
         assert p ** linalg.rank(rows, p) == len(span)
         assert linalg.independent(rows, p) == (p ** len(rows) == len(span))
         assert len(echelon) == len(pivots) == linalg.rank(rows, p)
+        packed = [linalg.pack(e, p) for e in echelon]
         for v in itertools.product(range(p), repeat=ncols):
-            shifted = tuple(x + p * rng.randrange(-1, 2) for x in v)
-            assert (not any(linalg.residue(echelon, pivots, shifted, p))) == (v in span)
+            shifted = linalg.pack([x + p * rng.randrange(-1, 2) for x in v], p)
+            assert (not any(linalg.residue(packed, pivots, shifted, p, ncols))) == (v in span)
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -327,7 +328,7 @@ def test_packed_loop_matches_the_reference_term_for_term(p):
 
             echelon, pivots = linalg.row_echelon(stream(), p, width)
             assert pivots == want_pivots, (p, width, name)
-            assert [tuple(linalg.unpack(e, width, p, bits)) for e in echelon] == want
+            assert [tuple(linalg.unpack(e, width, p)) for e in echelon] == want
             # Reading stops at the row that brings the rank to the width
             # (for width 0, at the first row); the pivots above show it
             # was reached.
@@ -339,7 +340,9 @@ def test_packed_loop_matches_the_reference_term_for_term(p):
                 assert len(pulled) == len(rows)
             for target in rows[:3] + [tuple(rng.randint(-p * p, p * p) for _ in range(width))]:
                 expect = _reference_residue(want, want_pivots, target, p)
-                assert linalg.residue(want, want_pivots, target, p) == expect
+                rows_in = [linalg.pack(e, p) for e in want]
+                reduced = linalg.residue(rows_in, want_pivots, linalg.pack(target, p), p, width)
+                assert reduced == expect
                 packed = _padded(target, p, bits, rng)
                 assert linalg.residue(echelon, pivots, packed, p, width) == expect
             if rows and width <= 17:
@@ -354,9 +357,31 @@ def test_packed_rows_round_trip_at_the_slot_limit():
         for width in (0, 1, 7, 60):
             bits = linalg.slot_bits(p, width)
             row = [p - 1] * width
-            assert linalg.unpack(linalg.pack(row, p, bits), width, p, bits) == row
+            assert linalg.unpack(linalg.pack(row, p), width, p) == row
             top = sum(((1 << bits) - 1) << j * bits for j in range(width))
-            assert linalg.unpack(top, width, p, bits) == [((1 << bits) - 1) % p] * width
+            assert linalg.unpack(top, width, p) == [((1 << bits) - 1) % p] * width
+
+
+def test_row_sums_stay_exact_past_the_slot_bound():
+    # However many rows of slots below p^2 are summed, the sum reduces
+    # between runs, so no slot carries into the next; unit rows read
+    # back as the identity.
+    rng = random.Random(31)
+    for p in (2, 3, 5, 101):
+        for width in (0, 1, 2, 7):
+            w2p = max(width, 1) ** 2 * p
+            # Rows of slots (p-1)^2 that would fill a slot unreduced.
+            full = (1 << linalg.slot_bits(p, width)) // (p - 1) ** 2 + 1
+            for count in (1, w2p, w2p + 1, 3 * w2p + 1) + ((full,) if full < 20000 else ()):
+                top = [[p - 1] * width] * count, [p - 1] * count
+                drawn = [[rng.randrange(p) for _ in range(width)] for _ in range(count)]
+                for rows, cs in (top, (drawn, [rng.randrange(p) for _ in drawn])):
+                    scaled = [c * linalg.pack(r, p) for c, r in zip(cs, rows)]
+                    got = linalg.row_sum(scaled, p, width)
+                    want = [sum(c * r[j] for c, r in zip(cs, rows)) % p for j in range(width)]
+                    assert linalg.unpack(got, width, p) == want, (p, width, count)
+            units = [linalg.unpack(u, width, p) for u in linalg.unit_rows(p, width)]
+            assert units == [[int(i == j) for j in range(width)] for i in range(width)]
 
 
 def test_slot_width_holds_the_growth_of_one_elimination():

@@ -124,6 +124,23 @@ def test_start_basis_stays_a_memo_hit():
     assert asked[frozenset((0, 1))] == 1 and len(inst._cache) <= MEMO_SIZE
 
 
+def test_an_oracle_that_changes_its_mind_is_a_run_failure():
+    # Each set reads as a basis the first time it is asked and never
+    # after, so the uncached re-verification refuses the accepted set.
+    asked = set()
+
+    def oracle(elements):
+        key = frozenset(elements)
+        fresh = key not in asked
+        asked.add(key)
+        return fresh
+
+    handle = MatroidHandle("ints", lambda e: isinstance(e, int), lambda rng: rng.randrange(10**9))
+    inst = GenericMatroidInstance("fickle", 2, oracle, {"ints": handle})
+    with pytest.raises(RuntimeError, match="oracle accepted a set and then rejected it"):
+        exchange_step(inst, (0, 1), 1, "ints", seed=1)
+
+
 def test_unknown_handle():
     inst, (x, y, z, w) = quadric_instance()
     with pytest.raises(ValueError, match="unknown handle"):

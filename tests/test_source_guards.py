@@ -295,3 +295,35 @@ def test_one_coordinate_solver():
         ("algebra.py", "_first_outside", "row_echelon"),
         ("groebner.py", "_settle", "row_echelon"),
     ], eliminations
+
+
+def test_only_linalg_knows_the_packed_row_layout():
+    # Other modules build and read packed rows through linalg's unpack,
+    # unit_rows and row_sum, so neither a slot width nor a codec, nor
+    # pack with its slot layout, can leak out of linalg unnoticed.
+    layout = {"slot_bits", "_codec", "pack"}
+    named = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and ast.unparse(node.value).endswith("linalg")
+                and node.attr in layout
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("linalg")
+                and layout & {a.name for a in node.names}
+            ):
+                named.append((path.name, node.lineno))
+    assert not named, named
+    # No shift and no bit count: algebra never lays out a slot itself.
+    widths = [
+        node.lineno
+        for node in ast.walk(ast.parse((SRC / "algebra.py").read_text()))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift)))
+        or (isinstance(node, ast.Name) and "bits" in node.id)
+        or (isinstance(node, ast.arg) and "bits" in node.arg)
+    ]
+    assert not widths, widths
