@@ -103,8 +103,6 @@ class GradedAlgebraPresentation:
         degrees = tuple(tuple(int(x) for x in d) for d in degrees)
         if len(degrees) != ring.nvars:
             raise ValueError("need one multidegree per variable")
-        if not degrees:
-            raise ValueError("presentation needs at least one variable")
         n = len(degrees[0])
         if n < 1 or any(len(d) != n for d in degrees):
             raise ValueError("multidegrees must share one positive length")
@@ -352,10 +350,11 @@ class EquigeneratedIdeal:
         object.__setattr__(self, "degree", degs.pop())
 
     def contains(self, f: Polynomial) -> bool:
-        """Span membership in f's graded piece; f is zero or homogeneous."""
-        if self.algebra.element_degree(f) is None and not f.is_zero:
+        """Span membership in the piece of f's degree; f is zero or homogeneous."""
+        d = self.algebra.element_degree(f)
+        if d is None and not f.is_zero:
             raise ValueError(f"{f} is not homogeneous")
-        return f.is_zero or _first_outside_ideal(self, (f,)) is None
+        return f.is_zero or _first_outside_ideal(self, (f,), d[0]) is None
 
 
 def equigenerated_ideal(algebra, generators) -> EquigeneratedIdeal:
@@ -455,31 +454,18 @@ class ReductionVerdict:
 
 
 def _first_outside(
-    S: GradedAlgebraPresentation, left, right, forms, target: MultiDegree | None = None
+    S: GradedAlgebraPresentation, left, right, forms, target: MultiDegree
 ) -> Polynomial | None:
-    """The first of ``forms`` (all of one degree d) outside the span of
-    the products a*b for a in ``left``, b in ``right``, or None.
-
-    ``target`` is d when the forms are known to lie in S_d; otherwise d
-    is the first form's degree, and each form is checked to lie in S_d
-    (ValueError otherwise).  ``linalg.row_echelon`` pulls the products'
-    packed rows from ``S.packed_rows``, a-major, one at a time, and
-    stops once they span the whole piece S_d; then every form lies in
-    the span, and no echelon row is unpacked and no form's row is
-    built but for that check.  Else each form's packed row is reduced
-    by the echelon form.  No product is built either way.
-    """
-    unsure = ()
-    if target is None:
-        degrees = [S.element_degree(f) for f in forms]
-        target = degrees[0]
-        unsure = [f for f, d in zip(forms, degrees) if d != target]
+    """The first of ``forms``, all in the caller's piece S_target, outside
+    the span of the products a*b for a in ``left``, b in ``right``, or
+    None.  ``linalg.row_echelon`` pulls the products' packed rows from
+    ``S.packed_rows``, a-major, and stops once they span the piece; then
+    no form's row is built.  Else each form's packed row is reduced by
+    the echelon form.  No product is built either way."""
     p, width = S.ring.field.p, len(S.standard_monomials(target))
     rows = S.packed_rows(((a, b) for a in left for b in right), target)
     echelon, pivots = linalg.row_echelon(rows, p, width)
     if len(pivots) == width:
-        # ValueError unless each such form's normal form lies in S_d.
-        list(S.packed_rows([(f,) for f in unsure], target))
         return None
     rows = list(S.packed_rows([(f,) for f in forms], target))
     for f, row in zip(forms, rows):
@@ -488,18 +474,16 @@ def _first_outside(
     return None
 
 
-def _first_outside_ideal(K: EquigeneratedIdeal, forms) -> Polynomial | None:
-    """The first of ``forms`` (all of one degree d) outside K, or None; K's
-    solver reads K_delta, and S_(d - delta) * K's generators span K_d."""
-    if not forms:
-        return None
+def _first_outside_ideal(K: EquigeneratedIdeal, forms, d: int) -> Polynomial | None:
+    """The first of ``forms``, all of the caller's degree d, outside K, or
+    None; K's solver reads K_delta, and S_(d - delta) * K's gens span K_d."""
     S = K.algebra
-    shift = S.element_degree(forms[0])[0] - K.degree
+    shift = d - K.degree
     if shift == 0:
         solve = _piece_solver(K)
         return next((f for f in forms if solve(S.coordinates(f, (K.degree,))) is None), None)
     left = S.standard_monomials((shift,)) if shift > 0 else ()
-    return _first_outside(S, left, K.generators, forms)
+    return _first_outside(S, left, K.generators, forms, (d,))
 
 
 def _piece_solver(I: EquigeneratedIdeal):
@@ -573,7 +557,7 @@ def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> int | 
     if J.degree == I.degree:
         coords = _generator_coords(I, J.generators)
     else:
-        outside = _first_outside_ideal(I, J.generators)
+        outside = _first_outside_ideal(I, J.generators, J.degree)
         if outside is not None:
             raise _outside(J.generators.index(outside), outside)
         coords = []
@@ -716,7 +700,7 @@ def is_complete_reduction_ideals(
     algebra = ideals[0].algebra
     mat = _forms_matrix(algebra, rows, [(I.degree,) for I in ideals], "ideal")
     for i, (row, I) in enumerate(zip(mat, ideals)):
-        outside = _first_outside_ideal(I, row)
+        outside = _first_outside_ideal(I, row, I.degree)
         if outside is not None:
             raise OutsideIdealError(
                 f"entry ({i},{row.index(outside)}) does not lie in ideal {i}"

@@ -87,6 +87,66 @@ def test_presentation_validation():
     other = polynomial_ring(101, "a b").var("a")
     with pytest.raises(RingMismatchError):
         GradedAlgebraPresentation(R, ((1,), (1,)), (other,))
+    with pytest.raises(ValueError, match="need one multidegree per variable"):
+        GradedAlgebraPresentation(R, ())
+
+
+def _segre_matrix(pick):
+    S, variables = segre()
+    return is_complete_reduction_ring(S, pick(variables))
+
+
+def _quadric_ideals():
+    S, (x, y, z, w) = quadric()
+    return equigenerated_ideal(S, (x + y, z, w)), equigenerated_ideal(S, (x, y, z, w))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: graded_algebra(polynomial_ring(101, "x y"), [(1,), (-1,)]),
+            ValueError,
+            "variable y has a negative degree entry",
+        ),
+        (
+            lambda: graded_algebra(plane()[0].ring, [(1,), (1,)], quadric()[0].groebner()),
+            RingMismatchError,
+            "relations outside the ambient ring",
+        ),
+        (
+            lambda: graded_algebra(plane()[0].ring, [(1,), (2,)]).standard_monomials((2,)),
+            ValueError,
+            "monomial bases need a standard multigrading",
+        ),
+        (
+            lambda: quadric()[0].standard_monomials((1, 1)),
+            ValueError,
+            "degree vector length mismatch",
+        ),
+        (lambda: ideal_power(_quadric_ideals()[1], 0), ValueError, "ideal powers start at 1"),
+        (
+            lambda: is_reduction(*_quadric_ideals(), n_max=0),
+            ValueError,
+            "power bound must be at least 1",
+        ),
+        (lambda: _segre_matrix(lambda v: []), ValueError, "empty matrix"),
+        (lambda: _segre_matrix(lambda v: (v[:2], v[2:3])), ValueError, "ragged matrix"),
+    ],
+    ids=[
+        "negative-degree",
+        "basis-of-another-ring",
+        "weighted-monomial-basis",
+        "degree-length",
+        "power-zero",
+        "power-bound-zero",
+        "empty-matrix",
+        "ragged-matrix",
+    ],
+)
+def test_algebra_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
 
 
 def test_standard_flag():
@@ -556,7 +616,7 @@ def test_certificate_stops_once_the_span_fills_the_piece(monkeypatch):
     pairs = [(a, b) for a in J.generators for b in m.generators]
     forms = ideal_power(m, 2).generators
     calls = _counted_rows(monkeypatch)
-    assert algebra._first_outside(S, J.generators, m.generators, forms) is None
+    assert algebra._first_outside(S, J.generators, m.generators, forms, (2,)) is None
     assert len(calls) < len(pairs) + len(forms)
     # The rows read are a prefix of the products, in order, none built.
     assert len(S.standard_monomials((2,))) <= len(calls) <= len(pairs)
@@ -568,7 +628,9 @@ def test_certificate_failure_matches_power_oracle():
     P, (x, y) = plane()
     I = equigenerated_ideal(P, (x**4, x**3 * y, x * y**3, y**4))
     J = equigenerated_ideal(P, (x**4, y**4))
-    failing = algebra._first_outside(P, J.generators, I.generators, ideal_power(I, 2).generators)
+    failing = algebra._first_outside(
+        P, J.generators, I.generators, ideal_power(I, 2).generators, (8,)
+    )
     assert failing is not None
     assert str(failing) == power_failure(P.ring, (), J.generators, I.generators, 1)
     S, (x, y, z, w) = quadric()
@@ -580,7 +642,11 @@ def test_certificate_failure_matches_power_oracle():
         )
         for n in (1, 2):
             failing = algebra._first_outside(
-                S, J.generators, ideal_power(m, n).generators, ideal_power(m, n + 1).generators
+                S,
+                J.generators,
+                ideal_power(m, n).generators,
+                ideal_power(m, n + 1).generators,
+                (n + 1,),
             )
             want = power_failure(S.ring, S.relations.generators, J.generators, m.generators, n)
             assert want is not None and str(failing) == want
@@ -590,12 +656,9 @@ def test_certificate_checks_forms_when_the_span_fills_the_piece():
     S, (x, y, z, w) = quadric()
     m = equigenerated_ideal(S, (x, y, z, w))
     J = equigenerated_ideal(S, (x + y, z, w))
-    for stray in (x, x * y + x, x**3):
-        with pytest.raises(ValueError, match="does not lie in the degree-"):
-            algebra._first_outside(S, J.generators, m.generators, (x * y, stray))
     # A form whose normal form lies in S_2 is in J * m there.
     forms = (x * y, x * y - z * w + z**2)
-    assert algebra._first_outside(S, J.generators, m.generators, forms) is None
+    assert algebra._first_outside(S, J.generators, m.generators, forms, (2,)) is None
 
 
 def test_fiber_algebra_of_maximal_ideal():

@@ -6,13 +6,14 @@ import types
 
 import pytest
 
-from genmat.cli import REPORT_SCHEMA, main
+from genmat.cli import REPORT_SCHEMA, demo_document, main
 from genmat.instancefile import (
     InstanceFileError,
     build_context,
     build_exchange,
     load_document,
     resolve_prime,
+    run_check,
 )
 
 QUADRIC = "instances/quadric.json"
@@ -160,6 +161,131 @@ def test_non_string_names_are_input_errors(monkeypatch, capsys, section, bad, lo
         return
     code, err = _run_failure(monkeypatch, capsys, argv + ["--json"], doc)
     assert (code, err) == (3, f"error: {location}: must be a string")
+
+
+CHECK = ["check", "reduction", "--json"]
+EXCHANGE = ["exchange", "--seed", "1", "--json"]
+
+
+@pytest.mark.parametrize(
+    "argv, edit, line",
+    [
+        (CHECK, lambda d: d.update(field=5), "field: must be an object"),
+        (
+            CHECK,
+            lambda d: d["ring"].update(relations=[5]),
+            "ring.relations[0]: polynomial must be a string",
+        ),
+        (
+            CHECK,
+            lambda d: d["ideals"][0].pop("generators"),
+            "ideals[0]: must be an object with name and generators",
+        ),
+        (
+            CHECK,
+            lambda d: d["ring"].update(relations="x*y - z*w"),
+            "ring.relations: must be a list of polynomial strings",
+        ),
+        (CHECK, lambda d: d.update(ideals={}), "ideals: must be a list"),
+        (
+            CHECK,
+            lambda d: d["check"].update(ideal="q"),
+            "check.ideal: unknown ideal 'q'; defined: ['m']",
+        ),
+        (
+            CHECK,
+            lambda d: d["check"].update(ideal=5),
+            "check.ideal: ideal reference must be a name or a list",
+        ),
+        (
+            ["check", "complete-reduction-ideals", "--json"],
+            None,
+            "check.ideals: must be a nonempty list",
+        ),
+        (
+            ["check", "complete-reduction-ring", "--json"],
+            None,
+            "check.matrix: must be a nonempty list of rows",
+        ),
+        (CHECK, lambda d: d.pop("check"), "check: missing or not an object"),
+        (CHECK, lambda d: d["check"].pop("candidate"), "check.candidate: missing"),
+        (CHECK, lambda d: d["check"].pop("ideal"), "check.ideal: missing"),
+        (EXCHANGE, lambda d: d.pop("exchange"), "exchange: missing or not an object"),
+        (
+            EXCHANGE,
+            lambda d: d["exchange"].update(kind="bogus"),
+            "exchange.kind: must be one of ('nn', 'minred', 'complete-reduction-ring', "
+            "'complete-reduction-ideals'), got 'bogus'",
+        ),
+        (
+            EXCHANGE,
+            lambda d: d["exchange"].update(handles=[]),
+            "exchange.handles: must be a nonempty list",
+        ),
+        (
+            EXCHANGE,
+            lambda d: d["exchange"].update(start=[]),
+            "exchange.start: must be a nonempty list",
+        ),
+        (EXCHANGE, lambda d: d["exchange"].update(traps=[]), "exchange.traps: must be an object"),
+        (
+            EXCHANGE,
+            lambda d: d["exchange"]["handles"].append({"name": "target", "forms": ["x"]}),
+            "exchange.handles[1].name: duplicate handle 'target'",
+        ),
+        (EXCHANGE, lambda d: d["exchange"].pop("ideal"), "exchange.ideal: missing"),
+        (["check", "reduction"], None, "$: pass a file, or --json to read stdin"),
+    ],
+    ids=[
+        "field",
+        "relation-not-a-string",
+        "ideal-without-generators",
+        "relations-not-a-list",
+        "ideals-not-a-list",
+        "unknown-ideal",
+        "ideal-reference",
+        "check-ideals",
+        "check-matrix",
+        "check-missing",
+        "candidate-missing",
+        "check-ideal-missing",
+        "exchange-missing",
+        "exchange-kind",
+        "exchange-handles",
+        "exchange-start",
+        "exchange-traps",
+        "duplicate-handle",
+        "exchange-ideal-missing",
+        "no-file-no-json",
+    ],
+)
+def test_broken_document_fields_are_input_errors(monkeypatch, capsys, argv, edit, line):
+    doc = quadric_doc()
+    if edit is not None:
+        edit(doc)
+    code, err = _run_failure(monkeypatch, capsys, argv, doc if "--json" in argv else None)
+    assert (code, err) == (3, f"error: {line}")
+
+
+def test_run_check_refuses_an_unknown_task():
+    # argparse's choices stop a bogus task before it reaches run_check.
+    ctx = build_context(quadric_doc(), env={})
+    with pytest.raises(InstanceFileError) as refused:
+        run_check(ctx, "bogus")
+    assert str(refused.value) == (
+        "check: unknown task 'bogus'; have ('nn', 'hsop', 'reduction', "
+        "'minimal-reduction', 'complete-reduction-ring', 'complete-reduction-ideals')"
+    )
+
+
+def test_exchange_defaults_to_the_target_handle(monkeypatch, capsys):
+    # Among several handles and no --from, the one named "target" is drawn.
+    doc = quadric_doc()
+    doc["exchange"]["handles"].insert(0, {"name": "other", "forms": ["x", "y", "z", "w"]})
+    code, report = run_json(monkeypatch, capsys, EXCHANGE, doc)
+    assert code == 0 and report["inputs"]["flags"]["from"] == "target"
+    (path,) = report["certificates"]
+    assert path["handle"] == "target" and {s["handle"] for s in path["steps"]} == {"target"}
 
 
 # ----------------------------------------------------------------- check
@@ -643,6 +769,11 @@ def test_env_prime_override(monkeypatch, capsys):
 
 
 # ------------------------------------------------------------------ demo
+
+
+def test_demo_document_is_the_shipped_quadric():
+    # The walkthrough writes its instance out itself; it must stay the file.
+    assert demo_document(32003) == quadric_doc()
 
 
 def test_demo_runs_and_verdicts(monkeypatch, capsys):

@@ -107,8 +107,9 @@ def test_span_membership_matches_groebner_reference(make, delta, raised, seed):
     for n in (1, 2, 3):
         # A raised J puts J * I^n above the degree of I^(n+1).
         left = () if raised else J.generators
+        power = ideal_power(I, n + 1)
         found = algebra._first_outside(
-            S, left, ideal_power(I, n).generators, ideal_power(I, n + 1).generators
+            S, left, ideal_power(I, n).generators, power.generators, (power.degree,)
         )
         failing = power_failure(R, relations, J.generators, I.generators, n)
         assert (None if found is None else str(found)) == failing

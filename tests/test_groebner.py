@@ -653,6 +653,37 @@ def test_kernel_name_validation():
         kernel_of_map([x, polynomial_ring(101, "z").var("z")])
 
 
+def _xy():
+    return polynomial_ring(101, "x y")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: IdealSpec(_xy(), (1,)), ValueError, "generators must be polynomials"),
+        (
+            lambda: IdealSpec(_xy(), (polynomial_ring(101, "z").var("z"),)),
+            RingMismatchError,
+            "generator outside the ambient ring",
+        ),
+        (
+            lambda: buchberger(IdealSpec(_xy(), _xy().gens()), weights=(0, 1)),
+            ValueError,
+            "need one positive weight per variable",
+        ),
+        (
+            lambda: kernel_of_map(_xy().gens(), relations=IdealSpec(polynomial_ring(101, "z"), ())),
+            RingMismatchError,
+            "relations outside the source ring",
+        ),
+    ],
+    ids=["non-polynomial-generator", "generator-of-another-ring", "zero-weight", "relations-ring"],
+)
+def test_groebner_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
 def test_kernel_names_clear_the_source_variables():
     # The prefix repeats until no kernel variable is a source variable.
     R = polynomial_ring(32003, "T1 T2")

@@ -95,6 +95,11 @@ def test_vector_matroid_validation():
         vector_matroid(5, [(1, 0), (0, 1), (2, 0)], handles={"thin": [(1, 0), (2, 0)]})
 
 
+def test_vector_matroid_needs_a_vector():
+    with pytest.raises(ValueError, match="^need at least one vector$"):
+        vector_matroid(101, [])
+
+
 def test_classical_handles_stay_in_the_ground_set():
     # (2, 3) is no ground vector: the handle is refused, and the oracle
     # rejects it as a candidate.  Handle vectors are read mod p, as the

@@ -108,6 +108,12 @@ def counting_instance():
     return GenericMatroidInstance("parity", 2, oracle, {"ints": handle}), asked
 
 
+def test_instance_rank_is_nonnegative():
+    handle = MatroidHandle("ints", lambda e: isinstance(e, int), lambda rng: rng.randrange(9))
+    with pytest.raises(ValueError, match="^rank must be nonnegative$"):
+        GenericMatroidInstance("negative", -1, lambda elements: True, {"ints": handle})
+
+
 def test_verdict_memo_stays_bounded():
     inst, asked = counting_instance()
     rate = check_generic_exchange_statistical(inst, (0, 1), 1, "ints", trials=5000, seed=3)

@@ -75,6 +75,29 @@ def test_ring_rejects_bad_names():
         polynomial_ring(101, [])
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: polynomial_ring(101, "x y").var("q"), ValueError, r"no variable 'q'"),
+        (
+            lambda: polynomial_ring(101, "x y").monomial((1,)),
+            ValueError,
+            r"bad exponent vector \(1,\)",
+        ),
+        (
+            lambda: Polynomial(polynomial_ring(101, "x y"), {(1,): 1}),
+            ValueError,
+            r"bad exponent vector \(1,\)",
+        ),
+        (lambda: polynomial_ring(101, "x y").var("x") + "a", TypeError, "unsupported operand"),
+    ],
+    ids=["unknown-variable", "short-monomial", "short-term", "string-operand"],
+)
+def test_ring_element_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_ring_axioms_sampled():
     # Commutative ring laws over 1000 random triples.
     R = polynomial_ring(101, "x y z")
@@ -126,6 +149,14 @@ def test_powers():
     assert (x + y) ** 3 == x**3 + 3 * x**2 * y + 3 * x * y**2 + y**3
     with pytest.raises(ValueError):
         (x + y) ** -1
+
+
+def test_int_minus_polynomial():
+    # __rsub__: the int coerces to a constant on the left.
+    R = polynomial_ring(101, "x y")
+    x, y = R.gens()
+    assert 1 - x == -x + 1
+    assert 3 - (x + y) == R.const(3) - x - y
 
 
 def test_ring_mismatch():

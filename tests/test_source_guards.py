@@ -327,3 +327,33 @@ def test_only_linalg_knows_the_packed_row_layout():
         or (isinstance(node, ast.arg) and "bits" in node.arg)
     ]
     assert not widths, widths
+
+
+def test_containment_is_told_its_piece():
+    # Every caller knows the piece its forms lie in, so the piece is a
+    # required argument: a default would bring back a path that reads
+    # the degree off a form and vets the others against it.
+    tree = ast.parse((SRC / "algebra.py").read_text())
+    fns = {
+        fn.name: fn
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("_first_outside", "_first_outside_ideal")
+    }
+    for name, piece in (("_first_outside", "target"), ("_first_outside_ideal", "d")):
+        args = fns[name].args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        assert piece in positional, (name, positional)
+        assert positional.index(piece) < len(positional) - len(args.defaults), name
+        reads = [
+            node.lineno
+            for node in ast.walk(fns[name])
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("element_degree")
+        ]
+        assert not reads, (name, reads)
+    unsure = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "unsure")
+        or (isinstance(node, ast.arg) and node.arg == "unsure")
+    ]
+    assert not unsure, unsure
