@@ -47,6 +47,7 @@ from functools import reduce
 
 from . import linalg
 from .groebner import (
+    Extension,
     GroebnerBasis,
     IdealSpec,
     _fresh_names,
@@ -145,15 +146,17 @@ class GradedAlgebraPresentation:
     def quotient_groebner(self, extra=()) -> GroebnerBasis:
         """Reduced basis of relations + extra, recomputed on every call.
 
-        Linear forms in ``extra`` settle in one echelon before
+        An element of ``extra`` is a polynomial, or a linear form given
+        as its coordinate row over the ring's variables; a row of
+        another length raises ValueError before any work.  The relations
+        enter as the records of the memoized basis ``groebner()``, the
+        rows as they are: the linear forms settle in one echelon before
         Buchberger's pair loop, and each relation enters it reduced by
-        them.  The basis is tail-reduced only when its elements are
-        read: a caller that wants its Hilbert series or top degree reads
-        leading monomials alone.
+        them (``groebner.Extension``).  The basis is tail-reduced only
+        when its elements are read: a caller that wants its Hilbert
+        series or top degree reads leading monomials alone.
         """
-        return buchberger(
-            IdealSpec(self.ring, self.relations.generators + tuple(extra)), GREVLEX
-        )
+        return buchberger(Extension(self.groebner(), tuple(extra)), GREVLEX)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         return normal_form(f, self.groebner())
@@ -237,29 +240,44 @@ class GradedAlgebraPresentation:
         The normal form is linear, so the row is the sum of c * row(m)
         over the terms c*m of the product, each row(m) read packed from
         the piece's row table and summed by ``linalg.row_sum``; the
-        product itself is never built.  Terms off the piece must sum to
-        an element of normal form zero (ValueError otherwise).
+        product itself is never built.  With several factors, those but
+        the last are multiplied out, and each of their terms c*m meets
+        each term d*n of the last as c*d * row(m + n), so a two-factor
+        product lists no terms at all.  Terms off the piece must sum to an
+        element of normal form zero (ValueError otherwise).
         """
         ring, p = self.ring, self.ring.field.p
         for f in factors:
             if f.ring is not ring and f.ring != ring:
                 raise RingMismatchError("element outside the ambient ring")
-        terms = factors[0].terms.items()
-        for g in factors[1:]:
-            terms = [
-                (tuple(map(operator.add, m, n)), c * d % p)
-                for m, c in terms
-                for n, d in g.terms.items()
-            ]
         basis, table = piece
         rows: list[int] = []
         off: dict = {}
-        for mon, c in terms:
-            row = table.get(mon)
-            if row is None and (row := self._fill_row(piece, mon, target)) is None:
-                off[mon] = off.get(mon, 0) + c
-            else:
-                rows.append(c * row)
+        if len(factors) == 1:
+            for mon, c in factors[0].terms.items():
+                row = table.get(mon)
+                if row is None and (row := self._fill_row(piece, mon, target)) is None:
+                    off[mon] = off.get(mon, 0) + c
+                else:
+                    rows.append(c * row)
+        else:
+            *head, last = factors
+            outer = head[0].terms.items()
+            for g in head[1:]:
+                outer = [
+                    (tuple(map(operator.add, m, n)), c * d % p)
+                    for m, c in outer
+                    for n, d in g.terms.items()
+                ]
+            last = last.terms.items()
+            for m, c in outer:
+                for n, d in last:
+                    mon = tuple(map(operator.add, m, n))
+                    row = table.get(mon)
+                    if row is None and (row := self._fill_row(piece, mon, target)) is None:
+                        off[mon] = off.get(mon, 0) + c * d
+                    else:
+                        rows.append(c * d % p * row)
         if off and not self.normal_form(Polynomial(ring, off)).is_zero:
             product = reduce(operator.mul, factors)
             raise ValueError(f"{product} does not lie in the degree-{target} piece")
@@ -497,8 +515,10 @@ def _piece_solver(I: EquigeneratedIdeal):
 def _subalgebra(targets, relations: IdealSpec, prefix: str, degrees=None):
     """Presentation of F_p[targets] modulo ``relations``, its relations
     kernel_of_map's reduced basis: variable i, named from ``prefix``,
-    maps to target i in degree degrees[i] (1 by default).  A form enters
-    as ``linear_combination(coordinates, ring.gens())``."""
+    maps to target i in degree degrees[i] (1 by default).  A linear form
+    in the targets enters the engine as its coordinate row over the
+    variables, beside the relations read from the presentation's basis,
+    which is kernel_of_map's."""
     ker = kernel_of_map(targets, relations=relations, prefix=prefix)
     return GradedAlgebraPresentation(ker.ring, degrees or ((1,),) * len(targets), ker)
 
@@ -535,8 +555,11 @@ def _outside(idx: int, f: Polynomial) -> OutsideIdealError:
 def _module_finite(pres: GradedAlgebraPresentation, forms) -> bool:
     """Graded Nakayama: is ``pres`` module-finite over F_p[forms]?
 
-    Asked of the ideal itself, so Buchberger stops at the answer."""
-    return is_zero_dimensional(IdealSpec(pres.ring, pres.relations.generators + tuple(forms)))
+    A form is a polynomial or a linear form's coordinate row over the
+    ring's variables.  Asked of the ideal itself, the relations read
+    from the memoized basis ``pres.groebner()`` and the rows settled as
+    they are, so Buchberger stops at the answer."""
+    return is_zero_dimensional(Extension(pres.groebner(), tuple(forms)))
 
 
 def analytic_spread(I: EquigeneratedIdeal) -> int:
@@ -551,8 +574,10 @@ def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> int | 
     the fiber ring F = F_p[I_delta] is module-finite over J's image, i.e.
     F/JF is Artinian, and then n = max(1, top degree of F/JF) (graded
     Nakayama; Northcott-Rees).  For J in degree delta one solve decides
-    containment and gives J's images in F_1; a J of higher degree adds
-    nothing to F_1, so it is a reduction iff I is nilpotent.
+    containment and gives J's images in F_1, whose coordinate rows over
+    F's variables enter ``quotient_groebner`` as they are, beside the
+    relations of F's memoized basis; a J of higher degree adds nothing
+    to F_1, so it is a reduction iff I is nilpotent.
     """
     if J.degree == I.degree:
         coords = _generator_coords(I, J.generators)
@@ -561,9 +586,7 @@ def fiber_reduction_test(J: EquigeneratedIdeal, I: EquigeneratedIdeal) -> int | 
         if outside is not None:
             raise _outside(J.generators.index(outside), outside)
         coords = []
-    pres = fiber_algebra(I)
-    T = pres.ring.gens()
-    t = top_degree(pres.quotient_groebner([linear_combination(c, T) for c in coords]))
+    t = top_degree(fiber_algebra(I).quotient_groebner(coords))
     return None if t is None else max(1, t)
 
 
@@ -677,10 +700,10 @@ def is_complete_reduction_ring(algebra: GradedAlgebraPresentation, rows) -> bool
         raise ValueError(
             f"complete reduction of this algebra needs {want} columns, got {r}"
         )
-    ones, u = (1,) * n, diag.ring.gens()
-    return _module_finite(
-        diag, (linear_combination(algebra.product_row(col, ones), u) for col in zip(*mat))
-    )
+    # Variable i of the diagonal maps to standard monomial i of the
+    # (1,..,1) piece, so a product's coordinates are its row there.
+    ones = (1,) * n
+    return _module_finite(diag, [algebra.product_row(col, ones) for col in zip(*mat)])
 
 
 def is_complete_reduction_ideals(

@@ -1,7 +1,15 @@
 """Groebner bases over F_p and the decision procedures built on them.
 
-The generators whose terms are all single variables settle before any
-pair: ``linalg.row_echelon`` brings them to reduced echelon form once,
+An ideal enters as an ``IdealSpec`` of polynomials or as an
+``Extension``: a basis already computed, whose reduced records enter as
+they are, plus generators, a linear one given as its coordinate row
+over the variables.  A verdict on a presentation hands over the
+latter, its relations the presentation's memoized basis, so neither the
+relations nor its linear forms are built or packed as polynomials.
+
+The linear generators settle before any pair, each as its coordinate
+row (a linear polynomial's is read off its packed terms):
+``linalg.row_echelon`` brings the rows to reduced echelon form once,
 each pivot the leading variable of its row, and these elements are
 final.  Every other generator is then reduced by them, which replaces
 each pivot variable by its image, and only what is left enters
@@ -41,7 +49,8 @@ other terms, monic.  ``normal_form`` keeps the working polynomial in a
 heap of keys and pops the largest term first; the remainder comes out
 in descending order, which gives a fresh basis element its leading
 monomial for free.  ``Polynomial`` keeps tuple monomials, converted
-where polynomials enter and leave the engine.
+where polynomials enter and leave the engine; a basis's records and a
+coordinate row need no conversion.
 
 Everything downstream is a consequence of normal forms: kernels of
 algebra maps, and the Hilbert numerator of the leading monomials, which
@@ -94,6 +103,38 @@ class IdealSpec:
             if not g.is_zero:
                 kept.append(g)
         object.__setattr__(self, "generators", tuple(kept))
+
+
+@dataclass(frozen=True, eq=False)
+class Extension:
+    """The ideal of the GroebnerBasis ``basis`` plus ``generators``.
+
+    A generator is a polynomial of the basis's ring, or a linear form
+    given as its coordinate row over the ring's variables, in order.
+    The engine reads the basis's reduced records and the rows as they
+    are and packs only the polynomials (see ``_entries``), so it runs in
+    the basis's order: ``buchberger`` under another order, or
+    ``is_zero_dimensional`` (grevlex) on a basis of another, raises
+    ValueError.  A row of another length raises ValueError and a
+    polynomial of another ring RingMismatchError, both here.
+    """
+
+    basis: GroebnerBasis
+    generators: tuple
+
+    ring = property(lambda self: self.basis.ring)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.basis, GroebnerBasis):
+            raise TypeError(f"an Extension extends a GroebnerBasis, not {type(self.basis).__name__}")
+        ring, gens = self.ring, tuple(self.generators)
+        for g in gens:
+            if isinstance(g, Polynomial):
+                if g.ring is not ring and g.ring != ring:
+                    raise RingMismatchError("generator outside the basis's ring")
+            elif len(g) != ring.nvars:
+                raise ValueError(f"a row of {len(g)} coordinates for {ring.nvars} variables")
+        object.__setattr__(self, "generators", gens)
 
 
 class _Terms(dict):
@@ -370,14 +411,14 @@ def _update(
     return active
 
 
-def _settle(linear: list[dict], pk: _Packing) -> list[_Divisor]:
+def _settle(rows: list, pk: _Packing) -> list[_Divisor]:
     """Records of the reduced echelon form of the span of the linear
-    forms ``linear`` (packed, every term a single variable), largest
-    leading monomial first.  Every order ranks the ring's variables in
-    their order, the first largest, so with one column per variable in
-    that order each row's pivot is its leading variable."""
+    forms whose coordinate rows over the ring's variables are ``rows``,
+    largest leading monomial first.  Every order ranks the ring's
+    variables in their order, the first largest, so with one column per
+    variable in that order each row's pivot is its leading variable."""
     keys = pk.coeffs
-    rows, _ = row_echelon([tuple(map(g.get, keys, repeat(0))) for g in linear], pk.p)
+    rows, _ = row_echelon(rows, pk.p)
     records = []
     for row in rows:
         lead, *tail = compress(zip(keys, row), row)
@@ -385,30 +426,27 @@ def _settle(linear: list[dict], pk: _Packing) -> list[_Divisor]:
     return records
 
 
-def _completion(ideal: IdealSpec, pk: _Packing):
-    """Buchberger's loop on ``ideal``: yields each element's record, the
-    settled ones first and then each one as it joins, and returns the
-    minimal basis, largest leading monomial first, when the queue runs
-    dry.
+def _completion(rows: list, others: list[dict], pk: _Packing):
+    """Buchberger's loop on the ideal of the linear forms with coordinate
+    rows ``rows`` and the packed generators ``others``, as ``_entries``
+    hands them over: yields each element's record, the settled ones first
+    and then each one as it joins, and returns the minimal basis, largest
+    leading monomial first, when the queue runs dry.
 
-    The generators whose terms are all single variables settle first:
-    their reduced echelon form, pivots on leading variables, is yielded
-    at once and stays out of the loop, and every other generator enters
-    it with the pivot variables substituted out.  What enters is then
-    free of the pivots, and so is everything the loop builds, so every
-    pair with a settled element is coprime, and the settled elements and
-    the loop's minimal basis together are a minimal basis, unless the
-    loop reaches 1.  Generators and pairs wait in one queue by the
-    weighted degree of a generator's leading monomial or a pair's lcm;
-    within a degree the generators come first, largest leading monomial
-    first.  Each popped one is reduced by the elements built so far, and
-    a nonzero remainder joins through the Gebauer-Moeller update.
+    The rows settle first: their reduced echelon form, pivots on leading
+    variables, is yielded at once and stays out of the loop, and every
+    other generator enters it with the pivot variables substituted out.
+    What enters is then free of the pivots, and so is everything the
+    loop builds, so every pair with a settled element is coprime, and
+    the settled elements and the loop's minimal basis together are a
+    minimal basis, unless the loop reaches 1.  Generators and pairs wait
+    in one queue by the weighted degree of a generator's leading
+    monomial or a pair's lcm; within a degree the generators come first,
+    largest leading monomial first.  Each popped one is reduced by the
+    elements built so far, and a nonzero remainder joins through the
+    Gebauer-Moeller update.  ``others`` is consumed.
     """
-    linear, others = [], []
-    for g in ideal.generators:
-        g = pk.pack(g)
-        (linear if all(map(pk.is_variable, g)) else others).append(g)
-    settled = _settle(linear, pk) if linear else []
+    settled = _settle(rows, pk) if rows else []
     yield from settled
     # The deduplicated monic generators, pivots substituted out, largest
     # leading monomial first.
@@ -446,18 +484,45 @@ def _completion(ideal: IdealSpec, pk: _Packing):
     return tuple(sorted(minimal))  # ascending leading keys
 
 
-def buchberger(ideal: IdealSpec, order: MonomialOrder = GREVLEX, weights=None) -> GroebnerBasis:
-    """Reduced Groebner basis of ``ideal`` under ``order``.
+def _entries(ideal, pk: _Packing) -> tuple[list, list[dict]]:
+    """The generators of ``ideal``, an IdealSpec or an Extension, as
+    ``_completion`` reads them: (the linear ones as coordinate rows, the
+    others packed), an Extension's relations first.  Those are the
+    reduced records of its basis, which ValueError refuses unless they
+    are written in ``pk``'s order.  A linear polynomial becomes a row
+    here, its coefficient on each variable."""
+    packed, rows, others = [], [], []
+    if isinstance(ideal, Extension):
+        basis = ideal.basis
+        if basis.packing.coeffs != pk.coeffs:
+            raise ValueError("the basis is in another monomial order")
+        packed = [dict(((d.lead, 1),) + d.tail) for d in basis.divisors]
+    for g in ideal.generators:
+        if isinstance(g, Polynomial):
+            packed.append(pk.pack(g))
+        else:
+            rows.append(g)
+    for g in packed:
+        if all(map(pk.is_variable, g)):
+            rows.append(tuple(map(g.get, pk.coeffs, repeat(0))))
+        else:
+            others.append(g)
+    return rows, others
 
-    Runs ``_completion`` to its end, with selection degrees under the
-    variables' ``weights`` (default 1); the basis holds the minimal
-    basis it returns and tail-reduces it when first read.  Weights
-    change the work, never the result.  An exponent of 2^15 or more
-    raises ValueError, in the input before any pair, or when a product
-    reaches it.
+
+def buchberger(ideal, order: MonomialOrder = GREVLEX, weights=None) -> GroebnerBasis:
+    """Reduced Groebner basis of ``ideal``, an IdealSpec or an Extension,
+    under ``order``.
+
+    Runs ``_completion`` on its ``_entries`` to the end, with selection
+    degrees under the variables' ``weights`` (default 1); the basis
+    holds the minimal basis it returns and tail-reduces it when first
+    read.  Weights change the work, never the result.  An exponent of
+    2^15 or more raises ValueError, in the input before any pair, or when
+    a product reaches it.
     """
     pk = _Packing(ideal.ring, order, weights)
-    run = _completion(ideal, pk)
+    run = _completion(*_entries(ideal, pk), pk)
     while True:
         try:
             next(run)
@@ -599,18 +664,21 @@ def is_zero_dimensional(ideal) -> bool:
     A proper ideal has dimension 0 iff every variable occurs as a pure
     power among the leading terms; the unit ideal (dimension -1) returns
     True, since the zero ring is vacuously finite-dimensional.  An
-    IdealSpec is decided while its grevlex basis is built: every element
-    yielded so far lies in the ideal, so the answer is yes as soon as
-    their leading monomials hold 1 or a pure power of every variable
-    (the Finiteness Theorem, Cox, Little and O'Shea 5.3), and the loop
-    stops there.  The settled linear elements come first, pure powers of
-    their pivots.  Otherwise it runs to its end, and every leading
-    monomial of the basis has been yielded.
+    IdealSpec or an Extension is decided while its grevlex basis is
+    built from its ``_entries``, an Extension's relations read from its
+    basis and its rows settled as they are: every element yielded so far
+    lies in the ideal, so the answer is yes as soon as their leading
+    monomials hold 1 or a pure power of every variable (the Finiteness
+    Theorem, Cox, Little and O'Shea 5.3), and the loop stops there.  The
+    settled linear elements come first, pure powers of their pivots.
+    Otherwise it runs to its end, and every leading monomial of the
+    basis has been yielded.
     """
     if isinstance(ideal, GroebnerBasis):
         records = ideal.minimal
     else:
-        records = _completion(ideal, _Packing(ideal.ring, GREVLEX))
+        pk = _Packing(ideal.ring, GREVLEX)
+        records = _completion(*_entries(ideal, pk), pk)
     powers = set()
     for d in records:
         if not d.lm:  # the constant 1

@@ -1,11 +1,14 @@
 """Graded presentations and the verification oracles."""
 
 import random
+import sys
+from collections import Counter
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from genmat import algebra, linalg
+from genmat import algebra, groebner, linalg, polyring
 from genmat.algebra import (
     DEFAULT_POWER_BOUND,
     EquigeneratedIdeal,
@@ -31,6 +34,7 @@ from genmat.algebra import (
     standard_graded_algebra,
 )
 from genmat.groebner import IdealSpec, buchberger, hilbert_numerator
+from genmat.instancefile import build_context, load_document
 from genmat.instances import complete_reduction_instance
 from genmat.polyring import (
     RingMismatchError,
@@ -512,6 +516,65 @@ def test_analytic_spread_beyond_ten_generators():
     assert analytic_spread(I) == 5
     pres = fiber_algebra(I)
     assert brute_dimension(pres.groebner().leading_monomials(), 11) == 5
+
+
+def _count_polynomial_entry(monkeypatch) -> Counter:
+    """Count ``groebner._Packing.pack`` calls and ``linear_combination``
+    calls under every name a genmat module binds it to."""
+    calls = Counter()
+    pack, combine = groebner._Packing.pack, polyring.linear_combination
+
+    def counted_pack(self, f):
+        calls["pack"] += 1
+        return pack(self, f)
+
+    def counted_combination(coeffs, basis):
+        calls["linear_combination"] += 1
+        return combine(coeffs, basis)
+
+    monkeypatch.setattr(groebner._Packing, "pack", counted_pack)
+    for name, module in list(sys.modules.items()):
+        if name == "genmat" or name.startswith("genmat."):
+            for key, value in list(vars(module).items()):
+                if value is combine:
+                    monkeypatch.setattr(module, key, counted_combination)
+    return calls
+
+
+# Once the presentation memos are warm, a verdict hands the engine its
+# relations as the memoized basis's records and its linear forms as
+# coordinate rows: nothing is built as a polynomial or packed.
+
+
+def test_segre_verdict_builds_and_packs_no_polynomial(monkeypatch):
+    R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3")
+    S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
+    rng = random.Random(29)
+    xs, ys = R.gens()[:3], R.gens()[3:]
+    warm, rows = (
+        tuple(tuple(random_linear_combination(b, rng)[0] for _ in range(5)) for b in (xs, ys))
+        for _ in range(2)
+    )
+    assert is_complete_reduction_ring(S, warm)
+    calls = _count_polynomial_entry(monkeypatch)
+    assert is_complete_reduction_ring(S, rows)
+    assert calls == Counter()
+
+
+def test_quadric_reduction_builds_and_packs_no_polynomial(monkeypatch):
+    ctx = build_context(load_document(Path("instances/quadric.json").read_text()), env={})
+    m = ctx.ideals["m"]
+    rng = random.Random(29)
+    warm, J = (
+        equigenerated_ideal(
+            ctx.algebra, [random_linear_combination(m.generators, rng)[0] for _ in range(3)]
+        )
+        for _ in range(2)
+    )
+    assert is_reduction(warm, m).is_yes
+    calls = _count_polynomial_entry(monkeypatch)
+    assert is_reduction(J, m).is_yes
+    assert calls == Counter()
 
 
 def test_fiber_test_reads_generator_rows_once(monkeypatch):

@@ -246,6 +246,142 @@ def test_module_finiteness_reads_a_no_to_the_end(monkeypatch):
     assert not is_zero_dimensional(gb)
 
 
+def _polynomial_route(pres, extra):
+    """relations + extra as one IdealSpec of polynomials: the given
+    relations, and each row of ``extra`` built as a linear form."""
+    u = pres.ring.gens()
+    forms = tuple(f if isinstance(f, Polynomial) else linear_combination(f, u) for f in extra)
+    return IdealSpec(pres.ring, pres.relations.generators + forms)
+
+
+def _same_as_polynomial_route(pres, extra):
+    """The Extension's reduced basis, term for term, and verdict against
+    the polynomial route's; returns the verdict."""
+    ideal = _polynomial_route(pres, extra)
+    reference = buchberger(ideal)
+    terms = [tuple(g.terms.items()) for g in pres.quotient_groebner(extra).basis]
+    assert terms == [tuple(g.terms.items()) for g in reference.basis]
+    verdict = algebra._module_finite(pres, extra)
+    assert verdict == is_zero_dimensional(ideal) == is_zero_dimensional(reference)
+    return verdict
+
+
+@pytest.mark.parametrize("p", [5, 101, 32003])
+def test_diagonal_rows_give_the_polynomial_route_verdicts(p):
+    # Five columns on P^2 x P^2, their products entering as rows.  Every
+    # third matrix has x-entries that are multiples of x1, and every
+    # third the first three in span(x1, x2): all columns vanish at one
+    # point, so both are "no".  At p = 5 most random matrices are "no"
+    # as well; columns (w.x, w.y) with five weights w in general
+    # position are "yes" at every p (no split leaves both sides of rank
+    # below 3).
+    R = polynomial_ring(p, "x1 x2 x3 y1 y2 y3")
+    S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
+    diag = diagonal_subring(S)
+    xs, ys = R.gens()[:3], R.gens()[3:]
+    rng = random.Random(f"diagonal/{p}")
+
+    def form(block, span):
+        return linear_combination([rng.randrange(1, p) for _ in range(span)], block[:span])
+
+    weights = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 4)]
+    general = tuple(tuple(linear_combination(w, b) for w in weights) for b in (xs, ys))
+    verdicts = []
+    for trial in range(40):
+        spans = ((3,) * 5, (1,) * 5, (2, 2, 2, 3, 3))[trial % 3]
+        mat = (tuple(form(xs, k) for k in spans), tuple(form(ys, 3) for _ in range(5)))
+        mat = general if trial == 39 else mat
+        rows = [S.product_row(col, (1, 1)) for col in zip(*mat)]
+        verdict = _same_as_polynomial_route(diag, rows)
+        assert verdict == is_complete_reduction_ring(S, mat)
+        assert trial % 3 == 0 or not verdict
+        verdicts.append(verdict)
+    assert verdicts[-1] and (p == 5 or verdicts.count(True) >= 10)
+
+
+@pytest.mark.parametrize("p", [5, 101, 32003])
+def test_fiber_rows_give_the_polynomial_route_powers(p):
+    # Reductions of m on the quadric (power 1) and on a seeded dense
+    # cubic in 5 variables (power 2); every fourth candidate repeats a
+    # form up to a scalar, a "no".
+    rng = random.Random(f"fiber/{p}")
+    R = polynomial_ring(p, "x y z w")
+    x, y, z, w = R.gens()
+    R5 = polynomial_ring(p, "a b c d e")
+    cubic = Polynomial(R5, {m: rng.randrange(1, p) for m in monomials_of_degree(5, 3)})
+    powers = []
+    for S in (standard_graded_algebra(R, (x * y - z * w,)), standard_graded_algebra(R5, (cubic,))):
+        gens = S.ring.gens()
+        m = equigenerated_ideal(S, gens)
+        pres = fiber_algebra(m)
+        for trial in range(20):
+            forms = [
+                linear_combination([rng.randrange(1, p) for _ in gens], gens)
+                for _ in range(S.dimension())
+            ]
+            if trial % 4 == 3:
+                forms[-1] = 2 * forms[0]
+            J = equigenerated_ideal(S, forms)
+            coords = algebra._generator_coords(m, J.generators)
+            _same_as_polynomial_route(pres, coords)
+            t = top_degree(buchberger(_polynomial_route(pres, coords)))
+            power = algebra.fiber_reduction_test(J, m)
+            assert power == (None if t is None else max(1, t))
+            powers.append(power)
+    assert {None, 1, 2} <= set(powers)
+
+
+@pytest.mark.parametrize("p", [5, 101, 32003])
+def test_relations_enter_as_their_reduced_basis(p):
+    # (xy - zw, xz - yw) is not a Groebner basis: its reduced basis has
+    # a third element.  (x + y, xz - yw) has a linear relation, which
+    # settles with the rows.  Rows (against is_hsop on their forms),
+    # linear polynomials, and a row beside a quadric.
+    R = polynomial_ring(p, "x y z w")
+    x, y, z, w = R.gens()
+    rng = random.Random(f"relations/{p}")
+    tangled = standard_graded_algebra(R, (x * y - z * w, x * z - y * w))
+    assert len(tangled.groebner().basis) > len(tangled.relations.generators)
+    linear = standard_graded_algebra(R, (x + y, x * z - y * w))
+    verdicts = []
+    for S in (tangled, linear):
+        for trial in range(30):
+            rows = [tuple(rng.randrange(1, p) for _ in range(4)) for _ in range(S.dimension())]
+            polys = [linear_combination(r, R.gens()) for r in rows]
+            extra = (rows, polys, rows[:1] + [random_homogeneous(R, rng, 2)])[trial % 3]
+            verdict = _same_as_polynomial_route(S, extra)
+            if trial % 3 == 0:
+                assert verdict == algebra.is_hsop(S, polys)
+            verdicts.append(verdict)
+        assert not _same_as_polynomial_route(S, [(0, 0, 0, 1)])
+    assert True in verdicts
+
+
+def test_extension_refusals_come_before_any_work(monkeypatch):
+    # A row of another length would be cut short by the settle's zip
+    # into a wrong verdict, so it is refused before the engine starts.
+    R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3")
+    S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
+    diag = diagonal_subring(S)
+    gb, lex = diag.groebner(), buchberger(diag.relations, LEX)
+    runs = _count_runs(monkeypatch)
+    full = (1,) * 9
+    for row in [(1,) * 8, (1,) * 10, ()]:
+        with pytest.raises(ValueError, match=f"a row of {len(row)} coordinates for 9 variables"):
+            diag.quotient_groebner([full, row])
+        with pytest.raises(ValueError, match=f"a row of {len(row)} coordinates for 9 variables"):
+            algebra._module_finite(diag, [row, full])
+    with pytest.raises(RingMismatchError):
+        groebner.Extension(gb, (R.var("x1"),))
+    with pytest.raises(TypeError, match="not IdealSpec"):
+        groebner.Extension(diag.relations, ())
+    with pytest.raises(ValueError, match="another monomial order"):
+        is_zero_dimensional(groebner.Extension(lex, (full,)))
+    with pytest.raises(ValueError, match="another monomial order"):
+        buchberger(groebner.Extension(gb, ()), LEX)
+    assert runs == []
+
+
 def test_linear_forms_reduce_a_cubic_before_it_joins(monkeypatch):
     # A dense cubic in 5 variables and 4 independent linear forms, as in
     # a reduction verdict.  The forms settle with distinct leading
