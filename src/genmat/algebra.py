@@ -34,7 +34,9 @@ table, monomial -> ``linalg``-packed coordinate row of its normal form,
 which every coordinate vector is summed from and which holds at most
 the monomials of that degree; the diagonal presentation; and, keyed by
 generator tuples, ideal powers, fiber presentations and degree-delta
-solvers.  The cache is append-only derived data, so sharing across
+solvers.  A form's multidegree lives on the form, remembered with the
+degree table it was read under (``polyring.common_degree``), not in
+this cache.  The cache is append-only derived data, so sharing across
 threads is safe.
 """
 

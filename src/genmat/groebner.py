@@ -33,9 +33,11 @@ which is unique per ideal and order, so results are canonical.
 
 The engine does only the work its caller reads.  The loop is one
 generator that yields the settled elements and then each element as it
-joins: ``buchberger`` reads it to the end, and ``is_zero_dimensional``
-stops reading once the leading monomials yielded so far hold 1 or a
-pure power of every variable, which already decides the question.  A
+joins, before its pair update: ``buchberger`` reads it to the end, so
+every update runs, in the same order, and ``is_zero_dimensional`` stops
+reading once the leading monomials yielded so far hold 1 or a pure
+power of every variable, which already decides the question, so the
+update of the element it stops on never runs.  A
 ``GroebnerBasis`` holds the minimal basis and tail-reduces it the first
 time its elements are read; the Hilbert numerator, dimension and top
 degree read leading monomials only, which the minimal basis already
@@ -443,8 +445,10 @@ def _completion(rows: list, others: list[dict], pk: _Packing):
     in one queue by the weighted degree of a generator's leading
     monomial or a pair's lcm; within a degree the generators come first,
     largest leading monomial first.  Each popped one is reduced by the
-    elements built so far, and a nonzero remainder joins through the
-    Gebauer-Moeller update.  ``others`` is consumed.
+    elements built so far, and a nonzero remainder joins: it is yielded,
+    and the Gebauer-Moeller update for it runs when the caller asks for
+    the next element, so a caller that stops there skips it.  ``others``
+    is consumed.
     """
     settled = _settle(rows, pk) if rows else []
     yield from settled
@@ -476,8 +480,8 @@ def _completion(rows: list, others: list[dict], pk: _Packing):
         if r.is_zero:
             continue
         divisors.append(_divisor(r, pk))
-        active = _update(divisors, active, live, heap, len(divisors) - 1, pk)
         yield divisors[-1]
+        active = _update(divisors, active, live, heap, len(divisors) - 1, pk)
     minimal = [divisors[k] for k in active]
     if all(d.lm for d in minimal):  # else it is [1], and the rest is redundant
         minimal += settled

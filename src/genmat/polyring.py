@@ -230,10 +230,13 @@ class Polynomial:
 
     ``terms`` maps exponent tuples to coefficients in [1, p); treat it
     as read-only.  Arithmetic between polynomials of different rings
-    raises RingMismatchError; ints coerce to constants.
+    raises RingMismatchError; ints coerce to constants.  Two derived
+    values are kept once computed: ``_hash``, and in ``_degree`` the
+    last ``common_degree`` answer with the degree table it was read
+    under, as (table, answer).
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_degree")
 
     def __init__(self, ring: PolyRing, terms: dict):
         clean: dict = {}
@@ -248,6 +251,7 @@ class Polynomial:
         self.ring = ring
         self.terms = clean
         self._hash = None
+        self._degree = None
 
     @classmethod
     def _raw(cls, ring: PolyRing, terms: dict) -> "Polynomial":
@@ -256,6 +260,7 @@ class Polynomial:
         self.ring = ring
         self.terms = terms
         self._hash = None
+        self._degree = None
         return self
 
     @property
@@ -353,7 +358,22 @@ class Polynomial:
 def common_degree(f: Polynomial, degs) -> MultiDegree | None:
     """The multidegree shared by f's terms, or None when they disagree or
     f is zero.  ``degs`` holds one int tuple per variable of f's ring,
-    all of one length; the caller has checked that."""
+    all of one length; the caller has checked that.
+
+    f remembers the answer, None included, with the table it was read
+    under, and hands it back while ``degs`` is that same table object;
+    under another table the answer is computed and remembered afresh,
+    so each grading gets its own.
+    """
+    memo = f._degree
+    if memo is not None and memo[0] is degs:
+        return memo[1]
+    common = _shared_degree(f, degs)
+    f._degree = (degs, common)
+    return common
+
+
+def _shared_degree(f: Polynomial, degs) -> MultiDegree | None:
     ncomp = len(degs[0]) if degs else 0
     common: tuple | None = None
     for mon in f.terms:

@@ -203,25 +203,41 @@ def test_pair_update_prunes_the_complete_reduction_ideal(monkeypatch):
     # basis, and 40 while every generator joined unreduced before the
     # first pair; with the linear column products settled and
     # substituted out of the relations first, 20 remain.  The verdict
-    # itself stops at the last pure power, after 1.
+    # itself stops at the last pure power, after 1.  Each element is
+    # yielded before its pair update, so the full basis updates once per
+    # element that joins the loop (the 5 settled rows never do), and the
+    # verdict skips the update of the element it stops on.
     R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3")
     S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
     diag = diagonal_subring(S)  # memoized: its kernel is not counted
     rows = _segre_columns(R)
     forms = _diagonal_images(S, rows)
-    runs, spairs = _count_runs(monkeypatch), []
-    spair = groebner._spair
+    runs, spairs, updated = _count_runs(monkeypatch), [], []
+    spair, update = groebner._spair, groebner._update
     monkeypatch.setattr(groebner, "_spair", lambda *a: spairs.append(a) or spair(*a))
+
+    def counted_update(divisors, active, live, heap, new, pk):
+        updated.append(divisors[new])
+        return update(divisors, active, live, heap, new, pk)
+
+    monkeypatch.setattr(groebner, "_update", counted_update)
     gb = diag.quotient_groebner(forms)
     assert len(runs) == 1 and runs[0][-1] is None
     assert len(diag.relations.generators) + len(forms) == 14
     assert len(spairs) == 20
     assert is_zero_dimensional(gb)
+    records = runs[0][:-1]
+    assert len(records) == 15 and len(updated) == 10
+    assert all(a is b for a, b in zip(updated, records[5:]))
     runs.clear()
     spairs.clear()
+    updated.clear()
     assert is_complete_reduction_ring(S, rows)
     assert len(runs) == 1 and runs[0][-1] is not None
     assert len(spairs) == 1
+    records = runs[0]
+    assert len(records) == 15 and len(updated) == 9
+    assert all(a is b for a, b in zip(updated, records[5:-1]))
 
 
 def test_module_finiteness_reads_a_no_to_the_end(monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from genmat import groebner
+from genmat import groebner, polyring
 from genmat.algebra import (
     InconclusiveError,
     equigenerated_ideal,
@@ -17,7 +17,7 @@ from genmat.instances import (
     vector_matroid,
 )
 from genmat.matroid import exchange_path, exchange_step
-from genmat.polyring import polynomial_ring
+from genmat.polyring import linear_combination, polynomial_ring
 
 
 def segre():
@@ -270,6 +270,35 @@ def test_complete_reduction_ring_instance():
         assert not inst.is_basis(((x1, y1), (x2, y2), x1))
         cert = exchange_step(inst, good, good[0], "ambient", seed=4)
         assert inst.verify(cert.basis_after)
+
+
+def test_exchange_step_vets_each_entry_once(monkeypatch):
+    # A step vets the start basis, then each candidate and the basis
+    # with the candidate in place, whose other columns are the start's.
+    # A form remembers its multidegree, so the step computes the start's
+    # ten entries once and then only each candidate's two, whether the
+    # candidate is turned down (the forced copy of column 1, a fresh
+    # object) or accepted.
+    R = polynomial_ring(32003, "x1 x2 x3 y1 y2 y3")
+    S = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
+    inst = complete_reduction_instance(S, variant="vector")
+    x, y = R.gens()[:3], R.gens()[3:]
+    weights = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3)]
+
+    def column(w):
+        return linear_combination(w, x), linear_combination(w, y)
+
+    start = tuple(column(w) for w in weights)
+    computed = []
+    shared = polyring._shared_degree
+    monkeypatch.setattr(
+        polyring, "_shared_degree", lambda f, degs: computed.append(f) or shared(f, degs)
+    )
+    cert = exchange_step(inst, start, start[0], "ambient", seed=3, forced=[column(weights[1])])
+    assert cert.attempts == 2 and len(cert.rejected) == 1
+    entries = [f for col in start + cert.rejected + (cert.inserted,) for f in col]
+    assert len(computed) == len(entries) == 14
+    assert all(f is g for f, g in zip(computed, entries))
 
 
 def test_complete_reduction_ring_trivial_rank_zero():

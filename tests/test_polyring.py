@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from genmat import polyring
 from genmat.polyring import (
     GREVLEX,
     LEX,
@@ -314,6 +315,39 @@ def test_multidegree():
     assert std(x1 * y1 + x2 * y2) == (2,)
     with pytest.raises(ValueError):
         graded_algebra(R, [(1, 0), (1, 0)])
+
+
+def test_multidegree_is_remembered_per_grading(monkeypatch):
+    # A form keeps the multidegree of the last degree table it was read
+    # under; read alternately under P^2 x P^2 and the standard grading,
+    # each form must get that grading's answer every time, None included,
+    # and a second read under the same table computes nothing.
+    computed = []
+    shared = polyring._shared_degree
+    monkeypatch.setattr(
+        polyring, "_shared_degree", lambda f, degs: computed.append(f) or shared(f, degs)
+    )
+    R = polynomial_ring(101, "x1 x2 x3 y1 y2 y3")
+    x1, x2, x3, y1, y2, y3 = R.gens()
+    segre = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
+    std = graded_algebra(R, [(1,)] * 6)
+    cases = [
+        (x1 * y1, (1, 1), (2,)),
+        (x1 * x2 + y1 * y3, None, (2,)),
+        (x3 + x1 * y2, None, None),
+        (R.zero(), None, None),
+    ]
+    for _ in range(3):
+        for f, in_segre, in_std in cases:
+            assert segre.element_degree(f) == in_segre
+            assert std.element_degree(f) == in_std
+            before = len(computed)
+            assert std.element_degree(f) == in_std
+            assert len(computed) == before
+            assert segre.element_degree(f) == in_segre
+    # An equal table of another presentation gets the same answers.
+    again = graded_algebra(R, [(1, 0)] * 3 + [(0, 1)] * 3)
+    assert [again.element_degree(f) for f, _, _ in cases] == [c[1] for c in cases]
 
 
 def test_multidegree_multiplicative_sampled():
