@@ -52,7 +52,6 @@ from .groebner import (
     Extension,
     GroebnerBasis,
     IdealSpec,
-    _fresh_names,
     buchberger,
     is_zero_dimensional,
     kernel_of_map,
@@ -66,10 +65,10 @@ from .polyring import (
     PolyRing,
     Polynomial,
     RingMismatchError,
+    adjoin,
     common_degree,
     linear_combination,
     mon_divides,
-    reindex,
 )
 
 DEFAULT_POWER_BOUND = 10
@@ -222,22 +221,15 @@ class GradedAlgebraPresentation:
 
     def product_row(self, factors, target: MultiDegree) -> tuple[int, ...]:
         """Coordinate vector in the ``target`` piece of the normal form
-        of the product of ``factors``: its ``packed_rows`` row unpacked."""
+        of the product of ``factors``: its ``_packed_row`` unpacked."""
         target = tuple(map(int, target))
         piece = self._standard_piece(target)
         row = self._packed_row(factors, target, piece)
         return tuple(linalg.unpack(row, len(piece[0]), self.ring.field.p))
 
-    def packed_rows(self, products, target: MultiDegree):
-        """For each tuple of factors in ``products``, read lazily, the
-        ``product_row`` of their product packed as ``linalg.row_echelon``
-        reads it."""
-        target = tuple(map(int, target))
-        piece = self._standard_piece(target)
-        return (self._packed_row(factors, target, piece) for factors in products)
-
     def _packed_row(self, factors, target: MultiDegree, piece) -> int:
-        """The packed row of the product of ``factors`` in ``piece``.
+        """The ``product_row`` of the product of ``factors`` in ``piece``,
+        packed as ``linalg.row_echelon`` reads it.
 
         The normal form is linear, so the row is the sum of c * row(m)
         over the terms c*m of the product, each row(m) read packed from
@@ -360,7 +352,9 @@ class EquigeneratedIdeal:
         for g in gens:
             d = self.algebra.element_degree(g)
             if d is None:
-                raise ValueError(f"generator {g} is not homogeneous")
+                raise ValueError(
+                    "a generator is zero" if g.is_zero else f"generator {g} is not homogeneous"
+                )
             degs.add(d[0])
         if len(degs) != 1:
             raise ValueError(f"generators mix degrees {sorted(degs)}")
@@ -478,18 +472,19 @@ def _first_outside(
 ) -> Polynomial | None:
     """The first of ``forms``, all in the caller's piece S_target, outside
     the span of the products a*b for a in ``left``, b in ``right``, or
-    None.  ``linalg.row_echelon`` pulls the products' packed rows from
-    ``S.packed_rows``, a-major, and stops once they span the piece; then
-    no form's row is built.  Else each form's packed row is reduced by
-    the echelon form.  No product is built either way."""
-    p, width = S.ring.field.p, len(S.standard_monomials(target))
-    rows = S.packed_rows(((a, b) for a in left for b in right), target)
+    None.  ``linalg.row_echelon`` pulls the products' packed rows,
+    a-major, as it reads them, and stops once they span the piece; then
+    no form's row is built.  Else each form's packed row is built and
+    reduced by the echelon form in turn.  No product is built either
+    way."""
+    piece = S._standard_piece(target)
+    p, width = S.ring.field.p, len(piece[0])
+    rows = (S._packed_row((a, b), target, piece) for a in left for b in right)
     echelon, pivots = linalg.row_echelon(rows, p, width)
     if len(pivots) == width:
         return None
-    rows = list(S.packed_rows([(f,) for f in forms], target))
-    for f, row in zip(forms, rows):
-        if any(linalg.residue(echelon, pivots, row, p, width)):
+    for f in forms:
+        if any(linalg.residue(echelon, pivots, S._packed_row((f,), target, piece), p, width)):
             return f
     return None
 
@@ -753,20 +748,12 @@ def multigraded_fiber_algebra(ideals) -> GradedAlgebraPresentation:
     algebra = ideals[0].algebra
 
     def compute():
-        n = len(ideals)
-        ring = algebra.ring
-        markers = _fresh_names(ring.names, n, prefix="t")
-        big = PolyRing(ring.field, ring.names + tuple(markers))
-        to_big = list(range(ring.nvars)) + [None] * n
-        targets = [
-            reindex(g, big, to_big) * big.var(t)
-            for I, t in zip(ideals, markers)
-            for g in I.generators
-        ]
+        n, ring = len(ideals), algebra.ring
+        big, lift = adjoin(ring, n, "t")
+        markers = big.gens()[ring.nvars :]
+        targets = [lift(g) * t for I, t in zip(ideals, markers) for g in I.generators]
         degrees = [_unit(n, i) for i, I in enumerate(ideals) for _ in I.generators]
-        relations = IdealSpec(
-            big, tuple(reindex(g, big, to_big) for g in algebra.relations.generators)
-        )
+        relations = IdealSpec(big, tuple(map(lift, algebra.relations.generators)))
         return _subalgebra(targets, relations, "T", degrees)
 
     return algebra._memo(("mfiber", tuple(I.generators for I in ideals)), compute)

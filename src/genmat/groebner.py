@@ -19,13 +19,14 @@ algorithm with the normal selection strategy applied to pairs and input
 alike (Giovini, Mora, Niesi, Robbiano and Traverso 1991;
 Becker-Weispfenning ch. 5): generators wait in the pair queue by the
 weighted degree of their leading monomial, ahead of the pairs of that
-degree, and join as remainders against the elements built so far.
-Weights default to 1; ``kernel_of_map`` gives T_i the degree of f_i.
-The Gebauer-Moeller pair update runs once per element that joins: it
-prunes the queued pairs (criterion B_k), keeps one new pair per
-minimal lcm and queues none with coprime leading monomials (criteria M
-and F and the product criterion), and retires the elements whose
-leading monomials it divides.  Every element joins as a full
+degree, and join as remainders against the elements built so far,
+monic through their records, so a repeated generator reduces to 0 and
+needs no dedupe.  Weights default to 1; ``kernel_of_map`` gives T_i
+the degree of f_i.  The Gebauer-Moeller pair update runs once per
+element that joins: it prunes the queued pairs (criterion B_k), keeps
+one new pair per minimal lcm and queues none with coprime leading
+monomials (criteria M and F and the product criterion), and retires
+the elements whose leading monomials it divides.  Every element joins as a full
 remainder, so what stays active, with the settled elements, is the
 minimal basis; when 1 joins, it alone is.  Output is the reduced basis
 (monic, no term of any element divisible by another leading monomial),
@@ -67,8 +68,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, compress, count, repeat
-from operator import itemgetter, le, mul
+from itertools import accumulate, compress, repeat
+from operator import itemgetter, mul
 from struct import Struct
 from typing import NamedTuple
 
@@ -80,8 +81,9 @@ from .polyring import (
     PolyRing,
     Polynomial,
     RingMismatchError,
+    adjoin,
     elimination_order,
-    reindex,
+    mon_divides,
 )
 
 _WIDTH = 16  # bits per exponent field
@@ -178,7 +180,7 @@ class _Packing:
 
     def __init__(self, ring: PolyRing, order: MonomialOrder, weights=None) -> None:
         n = ring.nvars
-        self.ring, self.p = ring, ring.field.p
+        self.ring, self.order, self.p = ring, order, ring.field.p
         self.full, self.guard, self.fields, self.size, self.top = _layout(n)
         self.coeffs, self.is_variable = _unit_keys(n, order)
         weights = (1,) * n if weights is None else tuple(weights)
@@ -249,22 +251,29 @@ def _divisor(terms: dict, pk: _Packing) -> _Divisor:
     return _Divisor(lead, lead & pk.full, tuple(items))
 
 
+def _terms(d: _Divisor) -> dict:
+    """The element a record stands for, key -> coefficient, largest first."""
+    return dict(((d.lead, 1),) + d.tail)
+
+
 @dataclass(frozen=True, eq=False)
 class GroebnerBasis:
-    """A reduced Groebner basis together with its ring and order.
+    """A reduced Groebner basis, in the ring and order of its packing.
 
     It is made from ``minimal``, the records of a minimal basis, largest
     leading monomial first, handed over by the computation that built
-    them, and the ``packing`` they are written in.  Tail reduction keeps
-    every leading monomial, so ``leading_monomials`` reads the minimal
-    records as they are; ``divisors``, the reduced basis's records, are
-    tail-reduced from them on first use, and ``basis`` converts those.
+    them, and the ``packing`` they are written in, which names the ring
+    and order.  Tail reduction keeps every leading monomial, so
+    ``leading_monomials`` reads the minimal records as they are;
+    ``divisors``, the reduced basis's records, are tail-reduced from
+    them on first use, and ``basis`` converts those.
     """
 
-    ring: PolyRing
-    order: MonomialOrder
     minimal: tuple[_Divisor, ...] = field(repr=False)
     packing: _Packing = field(repr=False)
+
+    ring = property(lambda self: self.packing.ring)
+    order = property(lambda self: self.packing.order)
 
     @cached_property
     def divisors(self) -> tuple[_Divisor, ...]:
@@ -272,7 +281,7 @@ class GroebnerBasis:
 
     @cached_property
     def basis(self) -> tuple[Polynomial, ...]:
-        return tuple(self.packing.polynomial(dict(((d.lead, 1),) + d.tail)) for d in self.divisors)
+        return tuple(self.packing.polynomial(_terms(d)) for d in self.divisors)
 
     def leading_monomials(self) -> tuple:
         return tuple(self.packing.monomial(d.lead) for d in self.minimal)
@@ -356,8 +365,7 @@ def _interreduce(minimal: tuple[_Divisor, ...], pk: _Packing) -> tuple[_Divisor,
     # alone, so one pass is final, and the order stays.
     work = list(minimal)
     for i, d in enumerate(work):
-        f = dict(((d.lead, 1),) + d.tail)
-        work[i] = _divisor(normal_form(f, work[:i] + work[i + 1 :], packing=pk), pk)
+        work[i] = _divisor(normal_form(_terms(d), work[:i] + work[i + 1 :], packing=pk), pk)
     return tuple(work)
 
 
@@ -419,13 +427,8 @@ def _settle(rows: list, pk: _Packing) -> list[_Divisor]:
     largest leading monomial first.  Every order ranks the ring's
     variables in their order, the first largest, so with one column per
     variable in that order each row's pivot is its leading variable."""
-    keys = pk.coeffs
     rows, _ = row_echelon(rows, pk.p)
-    records = []
-    for row in rows:
-        lead, *tail = compress(zip(keys, row), row)
-        records.append(_Divisor(lead[0], lead[0] & pk.full, tuple(tail)))
-    return records
+    return [_divisor(dict(compress(zip(pk.coeffs, row), row)), pk) for row in rows]
 
 
 def _completion(rows: list, others: list[dict], pk: _Packing):
@@ -444,23 +447,22 @@ def _completion(rows: list, others: list[dict], pk: _Packing):
     minimal basis, unless the loop reaches 1.  Generators and pairs wait
     in one queue by the weighted degree of a generator's leading
     monomial or a pair's lcm; within a degree the generators come first,
-    largest leading monomial first.  Each popped one is reduced by the
-    elements built so far, and a nonzero remainder joins: it is yielded,
-    and the Gebauer-Moeller update for it runs when the caller asks for
-    the next element, so a caller that stops there skips it.  ``others``
-    is consumed.
+    largest leading monomial first, queued as they are: each popped one
+    is reduced by the elements built so far, so a repeat reduces to 0,
+    and a nonzero remainder joins, monic: it is yielded, and the
+    Gebauer-Moeller update for it runs when the caller asks for the
+    next element, so a caller that stops there skips it.  ``others`` is
+    consumed.
     """
     settled = _settle(rows, pk) if rows else []
     yield from settled
-    # The deduplicated monic generators, pivots substituted out, largest
-    # leading monomial first.
-    queued: dict = {}
+    # The generators, pivots substituted out, largest leading monomial first.
+    generators = []
     for g in others:
-        terms = normal_form(g, settled, packing=pk) if settled else dict(sorted(g.items()))
+        terms = normal_form(g, settled, packing=pk) if settled else g
         if terms:
-            terms = _monic(terms, pk.p)
-            queued.setdefault(frozenset(terms.items()), (next(iter(terms)), terms))
-    generators = sorted(queued.values(), key=itemgetter(0))
+            generators.append((min(terms), terms))
+    generators.sort(key=itemgetter(0))
     # Generator j waits as the pair (-1, j), ahead of its degree's pairs.
     heap = [(pk.degree(lead & pk.full), (-1, j)) for j, (lead, _) in enumerate(generators)]
     heapify(heap)
@@ -500,7 +502,7 @@ def _entries(ideal, pk: _Packing) -> tuple[list, list[dict]]:
         basis = ideal.basis
         if basis.packing.coeffs != pk.coeffs:
             raise ValueError("the basis is in another monomial order")
-        packed = [dict(((d.lead, 1),) + d.tail) for d in basis.divisors]
+        packed = [_terms(d) for d in basis.divisors]
     for g in ideal.generators:
         if isinstance(g, Polynomial):
             packed.append(pk.pack(g))
@@ -531,21 +533,11 @@ def buchberger(ideal, order: MonomialOrder = GREVLEX, weights=None) -> GroebnerB
         try:
             next(run)
         except StopIteration as done:
-            return GroebnerBasis(ideal.ring, order, done.value, pk)
+            return GroebnerBasis(done.value, pk)
 
 
 def _as_gb(ideal) -> GroebnerBasis:
     return ideal if isinstance(ideal, GroebnerBasis) else buchberger(ideal)
-
-
-def _fresh_names(taken, n: int, prefix: str) -> list[str]:
-    """prefix1..prefix<n>, the prefix repeated the fewest times (T1..,
-    then TT1..) that keeps every name out of ``taken``."""
-    taken = set(taken)
-    for k in count(1):
-        names = [f"{prefix * k}{i + 1}" for i in range(n)]
-        if taken.isdisjoint(names):
-            return names
 
 
 def _drop_block(d: _Divisor, shift: int) -> _Divisor:
@@ -558,9 +550,9 @@ def kernel_of_map(targets, relations: IdealSpec | None = None, prefix: str = "T"
     """Presentation ideal of the subalgebra generated by ``targets``.
 
     Given f_1..f_s in R = F_p[x]/relations, returns the reduced grevlex
-    basis of the kernel of F_p[T_1..T_s] -> R, T_i -> f_i, the T_i named
-    by ``_fresh_names`` from ``prefix``: relations + (T_i - f_i) in
-    F_p[x, T], intersected with F_p[T].  The elimination order on the x
+    basis of the kernel of F_p[T_1..T_s] -> R, T_i -> f_i, the T_i
+    adjoined by ``polyring.adjoin`` under ``prefix``: relations +
+    (T_i - f_i) in F_p[x, T], intersected with F_p[T].  The elimination order on the x
     ranks every monomial with an x above every one without and breaks
     ties by grevlex on the T, so the minimal elements with x-free leading
     monomials are a minimal grevlex basis of the kernel (Elimination
@@ -576,18 +568,16 @@ def kernel_of_map(targets, relations: IdealSpec | None = None, prefix: str = "T"
             raise RingMismatchError("targets span several rings")
     if relations is not None and relations.ring != src:
         raise RingMismatchError("relations outside the source ring")
-    names = _fresh_names(src.names, len(targets), prefix)
-    big = PolyRing(src.field, src.names + tuple(names))
-    to_big = list(range(src.nvars)) + [None] * len(names)
-    gens = [reindex(g, big, to_big) for g in relations.generators] if relations is not None else []
-    gens += [t - reindex(f, big, to_big) for t, f in zip(big.gens()[src.nvars :], targets)]
+    big, lift = adjoin(src, len(targets), prefix)
+    gens = [lift(g) for g in relations.generators] if relations is not None else []
+    gens += [t - lift(f) for t, f in zip(big.gens()[src.nvars :], targets)]
     # T_i weighs deg f_i, so every generator T_i - f_i is homogeneous.
     weights = [1] * src.nvars + [max(f.degree(), 1) for f in targets]
     gb = buchberger(IdealSpec(big, tuple(gens)), elimination_order(src.nvars), weights)
-    small = PolyRing(src.field, tuple(names))
+    small = PolyRing(src.field, big.names[src.nvars :])
     shift = _WIDTH * src.nvars  # below it, the source variables' fields
     records = tuple(_drop_block(d, shift) for d in gb.minimal if not d.lm & (1 << shift) - 1)
-    return GroebnerBasis(small, GREVLEX, records, _Packing(small, GREVLEX))
+    return GroebnerBasis(records, _Packing(small, GREVLEX))
 
 
 def _plus_shifted(a: list[int], b: list[int], shift: int) -> list[int]:
@@ -617,7 +607,7 @@ def _numerator(gens: list[Monomial]) -> list[int]:
         quotients = {tuple(max(a - b, 0) for a, b in zip(g, p)) for g in tangled}
         colon: list[Monomial] = []  # minimal generators of M : p
         for q in sorted(quotients, key=sum):
-            if not any(all(map(le, k, q)) for k in colon):
+            if not any(mon_divides(k, q) for k in colon):
                 colon.append(q)
         plus = [g for g in tangled if g[v] < e] + [p]
         numerator = _plus_shifted(_numerator(plus), _numerator(colon), e)

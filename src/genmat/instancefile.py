@@ -201,7 +201,7 @@ def build_context(doc: dict, env: Mapping[str, str] | None = None) -> InstanceCo
         grading = graded_algebra(ring, degrees)
     relations = _poly_list(ring, ring_section.get("relations", []), "ring.relations")
     for i, rel in enumerate(relations):
-        if grading.element_degree(rel) is None:
+        if grading.element_degree(rel) is None and not rel.is_zero:
             raise InstanceFileError(
                 f"ring.relations[{i}]", "not homogeneous in the declared grading"
             )

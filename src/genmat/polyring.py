@@ -34,7 +34,8 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from operator import neg
+from itertools import count
+from operator import le, neg
 
 DEFAULT_PRIME = 32003
 
@@ -104,7 +105,7 @@ class PrimeField:
 
 
 def mon_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _grevlex_desc(m: Monomial):
@@ -425,18 +426,18 @@ def random_linear_combination(basis, rng: random.Random):
     return linear_combination(coeffs, basis), coeffs
 
 
-def reindex(f: Polynomial, target: PolyRing, source) -> Polynomial:
-    """f copied into ``target`` by variable position.
-
-    Variable k of ``target`` takes the exponent of f's variable
-    ``source[k]``, or 0 where that entry is None.  f's variables that no
-    entry names are dropped, so they must not occur in f.
-    """
-    source = tuple(source)
-    return Polynomial._raw(
-        target,
-        {tuple(0 if i is None else mon[i] for i in source): c for mon, c in f.terms.items()},
-    )
+def adjoin(ring: PolyRing, n: int, prefix: str):
+    """(big, lift): ``ring`` with n variables adjoined after its own,
+    named prefix1..prefix<n> with the prefix repeated the fewest times
+    (T1.., then TT1..) that keeps every name new, and the map that
+    copies a polynomial of ``ring`` into ``big``."""
+    taken = set(ring.names)
+    for k in count(1):
+        names = tuple(f"{prefix * k}{i + 1}" for i in range(n))
+        if taken.isdisjoint(names):
+            break
+    big, pad = PolyRing(ring.field, ring.names + names), (0,) * n
+    return big, lambda f: Polynomial._raw(big, {m + pad: c for m, c in f.terms.items()})
 
 
 # --- text form -------------------------------------------------------------

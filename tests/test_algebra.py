@@ -654,19 +654,15 @@ def test_degree_delta_piece_is_echelonized_once_per_ideal(monkeypatch):
 
 def _counted_rows(monkeypatch):
     # The certificate reads packed rows; product_row is their tuple face.
-    # Each product is counted as its row is pulled.
+    # Each product is counted as its row is built.
     calls = []
-    packed_rows = GradedAlgebraPresentation.packed_rows
+    packed_row = GradedAlgebraPresentation._packed_row
 
-    def counted(self, products, target):
-        def pulled():
-            for factors in products:
-                calls.append(tuple(factors))
-                yield factors
+    def counted(self, factors, target, piece):
+        calls.append(tuple(factors))
+        return packed_row(self, factors, target, piece)
 
-        return packed_rows(self, pulled(), target)
-
-    monkeypatch.setattr(GradedAlgebraPresentation, "packed_rows", counted)
+    monkeypatch.setattr(GradedAlgebraPresentation, "_packed_row", counted)
     return calls
 
 
@@ -1265,6 +1261,11 @@ def test_fresh_names_outlast_clashing_prefixes():
     R = polynomial_ring(32003, "u1 uu1 uv1")
     S = graded_algebra(R, ((1, 0), (1, 0), (0, 1)))
     assert diagonal_subring(S).dimension() == 2
+    # The multigraded fiber ring's markers t1, t2 step past t1 and tt1.
+    R = polynomial_ring(32003, "t1 tt1")
+    I = equigenerated_ideal(standard_graded_algebra(R), R.gens())
+    F = multigraded_fiber_algebra((I, I))
+    assert F.ring.names == ("T1", "T2", "T3", "T4") and F.dimension() == 3
 
 
 def test_presentation_memo_stays_bounded_over_fresh_candidates():

@@ -318,6 +318,26 @@ def test_check_exponent_limit_exit_code(monkeypatch, capsys):
     assert "limit 32767" in capsys.readouterr().err
 
 
+def test_zero_relation_is_dropped_as_the_library_drops_it(monkeypatch, capsys):
+    # graded_algebra drops a zero relation, and so does the document
+    # layer; a mixed relation is still refused at its index.
+    doc = quadric_doc()
+    code, report = run_json(monkeypatch, capsys, ["check", "nn", "--json"], doc)
+    doc["ring"]["relations"].append("0")
+    code2, report2 = run_json(monkeypatch, capsys, ["check", "nn", "--json"], doc)
+    assert code == code2 == 0 and report2["verdicts"] == report["verdicts"]
+    doc["ring"]["relations"].append("x*y + x")
+    code, err = _run_failure(monkeypatch, capsys, ["check", "nn", "--json"], doc)
+    assert (code, err) == (3, "error: ring.relations[2]: not homogeneous in the declared grading")
+
+
+def test_zero_ideal_generator_is_named_zero(monkeypatch, capsys):
+    doc = quadric_doc()
+    doc["check"]["candidate"] = ["0", "z", "w"]
+    code, err = _run_failure(monkeypatch, capsys, ["check", "reduction", "--json"], doc)
+    assert (code, err) == (3, "error: check: a generator is zero")
+
+
 def test_check_wrong_count_exit_codes(monkeypatch, capsys):
     # A wrong count is a "false" for the minimal-reduction predicate but
     # an input error for the nn check.

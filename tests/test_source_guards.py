@@ -357,3 +357,50 @@ def test_containment_is_told_its_piece():
         or (isinstance(node, ast.arg) and node.arg == "unsure")
     ]
     assert not unsure, unsure
+
+
+def test_the_groebner_engine_states_each_rule_once():
+    # polyring.adjoin is the one way to adjoin variables, _divisor the
+    # one record builder beside _drop_block's shift, _terms the one
+    # record expansion, and a GroebnerBasis is its records and packing
+    # alone; a generator joins as a remainder, so _completion keeps no
+    # dedupe.  None of their restatements can grow back unnoticed.
+    texts = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    for name, text in texts.items():
+        assert "reindex" not in text and "_fresh_names" not in text, name
+    private = [
+        a.name
+        for node in ast.walk(ast.parse(texts["algebra.py"]))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("groebner")
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert not private, private
+    engine = ast.parse(texts["groebner.py"])
+    builders, expansions = [], []
+    for node in ast.walk(engine):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_Divisor":
+            builders.append(_owner(engine, node))
+        elif (
+            isinstance(node, ast.Tuple)
+            and len(node.elts) == 2
+            and isinstance(node.elts[0], ast.Attribute)
+            and node.elts[0].attr == "lead"
+        ):
+            expansions.append(_owner(engine, node))
+    assert sorted(builders) == ["_divisor", "_drop_block"], builders
+    assert expansions == ["_terms"], expansions
+    for name, text in texts.items():
+        if name != "groebner.py":
+            assert "_Divisor(" not in text, name
+    defs = {top.name: top for top in engine.body if isinstance(top, (ast.FunctionDef, ast.ClassDef))}
+    sets = [
+        node.lineno
+        for node in ast.walk(defs["_completion"])
+        if isinstance(node, ast.Name) and node.id == "frozenset"
+    ]
+    assert not sets, sets
+    fields = [
+        node.target.id for node in defs["GroebnerBasis"].body if isinstance(node, ast.AnnAssign)
+    ]
+    assert fields == ["minimal", "packing"], fields
