@@ -24,20 +24,21 @@ Ideals here are equigenerated and homogeneous: every generator shares
 one total degree delta.  That restriction makes the degree-delta piece
 the F_p-span of the generators, so minimal generation is plain linear
 independence and fiber rings are subalgebras presented by
-kernel_of_map.
+kernel_of_map.  A subalgebra is the one presentation built on a
+computed basis; every other takes its relations as polynomials.
 
 Presentations memoize only data fixed by themselves and their fixed
-ideals, never per-candidate data: the Groebner basis (one built on a
-kernel's reduced grevlex basis takes that basis as its own), the
-dimension, and per graded piece the standard monomials with a row
-table, monomial -> ``linalg``-packed coordinate row of its normal form,
-which every coordinate vector is summed from and which holds at most
-the monomials of that degree; the diagonal presentation; and, keyed by
-generator tuples, ideal powers, fiber presentations and degree-delta
-solvers.  A form's multidegree lives on the form, remembered with the
-degree table it was read under (``polyring.common_degree``), not in
-this cache.  The cache is append-only derived data, so sharing across
-threads is safe.
+ideals, never per-candidate data: the relations and the Groebner basis
+(a subalgebra's is its kernel's, as computed, and its relations are
+read off it when asked), the dimension, and per graded piece the
+standard monomials with a row table, monomial -> ``linalg``-packed
+coordinate row of its normal form, which every coordinate vector is
+summed from and which holds at most the monomials of that degree; the
+diagonal presentation; and, keyed by generator tuples, ideal powers,
+fiber presentations and degree-delta solvers.  A form's multidegree
+lives on the form, remembered with the degree table it was read under
+(``polyring.common_degree``), not in this cache.  The cache is
+append-only derived data, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -95,8 +96,8 @@ def _unit(n: int, i: int) -> MultiDegree:
 class GradedAlgebraPresentation:
     """F_p[x]/relations with an N^n-multidegree per variable.
 
-    ``relations`` is a sequence of polynomials or a GroebnerBasis; a
-    grevlex basis is kept as the presentation's memoized basis.
+    ``relations`` are multihomogeneous polynomials of ``ring``, zeros
+    dropped; a subalgebra reads them off its kernel's basis instead.
     ``blocks`` holds the variable indices of each grading component, or
     None unless every variable sits in a unit degree (a standard grading).
     """
@@ -118,19 +119,15 @@ class GradedAlgebraPresentation:
             self.blocks = tuple(tuple(v for v, d in enumerate(degrees) if d[i]) for i in range(n))
         self.ring = ring
         self.degrees = degrees
-        gb = None
-        if isinstance(relations, GroebnerBasis):
-            if relations.ring != ring:
-                raise RingMismatchError("relations outside the ambient ring")
-            if relations.order == GREVLEX:
-                gb = relations
-            relations = relations.basis
-        relations = tuple(relations)
-        for g in relations:
-            if self.element_degree(g) is None and not g.is_zero:
+        spec = IdealSpec(ring, tuple(relations))
+        for g in spec.generators:
+            if self.element_degree(g) is None:
                 raise ValueError(f"relation {g} is not multihomogeneous")
-        self.relations = IdealSpec(ring, tuple(g for g in relations if not g.is_zero))
-        self._cache: dict = {} if gb is None else {("gb",): gb}
+        self._cache: dict = {("relations",): spec}
+
+    @property
+    def relations(self) -> IdealSpec:
+        return self._memo(("relations",), lambda: IdealSpec(self.ring, self.groebner().basis))
 
     @property
     def components(self) -> int:
@@ -164,8 +161,9 @@ class GradedAlgebraPresentation:
 
     def element_degree(self, f: Polynomial) -> MultiDegree | None:
         """The one form check: f's multidegree, or None for zero or a mixed
-        element; an element of another ring raises RingMismatchError."""
-        if f.ring is not self.ring and f.ring != self.ring:
+        element; anything but a polynomial of the ring raises
+        RingMismatchError."""
+        if not isinstance(f, Polynomial) or f.ring is not self.ring and f.ring != self.ring:
             raise RingMismatchError(f"{f} lies outside the ambient ring")
         return common_degree(f, self.degrees)
 
@@ -198,8 +196,6 @@ class GradedAlgebraPresentation:
             list(itertools.combinations_with_replacement(block, t))
             for block, t in zip(self.blocks, target)
         ]
-        if not all(choices_per_component):
-            return (), {}
         lms = self.groebner().leading_monomials()
         nv = self.ring.nvars
         out = []
@@ -242,7 +238,7 @@ class GradedAlgebraPresentation:
         """
         ring, p = self.ring, self.ring.field.p
         for f in factors:
-            if f.ring is not ring and f.ring != ring:
+            if not isinstance(f, Polynomial) or f.ring is not ring and f.ring != ring:
                 raise RingMismatchError("element outside the ambient ring")
         basis, table = piece
         rows: list[int] = []
@@ -510,14 +506,18 @@ def _piece_solver(I: EquigeneratedIdeal):
 
 
 def _subalgebra(targets, relations: IdealSpec, prefix: str, degrees=None):
-    """Presentation of F_p[targets] modulo ``relations``, its relations
-    kernel_of_map's reduced basis: variable i, named from ``prefix``,
-    maps to target i in degree degrees[i] (1 by default).  A linear form
-    in the targets enters the engine as its coordinate row over the
-    variables, beside the relations read from the presentation's basis,
-    which is kernel_of_map's."""
+    """Presentation of F_p[targets] modulo ``relations``: variable i,
+    named from ``prefix``, maps to target i in degree degrees[i] (1 by
+    default), and kernel_of_map's reduced grevlex basis is the
+    presentation's basis, kept as computed.  A linear form in the
+    targets enters the engine as its coordinate row over the variables,
+    beside the relations read from that basis."""
     ker = kernel_of_map(targets, relations=relations, prefix=prefix)
-    return GradedAlgebraPresentation(ker.ring, degrees or ((1,),) * len(targets), ker)
+    pres = GradedAlgebraPresentation(ker.ring, degrees or ((1,),) * len(targets))
+    # Nothing to vet: each T_i's degree is read off its target's, so the
+    # kernel and its reduced basis are multihomogeneous.
+    pres._cache = {("gb",): ker}
+    return pres
 
 
 def fiber_algebra(I: EquigeneratedIdeal) -> GradedAlgebraPresentation:
@@ -676,6 +676,12 @@ def _forms_matrix(S: GradedAlgebraPresentation, rows, pieces, per: str):
     return mat
 
 
+def _refuse_columns(mat, want: int, of: str) -> None:
+    """ValueError unless the matrix ``mat`` has ``want`` columns."""
+    if len(mat[0]) != want:
+        raise ValueError(f"complete reduction of this {of} needs {want} columns, got {len(mat[0])}")
+
+
 def _column_products(mat) -> list[Polynomial]:
     return [reduce(operator.mul, column) for column in zip(*mat)]
 
@@ -691,12 +697,7 @@ def is_complete_reduction_ring(algebra: GradedAlgebraPresentation, rows) -> bool
     n = algebra.components
     mat = _forms_matrix(algebra, rows, [_unit(n, i) for i in range(n)], "grading component")
     diag = diagonal_subring(algebra)
-    r = len(mat[0])
-    want = diag.dimension()
-    if r != want:
-        raise ValueError(
-            f"complete reduction of this algebra needs {want} columns, got {r}"
-        )
+    _refuse_columns(mat, diag.dimension(), "algebra")
     # Variable i of the diagonal maps to standard monomial i of the
     # (1,..,1) piece, so a product's coordinates are its row there.
     ones = (1,) * n
@@ -726,12 +727,7 @@ def is_complete_reduction_ideals(
                 f"entry ({i},{row.index(outside)}) does not lie in ideal {i}"
             )
     product = reduce(ideal_product, ideals)
-    r = len(mat[0])
-    want = analytic_spread(product)
-    if r != want:
-        raise ValueError(
-            f"complete reduction of this ideal tuple needs {want} columns, got {r}"
-        )
+    _refuse_columns(mat, analytic_spread(product), "ideal tuple")
     J = _of_products(algebra, _column_products(mat), product.degree)
     return is_reduction(J, product, n_max=n_max)
 

@@ -114,9 +114,10 @@ def _quadric_ideals():
             "variable y has a negative degree entry",
         ),
         (
-            lambda: graded_algebra(plane()[0].ring, [(1,), (1,)], quadric()[0].groebner()),
-            RingMismatchError,
-            "relations outside the ambient ring",
+            # Relations are polynomials; only _subalgebra hands over a basis.
+            lambda: graded_algebra(plane()[0].ring, [(1,), (1,)], plane()[0].groebner()),
+            TypeError,
+            "'GroebnerBasis' object is not iterable",
         ),
         (
             lambda: graded_algebra(plane()[0].ring, [(1,), (2,)]).standard_monomials((2,)),
@@ -139,7 +140,7 @@ def _quadric_ideals():
     ],
     ids=[
         "negative-degree",
-        "basis-of-another-ring",
+        "groebner-basis-relations",
         "weighted-monomial-basis",
         "degree-length",
         "power-zero",
@@ -183,6 +184,8 @@ def _refusals():
         "is_complete_reduction_ideals": lambda f: is_complete_reduction_ideals(
             (m,), ((f, z, w),)
         ),
+        "coordinates": lambda f: S.coordinates(f, (1,)),
+        "product_row": lambda f: S.product_row((x, f), (2,)),
     }
 
 
@@ -198,6 +201,31 @@ def test_one_refusal_per_bad_form(entry):
     with pytest.raises(ValueError) as mixed:
         refuse(x + y * z)
     assert type(mixed.value) is ValueError
+
+
+@pytest.mark.parametrize("entry", sorted(_refusals()))
+def test_a_non_polynomial_form_is_a_value_error(entry):
+    # Anything but a polynomial of the ring is refused as bad input,
+    # never met by an AttributeError, which would read as a library bug.
+    refuse = _refusals()[entry]
+    for bad in ("x", 3, None):
+        with pytest.raises(ValueError):
+            refuse(bad)
+
+
+def test_product_row_drops_off_piece_terms_of_normal_form_zero():
+    # x*(y + z^2) = x*y + x*z^2, and x*z^2 lies off the degree-2 piece;
+    # it is a relation in one algebra and off the piece in the other.
+    R = polynomial_ring(101, "x y z")
+    x, y, z = R.gens()
+    S = standard_graded_algebra(R, (x * z**2,))
+    xy = S.coordinates(x * y, (2,))
+    assert S.product_row((x, y + z**2), (2,)) == xy
+    assert S.product_row((y + z**2, x), (2,)) == xy
+    free = standard_graded_algebra(R)
+    for factors in ((x, y + z**2), (y + z**2, x)):
+        with pytest.raises(ValueError, match=r"does not lie in the degree-\(2,\) piece$"):
+            free.product_row(factors, (2,))
 
 
 def test_dimension():
@@ -1187,6 +1215,49 @@ def test_subalgebra_presentations_are_golden():
         names = tuple(f"{prefix}{i + 1}" for i in range(len(degrees)))
         assert (pres.ring.names, pres.degrees) == (names, degrees), label
         assert ", ".join(map(str, pres.relations.generators)) == relations, label
+
+
+def _term_degrees(g, degrees) -> set:
+    """The multidegrees of g's terms, summed by hand."""
+    return {
+        tuple(sum(e * d[i] for e, d in zip(mon, degrees)) for i in range(len(degrees[0])))
+        for mon in g.terms
+    }
+
+
+@pytest.mark.parametrize("p", [5, 101, 32003])
+def test_subalgebra_relations_are_multihomogeneous(p):
+    # _subalgebra vets no relation, since a graded map has a
+    # multihomogeneous kernel; every relation read back bears that out.
+    R = polynomial_ring(p, "x y z w")
+    x, y, z, w = R.gens()
+    S = standard_graded_algebra(R, (x * y - z * w,))
+    m = equigenerated_ideal(S, (x, y, z, w))
+    rng = random.Random(p)
+    seeded = equigenerated_ideal(S, [random_homogeneous(R, rng, 2) for _ in range(5)])
+    P1 = standard_graded_algebra(polynomial_ring(p, "u v"))
+    u, v = P1.ring.gens()
+
+    def product_space(sizes):
+        names = [f"{'xy'[b]}{i}" for b, size in enumerate(sizes) for i in range(size)]
+        degrees = [(1, 0)] * sizes[0] + [(0, 1)] * sizes[1]
+        return graded_algebra(polynomial_ring(p, names), degrees)
+
+    built = [
+        fiber_algebra(m),
+        fiber_algebra(ideal_power(m, 2)),
+        fiber_algebra(seeded),
+        diagonal_subring(product_space((3, 3))),
+        diagonal_subring(product_space((3, 4))),
+        multigraded_fiber_algebra(
+            (equigenerated_ideal(P1, (u, v)), equigenerated_ideal(P1, (u**2, u * v, v**2)))
+        ),
+    ]
+    for pres in built:
+        relations = pres.relations.generators
+        assert relations and relations == pres.groebner().basis
+        for g in relations:
+            assert len(_term_degrees(g, pres.degrees)) == 1, (pres.ring.names, g)
 
 
 def test_presentations_reuse_their_kernel_basis(monkeypatch):

@@ -108,6 +108,11 @@ def counting_instance():
     return GenericMatroidInstance("parity", 2, oracle, {"ints": handle}), asked
 
 
+def test_instance_repr_names_rank_and_handles():
+    inst, _ = counting_instance()
+    assert repr(inst) == "GenericMatroidInstance('parity', rank=2, handles=['ints'])"
+
+
 def test_instance_rank_is_nonnegative():
     handle = MatroidHandle("ints", lambda e: isinstance(e, int), lambda rng: rng.randrange(9))
     with pytest.raises(ValueError, match="^rank must be nonnegative$"):

@@ -160,6 +160,17 @@ def test_int_minus_polynomial():
     assert 3 - (x + y) == R.const(3) - x - y
 
 
+def test_a_non_polynomial_operand_is_not_implemented():
+    # Each operator hands an operand it cannot coerce back to Python,
+    # which raises TypeError, or, for ==, falls back to identity.
+    x, _ = polynomial_ring(101, "x y").gens()
+    for op in (lambda: x - "a", lambda: "a" - x, lambda: x * "a"):
+        with pytest.raises(TypeError):
+            op()
+    assert not x == "a" and x != "a"
+    assert repr(x**2 - 3) == "Polynomial('x^2 - 3')"
+
+
 def test_ring_mismatch():
     a = polynomial_ring(101, "x y").var("x")
     b = polynomial_ring(101, "x z").var("x")

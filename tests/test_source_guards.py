@@ -404,3 +404,39 @@ def test_the_groebner_engine_states_each_rule_once():
         node.target.id for node in defs["GroebnerBasis"].body if isinstance(node, ast.AnnAssign)
     ]
     assert fields == ["minimal", "packing"], fields
+
+
+def test_a_presentation_takes_relations_one_way():
+    # Relations enter the constructor as polynomials only, and
+    # _subalgebra alone hands a presentation its kernel's basis, so a
+    # second input type or a re-vetting of a computed basis cannot grow
+    # back unnoticed.
+    tree = ast.parse((SRC / "algebra.py").read_text())
+    (init,) = [
+        fn
+        for top in tree.body
+        if isinstance(top, ast.ClassDef) and top.name == "GradedAlgebraPresentation"
+        for fn in top.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+    ]
+    reads = [
+        node.lineno
+        for node in ast.walk(init)
+        if (isinstance(node, ast.Name) and node.id == "GroebnerBasis")
+        or (isinstance(node, ast.Attribute) and node.attr in ("basis", "is_zero"))
+    ]
+    assert not reads, reads
+    # Only an object's own methods may set its _cache, and _subalgebra.
+    owners = []
+    for path in sorted(SRC.glob("*.py")):
+        module = ast.parse(path.read_text())
+        owners += [
+            (path.name, _owner(module, node))
+            for node in ast.walk(module)
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(target, ast.Attribute)
+            and target.attr == "_cache"
+            and ast.unparse(target.value) != "self"
+        ]
+    assert owners == [("algebra.py", "_subalgebra")], owners
